@@ -16,7 +16,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import generation, structure
@@ -287,6 +286,7 @@ def _span(range_str: str | None, default: tuple[int, int]) -> tuple[int, int]:
         v = int(range_str)
         return v, v
     except ValueError:
+        print(f"error: bad range {range_str!r}", file=sys.stderr)
         raise SystemExit(2)
 
 
@@ -542,8 +542,11 @@ def cmd_verify(args) -> int:
         instances, notices = _verify_instances(args.rule, args)
         checked = len(instances)
         items = [(args.rule, g6) for g6 in instances]
-        if args.jobs > 1 and len(items) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        jobs = min(args.jobs, os.cpu_count() or 1)
+        if jobs > 1 and len(items) > 1:
+            # imported here: loading the pool machinery costs every CLI start
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(_pool_check, items, chunksize=16))
         else:
             results = [_pool_check(item) for item in items]

@@ -138,7 +138,8 @@ def cycle_to_matching(order: tuple[int, ...]) -> Matching:
 
 def _complement_perfect_matching(g: Graph, r: int, strategy: Strategy) -> Matching | TutteViolator:
     gc = complement(g)
-    use_dirac = strategy == "dirac" or (strategy == "auto" and 2 * r < g.n)
+    # a Hamiltonian cycle needs n >= 3; at n = 2 the blossom matcher finds K_2
+    use_dirac = strategy == "dirac" or (strategy == "auto" and 2 * r < g.n and g.n > 2)
     if strategy == "dirac" and 2 * r >= g.n:
         raise DiracPreconditionError(
             f"dirac strategy needs r < n/2, got r={r}, n={g.n}"

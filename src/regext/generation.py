@@ -280,7 +280,6 @@ def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[
     adj = [0] * n
     residual = [r] * n
     seen: set[bytes] = set()
-    out: list[Graph] = []
 
     def assign(v: int) -> Iterator[Graph]:
         if v == n:

@@ -91,11 +91,6 @@ def build(n: int, edges: Iterable[Edge]) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def from_edge_masks(n: int, adj: list[int]) -> Graph:
-    """Trusted constructor for internal callers that already hold masks."""
-    return Graph(n, tuple(adj))
-
-
 def complement(g: Graph) -> Graph:
     """Complement graph: uv is an edge iff u != v and uv not in g."""
     full = g.vertex_mask()

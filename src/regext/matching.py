@@ -2,10 +2,14 @@
 
 General graphs use augmenting-path search with blossom contraction; when no
 perfect matching exists the caller gets a Tutte violator: a vertex set S
-whose deletion leaves more odd components than |S|.  Bipartite graphs use
-augmenting paths directly and fail with a Hall violator (a subset of one
-part with a smaller neighborhood).  ``tutte_violator_bruteforce`` scans all
-2^n subsets and is the independent oracle the matcher is tested against.
+whose deletion leaves more odd components than |S|.  The violator is the
+Gallai-Edmonds set read off the Hungarian trees of a maximum matching, so
+it is Tutte-Berge tight: odd(G-S) - |S| equals the number of vertices a
+maximum matching misses.  Bipartite graphs use augmenting paths directly
+and fail with a Hall violator (a subset of one part with a smaller
+neighborhood).  ``tutte_violator_bruteforce`` scans all 2^n subsets; no
+product path calls it, it is the independent oracle the matcher is tested
+against.
 
 All searches scan vertices and neighbors in ascending label order, so every
 result is deterministic for a fixed input.
@@ -20,10 +24,6 @@ from itertools import combinations
 from .graph import Edge, Graph, GraphError, components_after_deletion, _norm_edge
 
 Matching = frozenset[Edge]
-
-#: perfect_matching switches from an exhaustive minimum violator to the
-#: Gallai-Edmonds construction above this vertex count
-BRUTE_FORCE_LIMIT = 22
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,12 @@ def is_valid_matching(g: Graph, m: Matching, perfect: bool = False) -> bool:
     return True
 
 
-def _augment_from(g: Graph, match: list[int], root: int) -> bool:
+def _augment_from(g: Graph, match: list[int], root: int) -> int:
     """One blossom phase: grow an alternating tree from ``root``.
 
-    Augments ``match`` in place and returns True when an exposed vertex is
-    reached; returns False when the tree is Hungarian (no augmenting path).
+    Augments ``match`` in place and returns 0 when an exposed vertex is
+    reached.  When the tree is Hungarian (no augmenting path) it returns the
+    bitmask of the tree's outer vertices, which holds at least the root.
     """
     n = g.n
     parent = [-1] * n
@@ -134,11 +135,11 @@ def _augment_from(g: Graph, match: list[int], root: int) -> bool:
                         match[to] = prev
                         match[prev] = to
                         to = nxt
-                    return True
+                    return 0
                 if not outer[match[to]]:
                     outer[match[to]] = True
                     queue.append(match[to])
-    return False
+    return sum(1 << v for v in range(n) if outer[v])
 
 
 def _match_array(g: Graph) -> list[int]:
@@ -164,39 +165,21 @@ def max_matching(g: Graph) -> Matching:
     return frozenset((v, u) for v, u in enumerate(match) if u > v)
 
 
-def _misses_some_maximum_matching(g: Graph, match: list[int], v: int) -> bool:
-    """True iff deleting v does not drop the maximum matching size.
-
-    ``match`` must be maximum.  Removing the edge (v, match[v]) exposes the
-    partner; any augmenting path avoiding v must start there, because a path
-    between two originally exposed vertices would contradict maximality.
-    """
-    if match[v] == -1:
-        return True
-    partner = match[v]
-    trial = list(match)
-    trial[v] = -1
-    trial[partner] = -1
-    masked = Graph(g.n, tuple(
-        0 if i == v else a & ~(1 << v) for i, a in enumerate(g.adj)
-    ))
-    return _augment_from(masked, trial, partner)
-
-
 def _gallai_edmonds_violator(g: Graph, match: list[int]) -> TutteViolator:
     """Violator from the structure of a deficient maximum matching.
 
-    D = vertices missed by some maximum matching; S = N(D) - D.  Every
-    component of G[D] is odd, and there are deficiency + |S| of them, so S
-    violates the Tutte condition whenever the matching is not perfect.
+    D = vertices missed by some maximum matching, which are exactly the
+    outer vertices of the Hungarian trees grown from the exposed vertices;
+    S = N(D) - D.  Every component of G[D] is odd, and there are
+    deficiency + |S| of them, so S violates the Tutte condition whenever
+    the matching is not perfect, and does so with equality in Tutte-Berge.
     """
-    inessential = [_misses_some_maximum_matching(g, match, v) for v in range(g.n)]
     d_mask = 0
-    for v, flag in enumerate(inessential):
-        if flag:
-            d_mask |= 1 << v
+    for v, u in enumerate(match):
+        if u == -1:
+            d_mask |= _augment_from(g, match, v)
     s = frozenset(
-        v for v in range(g.n) if not inessential[v] and g.adj[v] & d_mask
+        v for v in range(g.n) if not d_mask >> v & 1 and g.adj[v] & d_mask
     )
     odd = components_after_deletion(g, s).odd_count
     violator = TutteViolator(s, odd)
@@ -208,19 +191,13 @@ def _gallai_edmonds_violator(g: Graph, match: list[int]) -> TutteViolator:
 def perfect_matching(g: Graph) -> Matching | TutteViolator:
     """A perfect matching, or a Tutte violator proving none exists.
 
-    Odd n short-circuits with s = {} (at least one component is odd).  For
-    n <= BRUTE_FORCE_LIMIT the violator is the exhaustive minimum-cardinality
-    one; larger graphs get the Gallai-Edmonds certificate.
+    The violator is the Gallai-Edmonds one (see ``_gallai_edmonds_violator``)
+    for every deficient graph, odd n included; it is polynomial and
+    Tutte-Berge tight, so it also proves the size of ``max_matching(g)``.
     """
-    if g.n % 2 == 1:
-        return TutteViolator(frozenset(), components_after_deletion(g).odd_count)
     match = _match_array(g)
     if all(u != -1 for u in match):
         return frozenset((v, u) for v, u in enumerate(match) if u > v)
-    if g.n <= BRUTE_FORCE_LIMIT:
-        violator = tutte_violator_bruteforce(g)
-        assert violator is not None
-        return violator
     return _gallai_edmonds_violator(g, match)
 
 
@@ -254,10 +231,10 @@ def _odd_components_by_subset(g: Graph) -> bytearray:
     return oddc
 
 
-def tutte_violator_bruteforce(g: Graph, limit_n: int = BRUTE_FORCE_LIMIT) -> TutteViolator | None:
+def tutte_violator_bruteforce(g: Graph, limit_n: int = 22) -> TutteViolator | None:
     """Minimum-cardinality S with odd(G-S) > |S|, or None; 2^n scan.
 
-    Independent oracle for :func:`perfect_matching`.  Small cardinalities
+    Test oracle for :func:`perfect_matching`.  Small cardinalities
     are scanned first so common violators return quickly; proving "none"
     costs a full dynamic program over all subsets.
     """

@@ -31,6 +31,7 @@ from regext import (
     extend_to,
     format_graph6,
     is_valid_matching,
+    max_matching,
     parse_graph6,
     perfect_matching,
     random_regular,
@@ -62,6 +63,12 @@ def _valid_degrees(n):
     return [r for r in range(n) if (n * r) % 2 == 0]
 
 
+def _assert_tutte_berge_tight(g, violator):
+    """The violator proves the exact size of a maximum matching."""
+    assert violator.odd_count - len(violator.s) == g.n - 2 * len(max_matching(g)), \
+        format_graph6(g)
+
+
 def test_criterion_01_oracle_equivalence():
     """perfect_matching vs the exhaustive Tutte scan, exact agreement."""
     t0 = time.monotonic()
@@ -78,6 +85,7 @@ def test_criterion_01_oracle_equivalence():
                     assert is_valid_matching(g, pm, perfect=True)
                 else:
                     assert pm.verify(g) and bf.verify(g)
+                    _assert_tutte_berge_tight(g, pm)
                 checked += 1
 
     # 500 seeded random graphs with n <= 20; the largest sizes are thinned
@@ -94,6 +102,8 @@ def test_criterion_01_oracle_equivalence():
             pm = perfect_matching(g)
             bf = tutte_violator_bruteforce(g)
             assert (not isinstance(pm, TutteViolator)) == (bf is None), (n, r)
+            if bf is not None:
+                _assert_tutte_berge_tight(g, pm)
             checked += 1
 
     elapsed = time.monotonic() - t0

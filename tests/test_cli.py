@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from regext import (
     TutteViolator,
     add_matching,
@@ -80,6 +82,11 @@ class TestExtendCommand:
                                  monkeypatch)
         assert code == 2
         assert "line 2" in err
+
+    def test_empty_two_vertex_graph(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, ["extend"], ["A?"], monkeypatch)
+        assert code == 0
+        assert out[0] == "line 1: extended r=0 -> 1: A_"
 
     def test_nonregular_error(self, capsys, monkeypatch):
         g6 = format_graph6(build(3, [(0, 1)]))
@@ -234,6 +241,54 @@ class TestVerifyCommand:
         strip = lambda lines: [json.loads(l) for l in lines
                                if json.loads(l)["kind"] != "header"]
         assert strip(serial) == strip(pooled)
+
+    def test_pool_not_loaded_at_import(self):
+        import os
+        import subprocess
+        import sys
+
+        import regext
+
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(regext.__file__))}
+        code = ("import sys, regext.cli; "
+                "sys.exit('concurrent.futures.process' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+    @pytest.mark.parametrize("requested,cpus,workers", [(64, 3, 3), (2, 3, 2)])
+    def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch, requested, cpus, workers):
+        import concurrent.futures
+        import os
+
+        from regext import cli
+
+        started = []
+
+        class SerialExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
+        # also cover a module-level import, so no real pool can start here
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialExecutor, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        code, _, _ = run_cli(capsys, ["verify", "--rule", "T1", "--n-range", "4..6",
+                                      "--jobs", str(requested)])
+        assert code == 0
+        assert started == [workers]
+
+    def test_bad_range_message(self, capsys):
+        code, out, err = run_cli(capsys, ["verify", "--rule", "T1", "--n-range", "4..x"])
+        assert code == 2 and out == []
+        assert err.strip() == "error: bad range '4..x'"
 
     def test_reports_byte_identical(self, capsys, monkeypatch):
         argv = ["check", "--json"]

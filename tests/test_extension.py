@@ -111,6 +111,11 @@ class TestExtendOnce:
         # complement is 3-regular bipartite, so a matching must exist
         assert is_valid_matching(complement(g), m, perfect=True)
 
+    def test_empty_two_vertex_graph(self):
+        # 2r < n, but no Hamiltonian cycle exists at n = 2; the matcher finds K_2
+        g2, m = extend_once(build(2, []))
+        assert g2 == complete_graph(2) and m == frozenset({(0, 1)})
+
     def test_dirac_strategy_needs_sparse(self):
         with pytest.raises(DiracPreconditionError):
             extend_once(complete_bipartite(3, 3), "dirac")

@@ -221,18 +221,84 @@ class TestCounting:
             assert (count_perfect_matchings(g) > 0) == has
 
 
+def assert_tutte_berge_tight(g, violator):
+    """odd(G-S) - |S| is exactly the number of vertices a maximum matching misses."""
+    assert violator.verify(g)
+    assert violator.odd_count - len(violator.s) == g.n - 2 * len(max_matching(g))
+
+
+def random_deficient_graphs(rng, sizes, count):
+    """``count`` seeded deficient graphs with n drawn from ``sizes``."""
+    found = []
+    while len(found) < count:
+        n = rng.choice(sizes)
+        g = random_graph(n, rng.choice([0.1, 0.15, 0.25, 0.4]), rng)
+        if isinstance(perfect_matching(g), TutteViolator):
+            found.append(g)
+    return found
+
+
 class TestAgreementRandom:
     def test_oracle_equivalence_sample(self):
         rng = random.Random(20240517)
+        graphs = [
+            # two claws: the minimum violator S={0} proves a deficiency of 2,
+            # but a maximum matching misses 4 vertices
+            disjoint_union(star_graph(3), star_graph(3)),
+        ]
         for _ in range(150):
             n = rng.randrange(4, 15)
             r = rng.randrange(0, n)
             if (n * r) % 2:
                 continue
-            g = random_regular(n, r, rng.getrandbits(32))
+            graphs.append(random_regular(n, r, rng.getrandbits(32)))
+        for g in graphs:
             pm = perfect_matching(g)
             bf = tutte_violator_bruteforce(g)
             if isinstance(pm, TutteViolator):
-                assert bf is not None and pm.verify(g)
+                assert bf is not None
+                assert_tutte_berge_tight(g, pm)
             else:
                 assert bf is None and is_valid_matching(g, pm, perfect=True)
+
+
+class TestGallaiEdmonds:
+    def test_violator_is_gallai_edmonds_set(self):
+        # D = vertices some maximum matching misses, by exhaustive matching
+        # sizes of G - v; the violator must be S = N(D) - D
+        rng = random.Random(1965)
+        for g in random_deficient_graphs(rng, range(1, 13), 300):
+            nu = oracles.brute_max_matching_size(g)
+            d_mask = 0
+            for v in range(g.n):
+                g_minus_v = build(g.n, [e for e in g.edges() if v not in e])
+                if oracles.brute_max_matching_size(g_minus_v) == nu:
+                    d_mask |= 1 << v
+            s = {v for v in range(g.n) if not d_mask >> v & 1 and g.adj[v] & d_mask}
+            v = perfect_matching(g)
+            assert v.s == s, g.adj
+            assert v.odd_count - len(s) == g.n - 2 * nu
+
+    def test_no_exhaustive_scan(self, monkeypatch):
+        from regext import matching
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("perfect_matching ran the 2^n scan")
+
+        monkeypatch.setattr(matching, "tutte_violator_bruteforce", refuse)
+        rng = random.Random(22)
+        for g in random_deficient_graphs(rng, range(6, 23), 120):
+            assert_tutte_berge_tight(g, perfect_matching(g))
+
+    def test_size_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(3)
+        for _ in range(120):
+            n = rng.randrange(1, 41)
+            g = random_graph(n, rng.choice([0.05, 0.1, 0.2, 0.5]), rng)
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges())
+            m = max_matching(g)
+            assert is_valid_matching(g, m)
+            assert len(m) == len(nx.max_weight_matching(h, maxcardinality=True))
