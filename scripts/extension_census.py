@@ -23,6 +23,13 @@ from regext import (
     extend_once,
     extend_to,
 )
+from regext.extension import (
+    CONCLUSION_EXTENDABLE,
+    CONCLUSION_EXTENDABLE_ANY,
+    CONCLUSION_NOT_EXTENDABLE,
+)
+
+SUFFICIENT = (CONCLUSION_EXTENDABLE, CONCLUSION_EXTENDABLE_ANY)
 
 
 def census_cell(n: int, r: int, backtrack: int) -> Counter:
@@ -30,9 +37,8 @@ def census_cell(n: int, r: int, backtrack: int) -> Counter:
     for g in enumerate_regular(n, r):
         tally["graphs"] += 1
         verdicts = [v for v in classify(g) if v.applies]
-        sufficient = any(v.conclusion in ("extendable", "extendable-to-any-r'")
-                         for v in verdicts)
-        impossible = any(v.conclusion == "not-extendable" for v in verdicts)
+        sufficient = any(v.conclusion in SUFFICIENT for v in verdicts)
+        impossible = any(v.conclusion == CONCLUSION_NOT_EXTENDABLE for v in verdicts)
         if r > n - 2:
             tally["no-room"] += 1
             continue

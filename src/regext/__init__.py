@@ -2,8 +2,9 @@
 
 Library surface: immutable bitset graphs with graph6 I/O, blossom matching
 with Tutte/Hall certificates, edge-connectivity and biclique structure,
-constructive Hamiltonian-cycle extension, a rule classifier, and seeded
-generation / exhaustive enumeration of small regular graphs.
+constructive Hamiltonian-cycle extension, the table of extension rules and
+the classifier that reads it, and seeded generation / exhaustive
+enumeration of small regular graphs.
 """
 
 from .graph import (
@@ -30,6 +31,7 @@ from .matching import (
     count_perfect_matchings,
     is_valid_matching,
     max_matching,
+    max_matching_with_violator,
     perfect_matching,
     tutte_violator_bruteforce,
 )
@@ -42,6 +44,7 @@ from .structure import (
     check_balloon_bound,
     check_ineq_kr,
     check_ineq_x,
+    clique_number,
     complement_bipartite_check,
     find_bridges,
     find_clique,
@@ -50,7 +53,9 @@ from .structure import (
 from .extension import (
     DiracPreconditionError,
     ExtensionFailure,
+    RULES,
     ExtensionTrace,
+    Rule,
     TheoremVerdict,
     classify,
     cycle_to_matching,
@@ -60,6 +65,7 @@ from .extension import (
     validate_cycle,
 )
 from .generation import (
+    biclique_splits,
     canonical_form,
     enumerate_regular,
     random_regular,

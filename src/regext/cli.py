@@ -7,6 +7,11 @@ one summary object).  Exit codes: 0 all good, 1 any semantic failure
 non-regular input to a command that needs regularity), 2 usage or parse
 errors.  All randomness flows from --seed, so reports are byte-identical
 across runs.
+
+``check`` prints one verdict per record of ``extension.RULES``.  ``verify``
+takes its (n, r) cells from the same records' ``holds`` and keeps, per
+rule, only a plan (``_PLANS``): default range, sampler, seed formula and
+the check that confirms the conclusion.
 """
 
 from __future__ import annotations
@@ -15,29 +20,39 @@ import argparse
 import json
 import logging
 import os
+import random
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain, combinations
+from typing import Callable
 
 from . import generation, structure
 from .extension import (
+    CLIQUE_SEARCH_LIMIT,
+    RULES,
     ExtensionTrace,
+    Strategy,
     TheoremVerdict,
     classify,
+    extend_once,
     extend_to,
 )
 from .graph import Graph, Graph6Error, GraphError, format_graph6, parse_graph6, regularity
-from .graph import components_after_deletion, is_connected
+from .graph import complement, components_after_deletion, is_connected, require_regular
 from .matching import (
     HallViolator,
     TutteViolator,
     is_valid_matching,
-    max_matching,
+    max_matching_with_violator,
     perfect_matching,
 )
 
 log = logging.getLogger("regext.cli")
 
-CLIQUE_CLI_LIMIT = 40
+# the cap under its CLI name, which perfbench's certify checker reads
+CLIQUE_CLI_LIMIT = CLIQUE_SEARCH_LIMIT
 
 
 def _edges_json(edges) -> list[list[int]]:
@@ -180,7 +195,7 @@ def cmd_check(args) -> int:
             reporter.result(False, f"line {lineno}: error: graph is not regular",
                             {"line": lineno, "graph6": line, "error": "not regular"})
             continue
-        verdicts = classify(g, clique_search_limit=CLIQUE_CLI_LIMIT)
+        verdicts = classify(g)
         applying = [v for v in verdicts if v.applies]
         text = ", ".join(f"{v.short_rule}: {v.conclusion}" for v in applying) or "none"
         reporter.result(True, f"line {lineno}: {text}",
@@ -192,22 +207,22 @@ def cmd_check(args) -> int:
 def cmd_match(args) -> int:
     reporter = Reporter("match", {"certificates": args.certificates}, args.json)
     for lineno, line, g in _read_graphs(args.input):
-        res = perfect_matching(g)
-        if isinstance(res, TutteViolator):
-            m = max_matching(g)
+        m, violator = max_matching_with_violator(g)
+        if violator is not None:
             payload = {"line": lineno, "graph6": line, "size": len(m),
                        "perfect": False, "matching": _edges_json(m),
-                       "violator": certificate_json(res)}
+                       "violator": certificate_json(violator)}
             reporter.result(False,
                             f"line {lineno}: max matching {len(m)} edges, no perfect "
-                            f"matching: s={_vertices_json(res.s)} odd={res.odd_count}",
+                            f"matching: s={_vertices_json(violator.s)} "
+                            f"odd={violator.odd_count}",
                             payload)
         else:
-            payload = {"line": lineno, "graph6": line, "size": len(res),
+            payload = {"line": lineno, "graph6": line, "size": len(m),
                        "perfect": True}
             if args.certificates:
-                payload["matching"] = _edges_json(res)
-            reporter.result(True, f"line {lineno}: perfect matching with {len(res)} edges",
+                payload["matching"] = _edges_json(m)
+            reporter.result(True, f"line {lineno}: perfect matching with {len(m)} edges",
                             payload)
     return reporter.summary()
 
@@ -221,9 +236,7 @@ def cmd_analyze(args) -> int:
             clique_size = None
             note = f"clique search skipped (n > {CLIQUE_CLI_LIMIT})"
         else:
-            clique_size = 0
-            while structure.find_clique(g, clique_size + 1) is not None:
-                clique_size += 1
+            clique_size = structure.clique_number(g)
             note = None
         payload = {
             "line": lineno, "graph6": line, "n": g.n, "m": g.m,
@@ -290,25 +303,14 @@ def _span(range_str: str | None, default: tuple[int, int]) -> tuple[int, int]:
         raise SystemExit(2)
 
 
-def _check_extends(g6: str) -> dict | None:
-    from .extension import extend_once
-    from .graph import complement
+def _check_extends(g6: str, strategy: Strategy = "auto") -> dict | None:
     g = parse_graph6(g6)
-    res = extend_once(g, "auto")
+    res = extend_once(g, strategy)
     if isinstance(res, TutteViolator):
         return {"graph6": g6, "certificate": certificate_json(res)}
     _, m = res
     if not is_valid_matching(complement(g), m, perfect=True):
         return {"graph6": g6, "certificate": {"type": "invalid-matching"}}
-    return None
-
-
-def _check_extends_dirac(g6: str) -> dict | None:
-    from .extension import extend_once
-    g = parse_graph6(g6)
-    res = extend_once(g, "dirac")
-    if isinstance(res, TutteViolator):
-        return {"graph6": g6, "certificate": certificate_json(res)}
     return None
 
 
@@ -323,13 +325,11 @@ def _check_has_pm(g6: str) -> dict | None:
 
 
 def _check_t4(g6: str) -> dict | None:
-    from .extension import extend_once
-    from .graph import complement
     g = parse_graph6(g6)
-    verdicts = {v.rule: v for v in classify(g)}
-    if not verdicts["T4-Impossible"].applies:
+    r = require_regular(g)
+    if not _RULE["T4"].verdict(g, r).applies:
         return {"graph6": g6, "certificate": {"type": "rule-not-detected"}}
-    if regularity(g) == g.n - 1:
+    if r == g.n - 1:
         # no room for extend_once; the complement must still lack a matching
         res = perfect_matching(complement(g))
     else:
@@ -348,20 +348,16 @@ def _check_t5(g6: str) -> dict | None:
 
 
 def _check_balloon(g6: str) -> dict | None:
-    import random as _random
     g = parse_graph6(g6)
-    from itertools import combinations
-    for k in range(4):
-        for s in combinations(range(g.n), k):
-            chk = structure.check_balloon_bound(g, s)
-            if chk.applicable and not chk.holds:
-                return {"graph6": g6,
-                        "certificate": {"type": "balloon-bound", "s": list(s),
-                                        "lhs": str(chk.lhs), "rhs": str(chk.rhs)}}
-    rng = _random.Random(g6)
-    for _ in range(20):
-        size = rng.randrange(4, g.n) if g.n > 4 else 0
-        s = tuple(sorted(rng.sample(range(g.n), size))) if size else ()
+    rng = random.Random(g6)
+
+    def sampled_sets():
+        for _ in range(20):
+            size = rng.randrange(4, g.n) if g.n > 4 else 0
+            yield tuple(sorted(rng.sample(range(g.n), size))) if size else ()
+
+    small = (s for k in range(4) for s in combinations(range(g.n), k))
+    for s in chain(small, sampled_sets()):
         chk = structure.check_balloon_bound(g, s)
         if chk.applicable and not chk.holds:
             return {"graph6": g6,
@@ -370,139 +366,114 @@ def _check_balloon(g6: str) -> dict | None:
     return None
 
 
-_RULE_CHECKERS = {
-    "T1": _check_extends_dirac,
-    "T2": _check_extends,
-    "T3": _check_extends,
-    "T4": _check_t4,
-    "T5": _check_t5,
-    "L": _check_has_pm,
-    "C": _check_has_pm,
-    "L0-balloon": _check_balloon,
+@dataclass(frozen=True)
+class _Plan:
+    """How ``verify`` draws instances of one rule and confirms its conclusion.
+
+    The cells (n, r) are the even n of the n range with every r < n, or,
+    with ``r_range``, every odd r of the r range outermost (L and C are
+    statements about odd r) with the n range of that r; a cell counts when
+    ``region`` (the rule's hypothesis) holds and the sampler can build it.
+    A ``spread`` plan draws ``samples`` graphs round-robin over all cells;
+    otherwise each cell gets ``count(samples)`` graphs, or every
+    isomorphism class when ``exhaustive`` and n is within the enumeration
+    cap.  ``seed(seed, n, r, i)`` seeds the i-th draw.
+    """
+
+    region: Callable[[int, int], bool]
+    check: Callable[[str], dict | None]
+    sample: Callable[[int, int, int], Graph]
+    n_range: tuple[int, int] | Callable[[int], tuple[int, int]]
+    r_range: tuple[int, int] | None = None
+    seed: Callable[[int, int, int, int], int] = lambda s, n, r, i: s + i
+    feasible: Callable[[int, int], bool] = lambda n, r: True
+    spread: bool = False
+    exhaustive: bool = False
+    count: Callable[[int], int] = lambda samples: samples
+
+
+def _biclique_plan(rule: str, check, odd_parts: bool, n_range: tuple[int, int]) -> _Plan:
+    return _Plan(
+        _RULE[rule].holds, check,
+        lambda n, r, s: generation.sample_spanning_biclique_regular(n, r, s, odd_parts),
+        n_range, spread=True,
+        feasible=lambda n, r: bool(generation.biclique_splits(n, r, odd_parts)))
+
+
+_RULE = {rule.short: rule for rule in RULES}
+
+_PLANS = {
+    "T1": _Plan(_RULE["T1"].holds, partial(_check_extends, strategy="dirac"),
+                generation.random_regular, (4, 10),
+                seed=lambda s, n, r, i: s + 1000 * n + 10 * r + i, exhaustive=True),
+    "T2": _Plan(_RULE["T2"].holds, _check_extends, generation.random_regular,
+                (4, 60), spread=True),
+    # a spanning biclique forces r >= n/2, so the T3 region is empty below
+    # n = 34
+    "T3": _biclique_plan("T3", _check_extends, False, (34, 70)),
+    "T4": _biclique_plan("T4", _check_t4, True, (6, 40)),
+    "T5": _Plan(_RULE["T5"].holds, _check_t5, generation.sample_clique_pair_regular,
+                (4, 24), spread=True),
+    "L": _Plan(_RULE["L"].holds, _check_has_pm, generation.random_regular,
+               lambda r: (r + 1, 4 * r), r_range=(17, 17),
+               seed=lambda s, n, r, i: s + 7919 * n + i, feasible=lambda n, r: r < n),
+    # two r-regular components need n >= 2r + 2; cells the sampler cannot
+    # split are reported
+    "C": _Plan(_RULE["C"].holds, _check_has_pm, generation.sample_disconnected_regular,
+               lambda r: (2 * r + 2, 4 * r), r_range=(17, 17),
+               seed=lambda s, n, r, i: s + 7919 * n + i if i else s + n,
+               count=lambda samples: max(1, samples)),
+    # the odd-component balloon bound, for odd r >= 3
+    "L0-balloon": _Plan(lambda n, r: r % 2 == 1 and r >= 3, _check_balloon,
+                        generation.random_regular, (4, 14),
+                        seed=lambda s, n, r, i: s + 1000 * n + 10 * r + i, exhaustive=True,
+                        count=lambda samples: max(1, samples // 10)),
 }
 
 
-def _verify_instances(rule: str, args) -> tuple[list[str], list[str]]:
-    """Generate graph6 instances satisfying the rule hypotheses.
+def _cells(plan: _Plan, args, notices: list[str]) -> list[tuple[int, int]]:
+    if plan.r_range is None:
+        lo, hi = _span(args.n_range, plan.n_range)
+        pairs = [(n, r) for n in range(lo + lo % 2, hi + 1, 2) for r in range(n)]
+    else:
+        pairs = []
+        rlo, rhi = _span(args.r_range, plan.r_range)
+        for r in range(rlo + (rlo + 1) % 2, rhi + 1, 2):
+            lo, hi = plan.n_range(r)
+            if not any(plan.region(n, r) for n in range(lo, hi + 1)):
+                notices.append(f"r={r} skipped: empty hypothesis region")
+                continue
+            lo, hi = _span(args.n_range, (lo, hi))
+            pairs += [(n, r) for n in range(lo + lo % 2, hi + 1, 2)]
+    return [(n, r) for n, r in pairs if plan.region(n, r) and plan.feasible(n, r)]
 
-    Returns (instances, notices); infeasible cells are skipped with notice.
-    """
-    seed = args.seed
-    samples = args.samples
+
+def _verify_instances(rule: str, args) -> tuple[list[str], list[str]]:
+    """graph6 instances satisfying the rule's hypotheses, and notices for
+    the parts of the requested region that were skipped."""
+    plan = _PLANS[rule]
+    seed, samples = args.seed, args.samples
     notices: list[str] = []
     out: list[str] = []
-
-    def note(msg: str) -> None:
-        notices.append(msg)
-
-    if rule == "T1":
-        lo, hi = _span(args.n_range, (4, 10))
-        for n in range(lo + lo % 2, hi + 1, 2):
-            for r in range((n - 1) // 2 + 1):
-                if 2 * r >= n or (n * r) % 2:
-                    continue
-                if n <= generation.ENUMERATION_CAP:
-                    out.extend(format_graph6(g)
-                               for g in generation.enumerate_regular(n, r))
-                else:
-                    for i in range(samples):
-                        out.append(format_graph6(
-                            generation.random_regular(n, r, seed + 1000 * n + 10 * r + i)))
-    elif rule == "T2":
-        lo, hi = _span(args.n_range, (4, 60))
-        cells = []
-        for n in range(lo + lo % 2, hi + 1, 2):
-            for r in range(0, n - 1, 2):
-                ok = (3 * r < 2 * (n + 2)) if n >= 52 else (r < n - 16)
-                if ok and (n * r) % 2 == 0:
-                    cells.append((n, r))
+    cells = _cells(plan, args, notices)
+    if plan.spread:
         if not cells:
-            note("empty hypothesis region")
-            return out, notices
+            return out, notices + ["empty hypothesis region"]
         for i in range(samples):
             n, r = cells[(seed + i) % len(cells)]
-            out.append(format_graph6(generation.random_regular(n, r, seed + i)))
-    elif rule in ("T3", "T4"):
-        odd_parts = rule == "T4"
-        # a spanning biclique forces r >= n/2, so the T3 region is empty
-        # below n = 34
-        lo, hi = _span(args.n_range, (34, 70) if rule == "T3" else (6, 40))
-        cells = []
-        for n in range(lo + lo % 2, hi + 1, 2):
-            for r in range(n):
-                if rule == "T3":
-                    if r % 2:
-                        continue
-                    ok = (4 * r < 3 * n) if n >= 64 else (r < n - 16)
-                    if not ok:
-                        continue
-                else:
-                    if 2 * r < n:
-                        continue
-                try:
-                    generation.sample_spanning_biclique_regular(n, r, 0, odd_parts)
-                except GraphError:
-                    continue
-                cells.append((n, r))
-        if not cells:
-            note("no feasible (n, r) cells in range")
-            return out, notices
-        for i in range(samples):
-            n, r = cells[(seed + i) % len(cells)]
-            out.append(format_graph6(generation.sample_spanning_biclique_regular(
-                n, r, seed + i, odd_parts)))
-    elif rule == "T5":
-        lo, hi = _span(args.n_range, (4, 24))
-        cells = [(n, r) for n in range(lo + lo % 2, hi + 1, 2)
-                 for r in range(n // 2, n)]
-        if not cells:
-            note("empty hypothesis region")
-            return out, notices
-        for i in range(samples):
-            n, r = cells[(seed + i) % len(cells)]
-            out.append(format_graph6(generation.sample_clique_pair_regular(
-                n, r, seed + i)))
-    elif rule in ("L", "C"):
-        rlo, rhi = _span(args.r_range, (17, 17))
-        for r in range(rlo + (rlo + 1) % 2, rhi + 1, 2):
-            if r <= 15:
-                note(f"r={r} skipped: rule needs r > 15")
-                continue
-            if rule == "L":
-                nlo, nhi = _span(args.n_range, (r + 1 + (r + 1) % 2, 3 * r + 6))
-                nhi = min(nhi, 3 * r + 6)
-                for n in range(nlo + nlo % 2, nhi + 1, 2):
-                    if n < r + 1:
-                        continue
-                    for i in range(samples):
-                        out.append(format_graph6(generation.random_regular(
-                            n, r, seed + 7919 * n + i)))
-            else:
-                nlo, nhi = _span(args.n_range, (2 * r + 2, 4 * r))
-                nhi = min(nhi, 4 * r)
-                for n in range(nlo + nlo % 2, nhi + 1, 2):
-                    try:
-                        g = generation.sample_disconnected_regular(n, r, seed + n)
-                    except GraphError:
-                        note(f"n={n}, r={r} skipped: no disconnected split")
-                        continue
-                    out.append(format_graph6(g))
-                    for i in range(1, samples):
-                        out.append(format_graph6(generation.sample_disconnected_regular(
-                            n, r, seed + 7919 * n + i)))
-    elif rule == "L0-balloon":
-        lo, hi = _span(args.n_range, (4, 14))
-        for n in range(lo + lo % 2, hi + 1, 2):
-            for r in range(3, n, 2):
-                if n <= generation.ENUMERATION_CAP:
-                    out.extend(format_graph6(g)
-                               for g in generation.enumerate_regular(n, r))
-                else:
-                    for i in range(max(1, samples // 10)):
-                        out.append(format_graph6(generation.random_regular(
-                            n, r, seed + 1000 * n + 10 * r + i)))
-    else:
-        raise SystemExit(2)
+            out.append(format_graph6(plan.sample(n, r, plan.seed(seed, n, r, i))))
+        return out, notices
+    for n, r in cells:
+        if plan.exhaustive and n <= generation.ENUMERATION_CAP:
+            out.extend(format_graph6(g) for g in generation.enumerate_regular(n, r))
+            continue
+        for i in range(plan.count(samples)):
+            try:
+                g = plan.sample(n, r, plan.seed(seed, n, r, i))
+            except GraphError as exc:
+                notices.append(f"n={n}, r={r} skipped: {exc}")
+                break
+            out.append(format_graph6(g))
     return out, notices
 
 
@@ -527,7 +498,7 @@ def _run_ineq(args) -> tuple[int, list[dict]]:
 
 def _pool_check(item: tuple[str, str]) -> dict | None:
     rule, g6 = item
-    return _RULE_CHECKERS[rule](g6)
+    return _PLANS[rule].check(g6)
 
 
 def cmd_verify(args) -> int:
@@ -613,9 +584,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("verify", help="confirm a rule's guarantee empirically")
-    p.add_argument("--rule", required=True,
-                   choices=["T1", "T2", "T3", "T4", "T5", "L", "C",
-                            "L0-balloon", "INEQ"])
+    p.add_argument("--rule", required=True, choices=[*_PLANS, "INEQ"])
     p.add_argument("--n-range", dest="n_range", help="A..B")
     p.add_argument("--r-range", dest="r_range", help="A..B")
     p.add_argument("--samples", type=int, default=100,

@@ -6,17 +6,27 @@ When the complement has minimum degree >= n/2 the matching is built
 constructively from a Hamiltonian cycle (rotation-extension); otherwise the
 blossom matcher is used and failures surface as Tutte violators.
 
-``classify`` evaluates the sufficient and impossibility conditions this
-package verifies, each as an independent verdict with attached witnesses.
+``RULES`` holds one ``Rule`` record per sufficient or impossibility
+condition this package verifies: its arithmetic hypothesis on (n, r), the
+finder for its structural hypothesis, and its conclusion.  ``classify``
+evaluates every record as an independent verdict with attached witnesses;
+``regext verify`` draws its instances from the same records.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Callable, Iterator, Literal
 
-from .graph import Graph, GraphError, add_matching, complement, is_connected, require_regular
+from .graph import (
+    Graph,
+    GraphError,
+    add_matching,
+    complement,
+    is_connected,
+    require_regular,
+)
 from .matching import (
     Matching,
     TutteViolator,
@@ -241,39 +251,43 @@ def extend_to(
     if not r <= target_r <= g.n - 1:
         raise GraphError(f"target degree {target_r} outside {r}..{g.n - 1}")
 
-    deepest: dict[str, object] = {"r": r - 1, "steps": (), "violator": None}
+    if r == target_r:
+        return ExtensionTrace(r, target_r, (), g)
+    deepest: ExtensionFailure | None = None
+    # one frame per level: [graph, degree, steps so far, candidate matchings,
+    # whether any candidate came out]; depth-first in candidate order
+    stack = [[g, r, (), _matching_candidates(g, r, strategy, backtrack), False]]
+    while stack:
+        frame = stack[-1]
+        cur, cur_r, steps, candidates, _ = frame
+        m = next(candidates, None)
+        if m is None:
+            stack.pop()
+            if not frame[4] and (deepest is None or cur_r > deepest.reached_r):
+                violator = _complement_perfect_matching(cur, cur_r, "blossom")
+                assert isinstance(violator, TutteViolator)
+                deepest = ExtensionFailure(cur_r, steps, violator)
+            if stack:
+                log.debug("backtracking at r=%d", stack[-1][1])
+            continue
+        frame[4] = True
+        nxt = add_matching(cur, m)
+        if cur_r + 1 == target_r:
+            return ExtensionTrace(r, target_r, steps + (m,), nxt)
+        stack.append([nxt, cur_r + 1, steps + (m,),
+                      _matching_candidates(nxt, cur_r + 1, strategy, backtrack), False])
+    assert deepest is not None
+    return deepest
 
-    def descend(cur: Graph, cur_r: int, steps: tuple[Matching, ...]):
-        if cur_r == target_r:
-            return ExtensionTrace(r, target_r, steps, cur)
-        saw_candidate = False
-        for m in _matching_candidates(cur, cur_r, strategy, backtrack):
-            saw_candidate = True
-            done = descend(add_matching(cur, m), cur_r + 1, steps + (m,))
-            if done is not None:
-                return done
-            log.debug("backtracking at r=%d", cur_r)
-        if not saw_candidate and cur_r > deepest["r"]:
-            violator = _complement_perfect_matching(cur, cur_r, "blossom")
-            assert isinstance(violator, TutteViolator)
-            deepest.update(r=cur_r, steps=steps, violator=violator)
-        return None
 
-    result = descend(g, r, ())
-    if result is not None:
-        return result
-    assert deepest["violator"] is not None
-    return ExtensionFailure(deepest["r"], deepest["steps"], deepest["violator"])
-
-
-# rule id -> (conclusion when the rule applies)
 CONCLUSION_EXTENDABLE = "extendable"
 CONCLUSION_EXTENDABLE_ANY = "extendable-to-any-r'"
 CONCLUSION_NOT_EXTENDABLE = "not-extendable"
 CONCLUSION_HAS_PM = "has-perfect-matching"
 
-RULE_IDS = ("T1-Dirac", "T2-EvenEven", "T3-Biclique", "T4-Impossible",
-            "T5-Clique", "L-Matching", "C-Disconnected")
+# the T5 witness is an exponential clique search; above this order it is
+# skipped with a note (``regext analyze`` uses the same cap)
+CLIQUE_SEARCH_LIMIT = 40
 
 
 @dataclass(frozen=True)
@@ -289,59 +303,77 @@ class TheoremVerdict:
         return self.rule.split("-", 1)[0]
 
 
-def classify(g: Graph, clique_search_limit: int = 40) -> list[TheoremVerdict]:
-    """Evaluate every extension rule on a regular graph.
+@dataclass(frozen=True)
+class Rule:
+    """One theorem: its hypothesis on an r-regular G of order n, and its
+    conclusion.
+
+    ``holds(n, r)`` is the arithmetic hypothesis.  ``witness(g)``, when the
+    rule has a structural hypothesis, returns a certificate for it or None;
+    it runs only where ``holds`` does.  ``search_limit`` caps the order at
+    which an exponential witness search (T5's clique search) runs; above it
+    the verdict is negative and carries a note.  ``show_witness`` False
+    keeps the certificate out of the verdict.
+    """
+
+    name: str
+    conclusion: str
+    holds: Callable[[int, int], bool]
+    witness: Callable[[Graph], object] | None = None
+    search_limit: int | None = None
+    show_witness: bool = True
+
+    @property
+    def short(self) -> str:
+        return self.name.split("-", 1)[0]
+
+    def verdict(self, g: Graph, r: int) -> TheoremVerdict:
+        holds = self.holds(g.n, r)
+        if not holds or self.witness is None:
+            return TheoremVerdict(self.name, holds, self.conclusion)
+        if self.search_limit is not None and g.n > self.search_limit:
+            return TheoremVerdict(self.name, False, self.conclusion,
+                                  note=f"clique search skipped (n > {self.search_limit})")
+        found = self.witness(g)
+        return TheoremVerdict(self.name, found is not None, self.conclusion,
+                              evidence=found if self.show_witness else None)
+
+
+# The sufficient and impossibility conditions, in the order classify reports
+# them.  Each hypothesis is stated here and nowhere else.  Witness finders
+# look their functions up at call time, so wrappers installed on the module
+# (the benchmark's tracer) see every call.
+RULES = (
+    Rule("T1-Dirac", CONCLUSION_EXTENDABLE,
+         lambda n, r: n % 2 == 0 and 2 * r < n),
+    Rule("T2-EvenEven", CONCLUSION_EXTENDABLE,
+         lambda n, r: n % 2 == 0 and r % 2 == 0
+         and (3 * r < 2 * (n + 2) if n >= 52 else r < n - 16)),
+    Rule("T3-Biclique", CONCLUSION_EXTENDABLE,
+         lambda n, r: n % 2 == 0 and r % 2 == 0
+         and (4 * r < 3 * n if n >= 64 else r < n - 16),
+         witness=lambda g: spanning_biclique(g)),
+    Rule("T4-Impossible", CONCLUSION_NOT_EXTENDABLE,
+         lambda n, r: n % 2 == 0 and 2 * r >= n,
+         witness=lambda g: spanning_biclique(g, require_odd_parts=True)),
+    Rule("T5-Clique", CONCLUSION_EXTENDABLE_ANY,
+         lambda n, r: n % 2 == 0 and 2 * r >= n and n >= 2,
+         witness=lambda g: find_clique(g, g.n // 2), search_limit=CLIQUE_SEARCH_LIMIT),
+    Rule("L-Matching", CONCLUSION_HAS_PM,
+         lambda n, r: r > 15 and r % 2 == 1 and n % 2 == 0 and n < 3 * r + 7),
+    Rule("C-Disconnected", CONCLUSION_HAS_PM,
+         lambda n, r: n % 2 == 0 and r > 15 and r % 2 == 1 and 4 * r >= n,
+         witness=lambda g: None if is_connected(g) else True, show_witness=False),
+)
+
+
+def classify(g: Graph) -> list[TheoremVerdict]:
+    """Evaluate every rule of ``RULES`` on a regular graph.
 
     Each verdict is independent; ``applies`` is True only when every
     hypothesis of the rule was verified on (n, r, G).  Structural
     hypotheses attach their witness.  The clique search behind the
-    T5 rule is skipped (with a note) beyond ``clique_search_limit``.
+    T5 rule is skipped (with a note) above ``CLIQUE_SEARCH_LIMIT``.
     """
     r = require_regular(g)
-    n = g.n
-    verdicts: list[TheoremVerdict] = []
-
-    verdicts.append(TheoremVerdict(
-        "T1-Dirac", n % 2 == 0 and 2 * r < n, CONCLUSION_EXTENDABLE))
-
-    t2_bound = 3 * r < 2 * (n + 2) if n >= 52 else r < n - 16
-    verdicts.append(TheoremVerdict(
-        "T2-EvenEven", n % 2 == 0 and r % 2 == 0 and t2_bound,
-        CONCLUSION_EXTENDABLE))
-
-    t3_bound = 4 * r < 3 * n if n >= 64 else r < n - 16
-    t3_witness = None
-    if n % 2 == 0 and r % 2 == 0 and t3_bound:
-        t3_witness = spanning_biclique(g)
-    verdicts.append(TheoremVerdict(
-        "T3-Biclique", t3_witness is not None, CONCLUSION_EXTENDABLE,
-        evidence=t3_witness))
-
-    t4_witness = None
-    if n % 2 == 0 and 2 * r >= n:
-        t4_witness = spanning_biclique(g, require_odd_parts=True)
-    verdicts.append(TheoremVerdict(
-        "T4-Impossible", t4_witness is not None, CONCLUSION_NOT_EXTENDABLE,
-        evidence=t4_witness))
-
-    t5_witness = None
-    t5_note = None
-    if n % 2 == 0 and 2 * r >= n and n >= 2:
-        if n > clique_search_limit:
-            t5_note = f"clique search skipped (n > {clique_search_limit})"
-        else:
-            t5_witness = find_clique(g, n // 2)
-    verdicts.append(TheoremVerdict(
-        "T5-Clique", t5_witness is not None, CONCLUSION_EXTENDABLE_ANY,
-        evidence=t5_witness, note=t5_note))
-
-    verdicts.append(TheoremVerdict(
-        "L-Matching", r > 15 and r % 2 == 1 and n % 2 == 0 and n < 3 * r + 7,
-        CONCLUSION_HAS_PM))
-
-    c_applies = (n % 2 == 0 and r > 15 and r % 2 == 1 and 4 * r >= n
-                 and not is_connected(g))
-    verdicts.append(TheoremVerdict(
-        "C-Disconnected", c_applies, CONCLUSION_HAS_PM))
-
-    return verdicts
+    return [rule.verdict(g, r) for rule in RULES]

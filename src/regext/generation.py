@@ -140,16 +140,14 @@ def random_regular_bipartite(half: int, d: int, seed: int) -> Graph:
     return build(2 * half, edges)
 
 
-def sample_spanning_biclique_regular(
-    n: int, r: int, seed: int, odd_parts: bool = False
-) -> Graph:
-    """Regular graph containing a spanning complete bipartite subgraph.
+def biclique_splits(n: int, r: int, odd_parts: bool = False) -> list[int]:
+    """Part sizes a for which some r-regular graph on n vertices contains
+    K_{a, n-a} spanning, both parts odd if ``odd_parts``.
 
-    Every such graph is K_{a,b} plus an (r-b)-regular graph on the A side
-    and an (r-a)-regular graph on the B side, so sampling picks a feasible
-    split and fills the sides independently.
+    Such a graph is K_{a,b} plus an (r-b)-regular graph on the A side and an
+    (r-a)-regular graph on the B side, so a split is feasible exactly when
+    both side degrees fit and have even degree sums.
     """
-    rng = random.Random(seed)
     splits = []
     for a in range(1, n):
         b = n - a
@@ -161,6 +159,19 @@ def sample_spanning_biclique_regular(
         if (a * da) % 2 or (b * db) % 2:
             continue
         splits.append(a)
+    return splits
+
+
+def sample_spanning_biclique_regular(
+    n: int, r: int, seed: int, odd_parts: bool = False
+) -> Graph:
+    """Regular graph containing a spanning complete bipartite subgraph.
+
+    Picks a split from ``biclique_splits`` and fills the two sides with
+    independently sampled regular graphs.
+    """
+    rng = random.Random(seed)
+    splits = biclique_splits(n, r, odd_parts)
     if not splits:
         raise GraphError(f"no spanning-biclique split for n={n}, r={r}")
     a = splits[rng.randrange(len(splits))]

@@ -188,6 +188,16 @@ def _gallai_edmonds_violator(g: Graph, match: list[int]) -> TutteViolator:
     return violator
 
 
+def max_matching_with_violator(g: Graph) -> tuple[Matching, TutteViolator | None]:
+    """A maximum matching, plus the violator proving it maximum when it is
+    not perfect; one blossom search serves both."""
+    match = _match_array(g)
+    m = frozenset((v, u) for v, u in enumerate(match) if u > v)
+    if all(u != -1 for u in match):
+        return m, None
+    return m, _gallai_edmonds_violator(g, match)
+
+
 def perfect_matching(g: Graph) -> Matching | TutteViolator:
     """A perfect matching, or a Tutte violator proving none exists.
 
@@ -195,10 +205,8 @@ def perfect_matching(g: Graph) -> Matching | TutteViolator:
     for every deficient graph, odd n included; it is polynomial and
     Tutte-Berge tight, so it also proves the size of ``max_matching(g)``.
     """
-    match = _match_array(g)
-    if all(u != -1 for u in match):
-        return frozenset((v, u) for v, u in enumerate(match) if u > v)
-    return _gallai_edmonds_violator(g, match)
+    m, violator = max_matching_with_violator(g)
+    return m if violator is None else violator
 
 
 def _odd_components_by_subset(g: Graph) -> bytearray:

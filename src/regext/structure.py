@@ -169,23 +169,22 @@ def check_balloon_bound(g: Graph, s) -> BalloonBoundCheck:
     return BalloonBoundCheck(applicable, lhs <= rhs, lhs, rhs, rhs_alt, lhs <= rhs_alt)
 
 
-def find_clique(g: Graph, k: int) -> frozenset[int] | None:
-    """A clique of exactly k vertices, or None.
+def _clique_search(g: Graph, floor: int, stop: int) -> list[int]:
+    """Branch and bound for a clique of more than ``floor`` vertices.
 
-    Exact branch and bound with a greedy-coloring bound; meant for n up to
-    about 40.  Adversarial dense inputs beyond that may be slow.
+    Returns the largest clique found, or the first with ``stop`` vertices;
+    [] if none beats ``floor``.  A branch is cut once its clique plus the
+    color count of its candidates cannot beat the best clique so far.
     """
-    if k < 1:
-        raise GraphError(f"clique size must be positive, got {k}")
-    if k > g.n:
-        return None
-    if k == 1:
-        return frozenset({0}) if g.n else None
     adj = g.adj
+    best: list[int] = []
+    chosen: list[int] = []
 
-    def expand(chosen: list[int], cand: int) -> frozenset[int] | None:
-        # greedy coloring: vertices in the same class are pairwise non-adjacent,
-        # so any clique inside cand uses at most max-color vertices
+    def expand(cand: int) -> bool:
+        nonlocal floor, best
+        # greedy coloring: vertices in the same class are pairwise
+        # non-adjacent, so a clique among the candidates up to some position
+        # of ``order`` uses at most that position's color
         order: list[tuple[int, int]] = []
         uncolored = cand
         color = 0
@@ -200,20 +199,41 @@ def find_clique(g: Graph, k: int) -> frozenset[int] | None:
                 avail &= ~adj[v] & uncolored
         remaining = cand
         for v, c in reversed(order):
-            if len(chosen) + c < k:
-                return None
+            if len(chosen) + c <= floor:
+                return False
             chosen.append(v)
-            if len(chosen) == k:
-                return frozenset(chosen)
-            sub = remaining & adj[v]
-            found = expand(chosen, sub)
-            if found is not None:
-                return found
+            if len(chosen) > floor:
+                floor, best = len(chosen), list(chosen)
+                if floor == stop:
+                    return True
+            if expand(remaining & adj[v]):
+                return True
             chosen.pop()
             remaining &= ~(1 << v)
-        return None
+        return False
 
-    return expand([], g.vertex_mask())
+    expand(g.vertex_mask())
+    return best
+
+
+def find_clique(g: Graph, k: int) -> frozenset[int] | None:
+    """A clique of exactly k vertices, or None.
+
+    Exact branch and bound with a greedy-coloring bound; meant for n up to
+    about 40.  Adversarial dense inputs beyond that may be slow.
+    """
+    if k < 1:
+        raise GraphError(f"clique size must be positive, got {k}")
+    if k > g.n:
+        return None
+    if k == 1:
+        return frozenset({0}) if g.n else None
+    return frozenset(_clique_search(g, k - 1, k)) or None
+
+
+def clique_number(g: Graph) -> int:
+    """Order of a maximum clique (0 for the empty graph), by one search."""
+    return len(_clique_search(g, 0, g.n))
 
 
 def spanning_biclique(g: Graph, require_odd_parts: bool = False) -> BicliqueWitness | None:

@@ -1,8 +1,8 @@
-"""Small named graphs used by tests, scripts, and documentation examples."""
+"""Small named graphs the tests build on."""
 
 from __future__ import annotations
 
-from .graph import Graph, build
+from regext import Graph, build
 
 
 def empty_graph(n: int) -> Graph:

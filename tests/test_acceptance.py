@@ -12,6 +12,7 @@ from itertools import combinations
 from math import factorial
 
 from regext import (
+    RULES,
     ExtensionTrace,
     OddCycle,
     TutteViolator,
@@ -41,7 +42,7 @@ from regext import (
     validate_cycle,
 )
 from regext.cli import main as cli_main
-from regext.families import (
+from families import (
     balloon_cubic_pair,
     cliques_plus_matching,
     complete_bipartite,
@@ -157,6 +158,8 @@ def test_criterion_03_odd_regular_matching_lemma():
 
 def test_criterion_04_even_even_extension_region():
     """200 sampled (n, r) with n, r even inside the printed bound: all extend."""
+    # the bound is written out here as a reference independent of the rule
+    # table, and the table must agree with it
     cells = []
     for n in range(4, 61, 2):
         for r in range(0, n - 1, 2):
@@ -164,6 +167,8 @@ def test_criterion_04_even_even_extension_region():
             if ok:
                 cells.append((n, r))
     assert cells
+    t2 = next(rule for rule in RULES if rule.short == "T2")
+    assert cells == [(n, r) for n in range(4, 61, 2) for r in range(n) if t2.holds(n, r)]
     checked = 0
     for i in range(200):
         n, r = cells[(7 * i) % len(cells)]

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,13 +13,30 @@ from regext import (
     parse_graph6,
 )
 from regext.cli import main
-from regext.families import (
+from families import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
     balloon_cubic_pair,
     petersen_graph,
+    star_graph,
 )
+
+
+def _verify_claims_quick() -> dict:
+    path = Path(__file__).resolve().parent.parent / "scripts" / "verify_claims.py"
+    spec = importlib.util.spec_from_file_location("verify_claims", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.QUICK
+
+
+QUICK = _verify_claims_quick()
+
+# `checked` of every QUICK row, pinned from verify as it stood before the
+# rule table; every row has zero counterexamples and no skipped cells
+QUICK_CHECKED = {"T1": 17, "T2": 40, "T3": 15, "T4": 25, "T5": 15, "L": 60,
+                 "C": 34, "L0-balloon": 101, "INEQ": 24575}
 
 
 def run_cli(capsys, argv, stdin_lines=None, monkeypatch=None):
@@ -149,6 +168,22 @@ class TestMatchCommand:
         m = frozenset(tuple(e) for e in result["matching"])
         assert is_valid_matching(petersen_graph(), m, perfect=True)
 
+    def test_one_search_per_line(self, capsys, monkeypatch):
+        # the violator and the printed maximum matching come from one search
+        from regext import matching
+
+        searches = []
+        search = matching._match_array
+        monkeypatch.setattr(matching, "_match_array",
+                            lambda g: searches.append(g.n) or search(g))
+        lines = [format_graph6(g) for g in
+                 (cycle_graph(5), star_graph(3), petersen_graph(), complete_bipartite(3, 3))]
+        code, out, _ = run_cli(capsys, ["match", "--json", "--certificates"],
+                               lines, monkeypatch)
+        assert code == 1
+        assert [r["perfect"] for r in json_lines(out)[1:-1]] == [False, False, True, True]
+        assert searches == [5, 4, 10, 6]
+
     def test_odd_cycle_violator(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, ["match", "--json"],
                                [format_graph6(cycle_graph(5))], monkeypatch)
@@ -169,6 +204,24 @@ class TestAnalyzeCommand:
         assert result["r"] == 3 and result["connected"]
         assert sorted(map(len, result["balloons"])) == [5, 5]
         assert result["clique_number"] == 3
+
+    def test_one_clique_search_per_line(self, capsys, monkeypatch):
+        from regext import structure
+
+        def no_find_clique(g, k):
+            raise AssertionError("analyze called find_clique")
+
+        searches = []
+        search = structure._clique_search
+        monkeypatch.setattr(structure, "find_clique", no_find_clique)
+        monkeypatch.setattr(structure, "_clique_search",
+                            lambda g, floor, stop: searches.append(g.n) or search(g, floor, stop))
+        lines = [format_graph6(g) for g in
+                 (balloon_cubic_pair(), petersen_graph(), complete_graph(6))]
+        code, out, _ = run_cli(capsys, ["analyze", "--json"], lines, monkeypatch)
+        assert code == 0
+        assert [r["clique_number"] for r in json_lines(out)[1:-1]] == [3, 2, 6]
+        assert searches == [10, 10, 6]
 
     def test_certificates_revalidate(self, capsys, monkeypatch):
         # every graph6 string in a report re-parses to a graph on which the
@@ -233,6 +286,46 @@ class TestVerifyCommand:
         assert code == 0
         summary = json_lines(out)[-1]
         assert summary["failed"] == 0 and summary["checked"] == 6
+
+    def test_quick_rows_listed(self):
+        assert set(QUICK) == set(QUICK_CHECKED)
+
+    @pytest.mark.parametrize("rule", sorted(QUICK_CHECKED))
+    def test_quick_row(self, capsys, rule):
+        code, out, _ = run_cli(capsys, ["verify", "--rule", rule, "--json", *QUICK[rule]])
+        summary = json_lines(out)[-1]
+        assert code == 0
+        assert (summary["checked"], summary["failed"], summary["skipped"]) == \
+            (QUICK_CHECKED[rule], 0, 0)
+
+    @pytest.mark.parametrize("argv,checked,skipped", [
+        # empty hypothesis region: no even-even cell below n = 18
+        (["--rule", "T2", "--n-range", "4..6"], 0, 1),
+        # r = 13 and r = 15 are outside L (odd r > 15)
+        (["--rule", "L", "--r-range", "13..19", "--n-range", "18..40", "--samples", "2"],
+         46, 2),
+        # n = 10..34 has no split into two 17-regular components
+        (["--rule", "C", "--r-range", "17", "--n-range", "10..70", "--samples", "1"],
+         17, 13),
+    ])
+    def test_notices(self, capsys, argv, checked, skipped):
+        code, out, _ = run_cli(capsys, ["verify", "--json", *argv])
+        summary = json_lines(out)[-1]
+        assert code == 0
+        assert (summary["checked"], summary["failed"], summary["skipped"]) == \
+            (checked, 0, skipped)
+
+    def test_t4_checks_only_its_rule(self, capsys, monkeypatch):
+        # confirming T4 must not run the other rules' witness searches
+        from regext import extension
+
+        def no_clique(g, k):
+            raise AssertionError("T4 check ran a clique search")
+
+        monkeypatch.setattr(extension, "find_clique", no_clique)
+        code, out, _ = run_cli(capsys, ["verify", "--rule", "T4", "--json", *QUICK["T4"]])
+        assert code == 0
+        assert json_lines(out)[-1]["checked"] == QUICK_CHECKED["T4"]
 
     def test_jobs_pool_matches_serial(self, capsys):
         argv = ["verify", "--rule", "T1", "--n-range", "4..8", "--json"]

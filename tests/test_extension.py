@@ -1,8 +1,12 @@
+import inspect
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
 from regext import (
+    RULES,
     DiracPreconditionError,
     ExtensionFailure,
     ExtensionTrace,
@@ -25,7 +29,8 @@ from regext import (
     require_regular,
     validate_cycle,
 )
-from regext.families import (
+from regext.extension import _complement_perfect_matching, _matching_candidates
+from families import (
     cliques_plus_matching,
     complete_bipartite,
     complete_graph,
@@ -205,6 +210,94 @@ class TestExtendTo:
             extend_to(cycle_graph(6), 1)
 
 
+def _extend_to_recursive(g, target_r, backtrack):
+    """Depth-first extension written recursively: the reference order."""
+    r = require_regular(g)
+    deepest = [None]
+
+    def descend(cur, cur_r, steps):
+        if cur_r == target_r:
+            return ExtensionTrace(r, target_r, steps, cur)
+        saw = False
+        for m in _matching_candidates(cur, cur_r, "auto", backtrack):
+            saw = True
+            done = descend(_apply(cur, [m]), cur_r + 1, steps + (m,))
+            if done is not None:
+                return done
+        if not saw and (deepest[0] is None or cur_r > deepest[0].reached_r):
+            deepest[0] = ExtensionFailure(
+                cur_r, steps, _complement_perfect_matching(cur, cur_r, "blossom"))
+        return None
+
+    return descend(g, r, ()) or deepest[0]
+
+
+class TestIterativeExtendTo:
+    def test_deep_climb_under_tight_recursion_limit(self):
+        # 39 levels; one stack frame per level would overflow this limit
+        g = cliques_plus_matching(40)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 30)
+        try:
+            tr = extend_to(g, 79)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert isinstance(tr, ExtensionTrace) and tr.verify(g)
+
+    def test_same_results_as_recursive_order(self, small_regular_corpus):
+        # traces, failures and the backtracking order all stay the same
+        stuck = 0
+        for (n, r), graphs in small_regular_corpus.items():
+            if n % 2 or n > 8:
+                continue
+            for g in graphs:
+                for backtrack in (0, 1, 2):
+                    got = extend_to(g, n - 1, backtrack=backtrack)
+                    assert got == _extend_to_recursive(g, n - 1, backtrack), (g, backtrack)
+                    stuck += isinstance(got, ExtensionFailure)
+        assert stuck > 0
+        g = parse_graph6("GJiu]o")  # greedy dead end at r=5, rescued by backtracking
+        for backtrack in (0, 1, 2):
+            assert extend_to(g, 7, backtrack) == _extend_to_recursive(g, 7, backtrack)
+
+
+def _paper_hypotheses(n, r):
+    """Each rule's hypothesis as the paper bounds read, written out here
+    independently of ``RULES``."""
+    even, half = n % 2 == 0, Fraction(n, 2)
+    return {
+        "T1-Dirac": even and r < half,
+        "T2-EvenEven": even and r % 2 == 0
+        and (r < Fraction(2 * n + 4, 3) if n >= 52 else r <= n - 17),
+        "T3-Biclique": even and r % 2 == 0
+        and (r < Fraction(3 * n, 4) if n >= 64 else r <= n - 17),
+        "T4-Impossible": even and r >= half,
+        "T5-Clique": even and n >= 2 and r >= half,
+        "L-Matching": even and r % 2 == 1 and r >= 17 and n <= 3 * r + 6,
+        "C-Disconnected": even and r % 2 == 1 and r >= 17 and n <= 4 * r,
+    }
+
+
+class TestRuleTable:
+    def test_hypotheses_match_paper_bounds(self):
+        for n in range(81):
+            for r in range(n):
+                expected = _paper_hypotheses(n, r)
+                assert [rule.name for rule in RULES] == list(expected)
+                for rule in RULES:
+                    assert rule.holds(n, r) == expected[rule.name], (rule.name, n, r)
+
+    def test_classify_reads_the_table(self, small_regular_corpus):
+        for (n, r), graphs in small_regular_corpus.items():
+            for g in graphs:
+                verdicts = classify(g)
+                assert [v.rule for v in verdicts] == [rule.name for rule in RULES]
+                for rule, v in zip(RULES, verdicts):
+                    assert v.conclusion == rule.conclusion
+                    if not rule.holds(n, r):
+                        assert not v.applies and v.evidence is None
+
+
 def _apply(g, steps):
     from regext import add_matching
 
@@ -248,8 +341,8 @@ class TestClassify:
         assert verdicts["T2-EvenEven"].applies  # 2 < 20 - 16
 
     def test_clique_limit_note(self):
-        g = cliques_plus_matching(4)
-        verdicts = {v.rule: v for v in classify(g, clique_search_limit=6)}
+        g = cliques_plus_matching(21)  # n = 42 > CLIQUE_SEARCH_LIMIT
+        verdicts = {v.rule: v for v in classify(g)}
         t5 = verdicts["T5-Clique"]
         assert not t5.applies and "skipped" in t5.note
 

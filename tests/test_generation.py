@@ -5,6 +5,7 @@ import pytest
 
 from regext import (
     GraphError,
+    biclique_splits,
     build,
     canonical_form,
     complement,
@@ -19,7 +20,7 @@ from regext import (
     spanning_biclique,
     find_clique,
 )
-from regext.families import complete_graph, cycle_graph, petersen_graph, prism_graph
+from families import complete_graph, cycle_graph, petersen_graph, prism_graph
 
 import oracles
 
@@ -90,6 +91,15 @@ class TestSamplers:
                 assert require_regular(g) == r
                 w = spanning_biclique(g, require_odd_parts=True)
                 assert w is not None and w.verify(g)
+
+    def test_biclique_splits_match_enumeration(self, small_regular_corpus):
+        # a split exists exactly when some r-regular graph on n vertices has
+        # a spanning biclique (with odd parts if asked)
+        for (n, r), graphs in small_regular_corpus.items():
+            for odd in (False, True):
+                exists = any(spanning_biclique(g, require_odd_parts=odd) is not None
+                             for g in graphs)
+                assert bool(biclique_splits(n, r, odd)) == exists, (n, r, odd)
 
     def test_spanning_biclique_infeasible(self):
         # both-odd splits of n=10 at r=6 all force an odd-degree-sum side

@@ -12,7 +12,7 @@ from regext import (
     regularity_witness,
     require_regular,
 )
-from regext.families import (
+from families import (
     complete_bipartite,
     complete_graph,
     cycle_graph,

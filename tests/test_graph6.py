@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regext import Graph6Error, build, format_graph6, parse_graph6
-from regext.families import complete_graph, cycle_graph, empty_graph, petersen_graph
+from families import complete_graph, cycle_graph, empty_graph, petersen_graph
 
 # externally sourced lines: the two four-vertex extremes and the five-vertex
 # worked example from the format's reference documentation

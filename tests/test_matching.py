@@ -14,12 +14,13 @@ from regext import (
     count_perfect_matchings,
     is_valid_matching,
     max_matching,
+    max_matching_with_violator,
     perfect_matching,
     random_regular,
     random_regular_bipartite,
     tutte_violator_bruteforce,
 )
-from regext.families import (
+from families import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -59,6 +60,21 @@ class TestMaxMatching:
         m = max_matching(g)
         assert is_valid_matching(g, m)
         assert len(m) == oracles.brute_max_matching_size(g)
+
+
+    @given(st.integers(min_value=0, max_value=12), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_with_violator(self, n, rng):
+        # one search gives the maximum matching and, when it is not
+        # perfect, the tight violator perfect_matching reports
+        g = random_graph(n, 0.4, rng)
+        m, violator = max_matching_with_violator(g)
+        assert m == max_matching(g)
+        if violator is None:
+            assert is_valid_matching(g, m, perfect=True)
+        else:
+            assert violator == perfect_matching(g) and violator.verify(g)
+            assert violator.odd_count - len(violator.s) == n - 2 * len(m)
 
 
 class TestPerfectMatching:

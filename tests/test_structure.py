@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from regext import (
     check_balloon_bound,
     check_ineq_kr,
     check_ineq_x,
+    clique_number,
     complement,
     complement_bipartite_check,
     components_after_deletion,
@@ -19,7 +21,7 @@ from regext import (
     find_clique,
     spanning_biclique,
 )
-from regext.families import (
+from families import (
     balloon_cubic_pair,
     cliques_plus_matching,
     complete_bipartite,
@@ -191,6 +193,35 @@ class TestClique:
     def test_bad_k(self):
         with pytest.raises(GraphError):
             find_clique(complete_graph(3), 0)
+
+
+class TestCliqueNumber:
+    def test_small_families(self):
+        assert clique_number(build(0, [])) == 0
+        assert clique_number(build(3, [])) == 1
+        assert clique_number(cycle_graph(5)) == 2
+        assert clique_number(complete_graph(7)) == 7
+        assert clique_number(cliques_plus_matching(5)) == 5
+
+    def test_agrees_with_find_clique(self, small_regular_corpus):
+        for graphs in small_regular_corpus.values():
+            for g in graphs:
+                w = clique_number(g)
+                assert find_clique(g, w) is not None
+                assert w == g.n or find_clique(g, w + 1) is None
+
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(5)
+        for _ in range(120):
+            n = rng.randrange(41)
+            p = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(edges)
+            _, size = nx.algorithms.clique.max_weight_clique(h, weight=None)
+            assert clique_number(build(n, edges)) == size, (n, p)
 
 
 class TestSpanningBiclique:
