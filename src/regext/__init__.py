@@ -1,7 +1,7 @@
 """regext: extend regular graphs by perfect matchings of the complement.
 
 Library surface: immutable bitset graphs with graph6 I/O, blossom matching
-with Tutte/Hall certificates, edge-connectivity and biclique structure,
+with Tutte certificates, edge-connectivity and biclique structure,
 constructive Hamiltonian-cycle extension, the table of extension rules and
 the classifier that reads it, and seeded generation / exhaustive
 enumeration of small regular graphs.
@@ -20,15 +20,11 @@ from .graph import (
     is_connected,
     parse_graph6,
     regularity,
-    regularity_witness,
     require_regular,
 )
 from .matching import (
-    HallViolator,
     Matching,
     TutteViolator,
-    bipartite_perfect_matching,
-    count_perfect_matchings,
     is_valid_matching,
     max_matching,
     max_matching_with_violator,

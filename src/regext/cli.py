@@ -4,9 +4,9 @@ Graphs travel as graph6, one per line, on stdin or --input.  Human text by
 default, JSON-lines with --json (a header object, one object per result,
 one summary object).  Exit codes: 0 all good, 1 any semantic failure
 (non-extendable input, counterexample, violator where success was required,
-non-regular input to a command that needs regularity), 2 usage or parse
-errors.  All randomness flows from --seed, so reports are byte-identical
-across runs.
+non-regular input to a command that needs regularity), 2 usage, parse or
+unreadable-input errors.  All randomness flows from --seed, so reports are
+byte-identical across runs.
 
 ``check`` prints one verdict per record of ``extension.RULES``.  ``verify``
 takes its (n, r) cells from the same records' ``holds`` and keeps, per
@@ -22,6 +22,7 @@ import logging
 import os
 import random
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -40,9 +41,8 @@ from .extension import (
     extend_to,
 )
 from .graph import Graph, Graph6Error, GraphError, format_graph6, parse_graph6, regularity
-from .graph import complement, components_after_deletion, is_connected, require_regular
+from .graph import complement, components_after_deletion, require_regular
 from .matching import (
-    HallViolator,
     TutteViolator,
     is_valid_matching,
     max_matching_with_violator,
@@ -70,14 +70,9 @@ def certificate_json(obj) -> object:
     if isinstance(obj, TutteViolator):
         return {"type": "tutte-violator", "s": _vertices_json(obj.s),
                 "odd_count": obj.odd_count}
-    if isinstance(obj, HallViolator):
-        return {"type": "hall-violator", "s": _vertices_json(obj.s),
-                "neighborhood": _vertices_json(obj.neighborhood)}
     if isinstance(obj, structure.BicliqueWitness):
         return {"type": "biclique", "part_a": _vertices_json(obj.part_a),
                 "part_b": _vertices_json(obj.part_b)}
-    if isinstance(obj, structure.OddCycle):
-        return {"type": "odd-cycle", "vertices": list(obj.vertices)}
     if isinstance(obj, ExtensionTrace):
         return {"type": "trace", "start_r": obj.start_r, "target_r": obj.target_r,
                 "steps": [_edges_json(s) for s in obj.steps],
@@ -134,22 +129,28 @@ class Reporter:
 
 
 def _read_graphs(path: str | None) -> list[tuple[int, str, Graph]]:
-    """Parse graph6 lines from a file or stdin; exit 2 on the first bad line."""
-    stream = open(path, "r", encoding="ascii") if path else sys.stdin
+    """Parse graph6 lines from a file or stdin; exit 2 on the first bad line
+    or an unreadable file.
+
+    A file is decoded as stdin is, UTF-8 with undecodable bytes escaped, so
+    a stray byte fails its line's graph6 parse instead of the whole read.
+    """
     out = []
     try:
-        for lineno, raw in enumerate(stream, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                out.append((lineno, line, parse_graph6(line)))
-            except Graph6Error as exc:
-                print(f"error: line {lineno}: {exc}", file=sys.stderr)
-                raise SystemExit(2)
-    finally:
-        if path:
-            stream.close()
+        with (open(path, encoding="utf-8", errors="surrogateescape")
+              if path else nullcontext(sys.stdin)) as stream:
+            for lineno, raw in enumerate(stream, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    out.append((lineno, line, parse_graph6(line)))
+                except Graph6Error as exc:
+                    print(f"error: line {lineno}: {exc}", file=sys.stderr)
+                    raise SystemExit(2)
+    except OSError as exc:
+        print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2)
     return out
 
 
@@ -240,7 +241,7 @@ def cmd_analyze(args) -> int:
             note = None
         payload = {
             "line": lineno, "graph6": line, "n": g.n, "m": g.m,
-            "r": regularity(g), "connected": is_connected(g),
+            "r": regularity(g), "connected": len(comps) <= 1,
             "components": [_vertices_json(c) for c in comps.blocks],
             "bridges": _edges_json(rep.bridges),
             "blocks": [_vertices_json(b) for b in rep.blocks],
@@ -421,8 +422,7 @@ _PLANS = {
     # split are reported
     "C": _Plan(_RULE["C"].holds, _check_has_pm, generation.sample_disconnected_regular,
                lambda r: (2 * r + 2, 4 * r), r_range=(17, 17),
-               seed=lambda s, n, r, i: s + 7919 * n + i if i else s + n,
-               count=lambda samples: max(1, samples)),
+               seed=lambda s, n, r, i: s + 7919 * n + i if i else s + n),
     # the odd-component balloon bound, for odd r >= 3
     "L0-balloon": _Plan(lambda n, r: r % 2 == 1 and r >= 3, _check_balloon,
                         generation.random_regular, (4, 14),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterator, Literal
+from typing import Callable, Generator, Literal
 
 from .graph import (
     Graph,
@@ -107,7 +107,6 @@ def dirac_cycle(g: Graph) -> tuple[int, ...]:
             # maximal path: both endpoints' neighborhoods sit on the path, so
             # deg(head) + deg(tail) >= n > len(path) - 1 forces a position i
             # with head ~ path[i+1] and tail ~ path[i]
-            pos = {v: i for i, v in enumerate(path)}
             idx = None
             for i in range(len(path) - 1):
                 if g.has_edge(head, path[i + 1]) and g.has_edge(tail, path[i]):
@@ -208,15 +207,19 @@ class ExtensionFailure:
     violator: TutteViolator
 
 
-def _matching_candidates(g: Graph, r: int, strategy: Strategy, backtrack: int) -> Iterator[Matching]:
+def _matching_candidates(
+    g: Graph, r: int, strategy: Strategy, backtrack: int
+) -> Generator[Matching, None, TutteViolator | None]:
     """Primary matching for one level, then up to ``backtrack`` alternatives.
 
     Alternatives re-solve the complement with one edge of the primary
-    matching forbidden, which is enough to escape a greedy dead end.
+    matching forbidden, which is enough to escape a greedy dead end.  A
+    level with no matching yields nothing and returns the violator of its
+    one search; Dirac never fails, so it is the blossom one.
     """
     first = _complement_perfect_matching(g, r, strategy)
     if isinstance(first, TutteViolator):
-        return
+        return first
     yield first
     if backtrack <= 0:
         return
@@ -254,28 +257,26 @@ def extend_to(
     if r == target_r:
         return ExtensionTrace(r, target_r, (), g)
     deepest: ExtensionFailure | None = None
-    # one frame per level: [graph, degree, steps so far, candidate matchings,
-    # whether any candidate came out]; depth-first in candidate order
-    stack = [[g, r, (), _matching_candidates(g, r, strategy, backtrack), False]]
+    # one frame per level: (graph, degree, steps so far, candidate
+    # matchings); depth-first in candidate order
+    stack = [(g, r, (), _matching_candidates(g, r, strategy, backtrack))]
     while stack:
-        frame = stack[-1]
-        cur, cur_r, steps, candidates, _ = frame
-        m = next(candidates, None)
-        if m is None:
+        cur, cur_r, steps, candidates = stack[-1]
+        try:
+            m = next(candidates)
+        except StopIteration as done:
             stack.pop()
-            if not frame[4] and (deepest is None or cur_r > deepest.reached_r):
-                violator = _complement_perfect_matching(cur, cur_r, "blossom")
-                assert isinstance(violator, TutteViolator)
+            violator = done.value
+            if violator is not None and (deepest is None or cur_r > deepest.reached_r):
                 deepest = ExtensionFailure(cur_r, steps, violator)
             if stack:
                 log.debug("backtracking at r=%d", stack[-1][1])
             continue
-        frame[4] = True
         nxt = add_matching(cur, m)
         if cur_r + 1 == target_r:
             return ExtensionTrace(r, target_r, steps + (m,), nxt)
-        stack.append([nxt, cur_r + 1, steps + (m,),
-                      _matching_candidates(nxt, cur_r + 1, strategy, backtrack), False])
+        stack.append((nxt, cur_r + 1, steps + (m,),
+                      _matching_candidates(nxt, cur_r + 1, strategy, backtrack)))
     assert deepest is not None
     return deepest
 

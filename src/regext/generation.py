@@ -215,7 +215,7 @@ def sample_disconnected_regular(n: int, r: int, seed: int) -> Graph:
     return build(n, edges)
 
 
-def canonical_form(g: Graph, limit_n: int = CANONICAL_CAP) -> bytes:
+def canonical_form(g: Graph) -> bytes:
     """Isomorphism-invariant encoding: the graph6 line of the relabeling
     whose upper-triangle bit string is lexicographically minimal.
 
@@ -224,8 +224,8 @@ def canonical_form(g: Graph, limit_n: int = CANONICAL_CAP) -> bytes:
     adjacency profile of the unplaced vertices (orderings with identical
     profiles have identical completions).
     """
-    if g.n > limit_n:
-        raise GraphError(f"n={g.n} exceeds canonical-form limit {limit_n}")
+    if g.n > CANONICAL_CAP:
+        raise GraphError(f"n={g.n} exceeds canonical-form limit {CANONICAL_CAP}")
     n = g.n
     if n == 0:
         return format_graph6(g).encode("ascii")

@@ -98,39 +98,25 @@ def complement(g: Graph) -> Graph:
 
 
 def regularity(g: Graph) -> int | None:
-    """Common degree if the graph is regular, else None.
-
-    Use :func:`regularity_witness` for the offending vertex pair.
-    """
-    if g.n == 0:
-        return 0
-    d = g.adj[0].bit_count()
-    for a in g.adj[1:]:
-        if a.bit_count() != d:
-            return None
-    return d
-
-
-def regularity_witness(g: Graph) -> tuple[int, int] | None:
-    """A vertex pair of unequal degrees, or None if regular."""
-    if g.n == 0:
+    """Common degree if the graph is regular, else None."""
+    try:
+        return require_regular(g)
+    except GraphError:
         return None
-    d0 = g.adj[0].bit_count()
-    for v in range(1, g.n):
-        if g.adj[v].bit_count() != d0:
-            return (0, v)
-    return None
 
 
 def require_regular(g: Graph) -> int:
-    """Degree of a regular graph; raises GraphError with a witness otherwise."""
-    r = regularity(g)
-    if r is None:
-        u, v = regularity_witness(g)
-        raise GraphError(
-            f"graph is not regular: deg({u})={g.degree(u)} != deg({v})={g.degree(v)}"
-        )
-    return r
+    """Degree of a regular graph; raises GraphError naming a vertex pair of
+    unequal degrees otherwise."""
+    if g.n == 0:
+        return 0
+    d = g.adj[0].bit_count()
+    for v, a in enumerate(g.adj[1:], start=1):
+        if a.bit_count() != d:
+            raise GraphError(
+                f"graph is not regular: deg(0)={d} != deg({v})={a.bit_count()}"
+            )
+    return d
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,10 @@ perfect matching exists the caller gets a Tutte violator: a vertex set S
 whose deletion leaves more odd components than |S|.  The violator is the
 Gallai-Edmonds set read off the Hungarian trees of a maximum matching, so
 it is Tutte-Berge tight: odd(G-S) - |S| equals the number of vertices a
-maximum matching misses.  Bipartite graphs use augmenting paths directly
-and fail with a Hall violator (a subset of one part with a smaller
-neighborhood).  ``tutte_violator_bruteforce`` scans all 2^n subsets; no
-product path calls it, it is the independent oracle the matcher is tested
-against.
+maximum matching misses.  Bipartite graphs take the same search, which
+contracts no blossom there.  ``tutte_violator_bruteforce`` scans all 2^n
+subsets; no product path calls it, it is the independent oracle the
+matcher is tested against.
 
 All searches scan vertices and neighbors in ascending label order, so every
 result is deterministic for a fixed input.
@@ -37,20 +36,6 @@ class TutteViolator:
         """Re-check the certificate against its host graph."""
         parts = components_after_deletion(g, self.s)
         return parts.odd_count == self.odd_count and self.odd_count > len(self.s)
-
-
-@dataclass(frozen=True)
-class HallViolator:
-    """Certificate for bipartite failure: |N(s)| < |s| within one part."""
-
-    s: frozenset[int]
-    neighborhood: frozenset[int]
-
-    def verify(self, g: Graph) -> bool:
-        nbhd = set()
-        for v in self.s:
-            nbhd.update(g.neighbors(v))
-        return frozenset(nbhd) == self.neighborhood and len(self.neighborhood) < len(self.s)
 
 
 def matching_from_pairs(pairs) -> Matching:
@@ -271,80 +256,3 @@ def tutte_violator_bruteforce(g: Graph, limit_n: int = 22) -> TutteViolator | No
     smask = full ^ best_t
     s = frozenset(v for v in range(n) if smask >> v & 1)
     return TutteViolator(s, oddc[best_t])
-
-
-def _check_bipartition(g: Graph, part_a, part_b) -> tuple[frozenset[int], frozenset[int]]:
-    a = frozenset(part_a)
-    b = frozenset(part_b)
-    if a & b or a | b != frozenset(range(g.n)):
-        raise GraphError("parts must partition the vertex set")
-    for part in (a, b):
-        mask = 0
-        for v in part:
-            mask |= 1 << v
-        for v in part:
-            if g.adj[v] & mask:
-                raise GraphError(f"intra-part edge at vertex {v}")
-    return a, b
-
-
-def bipartite_perfect_matching(g: Graph, part_a, part_b) -> Matching | HallViolator:
-    """Perfect matching of a bipartite graph, or a Hall violator.
-
-    The violator comes from the visited frontier of the failed augmentation;
-    unequal part sizes report the larger part as the violating set.
-    """
-    a, b = _check_bipartition(g, part_a, part_b)
-    if len(a) != len(b):
-        big = a if len(a) > len(b) else b
-        nbhd = set()
-        for v in big:
-            nbhd.update(g.neighbors(v))
-        return HallViolator(frozenset(big), frozenset(nbhd))
-    match = {v: -1 for v in range(g.n)}
-    order = sorted(a)
-
-    def try_augment(u: int, visited_b: set[int]) -> bool:
-        for w in g.neighbors(u):
-            if w in visited_b:
-                continue
-            visited_b.add(w)
-            if match[w] == -1 or try_augment(match[w], visited_b):
-                match[w] = u
-                match[u] = w
-                return True
-        return False
-
-    for u in order:
-        visited_b: set[int] = set()
-        if not try_augment(u, visited_b):
-            s = {u} | {match[w] for w in visited_b}
-            return HallViolator(frozenset(s), frozenset(visited_b))
-    return frozenset(_norm_edge(u, match[u]) for u in order)
-
-
-def count_perfect_matchings(g: Graph, limit_n: int = 16) -> int:
-    """Exact number of perfect matchings (exponential recursion, memoized)."""
-    if g.n > limit_n:
-        raise GraphError(f"n={g.n} exceeds counting limit {limit_n}")
-    if g.n % 2 == 1:
-        return 0
-    adj = g.adj
-    memo: dict[int, int] = {0: 1}
-
-    def count(mask: int) -> int:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        low = mask & -mask
-        v = low.bit_length() - 1
-        total = 0
-        cand = adj[v] & mask
-        while cand:
-            ub = cand & -cand
-            total += count(mask ^ low ^ ub)
-            cand ^= ub
-        memo[mask] = total
-        return total
-
-    return count(g.vertex_mask())

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from regext import Graph
+from regext import Graph, GraphError
 
 
 def unionfind_components(g: Graph, deleted=()) -> list[set[int]]:
@@ -64,6 +64,33 @@ def brute_max_matching_size(g: Graph) -> int:
 
 def brute_has_perfect_matching(g: Graph) -> bool:
     return g.n % 2 == 0 and brute_max_matching_size(g) * 2 == g.n
+
+
+def count_perfect_matchings(g: Graph, limit_n: int = 16) -> int:
+    """Exact number of perfect matchings (exponential recursion, memoized)."""
+    if g.n > limit_n:
+        raise GraphError(f"n={g.n} exceeds counting limit {limit_n}")
+    if g.n % 2 == 1:
+        return 0
+    adj = g.adj
+    memo: dict[int, int] = {0: 1}
+
+    def count(mask: int) -> int:
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
+        low = mask & -mask
+        v = low.bit_length() - 1
+        total = 0
+        cand = adj[v] & mask
+        while cand:
+            ub = cand & -cand
+            total += count(mask ^ low ^ ub)
+            cand ^= ub
+        memo[mask] = total
+        return total
+
+    return count(g.vertex_mask())
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -18,6 +18,7 @@ from families import (
     complete_graph,
     cycle_graph,
     balloon_cubic_pair,
+    disjoint_union,
     petersen_graph,
     star_graph,
 )
@@ -101,6 +102,36 @@ class TestExtendCommand:
                                  monkeypatch)
         assert code == 2
         assert "line 2" in err
+
+    def test_missing_input_file(self, capsys, tmp_path):
+        missing = tmp_path / "absent.g6"
+        code, out, err = run_cli(capsys, ["extend", "--input", str(missing)])
+        assert code == 2 and out == []
+        assert err == f"error: {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("raw", [b"\xff", "\u00e9".encode()])
+    def test_non_ascii_input_file(self, capsys, tmp_path, raw):
+        # a stray byte fails its own line, as it does on stdin
+        path = tmp_path / "in.g6"
+        path.write_bytes(b"A_\n" + raw + b"\n")
+        code, out, err = run_cli(capsys, ["extend", "--input", str(path)])
+        assert code == 2 and out == []
+        assert err.startswith("error: line 2: non-ASCII character in graph6 line")
+
+    def test_one_search_per_stuck_level(self, capsys, monkeypatch):
+        # the stuck level's first search also gives the reported violator
+        from regext import extension
+
+        calls = []
+        for name in ("complement", "perfect_matching"):
+            fn = getattr(extension, name)
+            monkeypatch.setattr(extension, name,
+                                lambda g, fn=fn, name=name: calls.append(name) or fn(g))
+        code, out, _ = run_cli(capsys, ["extend", "--json"],
+                               [format_graph6(complete_bipartite(3, 3))], monkeypatch)
+        assert code == 1
+        assert json_lines(out)[1]["stuck_r"] == 3
+        assert calls == ["complement", "perfect_matching"]
 
     def test_empty_two_vertex_graph(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, ["extend"], ["A?"], monkeypatch)
@@ -205,6 +236,15 @@ class TestAnalyzeCommand:
         assert sorted(map(len, result["balloons"])) == [5, 5]
         assert result["clique_number"] == 3
 
+    def test_connected_flag(self, capsys, monkeypatch):
+        # the empty graph counts as connected
+        lines = ["?", format_graph6(disjoint_union(cycle_graph(3), cycle_graph(3))),
+                 format_graph6(petersen_graph())]
+        code, out, _ = run_cli(capsys, ["analyze", "--json"], lines, monkeypatch)
+        assert code == 0
+        assert [(r["connected"], len(r["components"])) for r in json_lines(out)[1:-1]] == \
+            [(True, 0), (False, 2), (True, 1)]
+
     def test_one_clique_search_per_line(self, capsys, monkeypatch):
         from regext import structure
 
@@ -307,6 +347,8 @@ class TestVerifyCommand:
         # n = 10..34 has no split into two 17-regular components
         (["--rule", "C", "--r-range", "17", "--n-range", "10..70", "--samples", "1"],
          17, 13),
+        # no samples means no graphs, as for L
+        (["--rule", "C", "--r-range", "17", "--samples", "0"], 0, 0),
     ])
     def test_notices(self, capsys, argv, checked, skipped):
         code, out, _ = run_cli(capsys, ["verify", "--json", *argv])

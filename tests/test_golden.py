@@ -1,0 +1,50 @@
+"""CLI output pinned byte for byte on a fixed corpus.
+
+``golden/corpus.g6`` holds every regular graph up to isomorphism with
+n <= 8 (48 lines) and three non-regular graphs.  For each command below,
+``golden/<name>.out`` is its stdout on that corpus and
+``golden/exit_codes.json`` its exit code.  After an intended output change,
+regenerate the files with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import io
+import json
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from regext.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CORPUS = GOLDEN / "corpus.g6"
+
+COMMANDS = {
+    "check": ["check", "--json"],
+    "analyze": ["analyze", "--json"],
+    "match": ["match", "--json", "--certificates"],
+    "extend": ["extend", "--json", "--certificates"],
+}
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv + ["--input", str(CORPUS)])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_output_matches_golden(name):
+    code, out = run(COMMANDS[name])
+    expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert code == expected_codes[name]
+    assert out == (GOLDEN / f"{name}.out").read_text(encoding="ascii")
+
+
+if __name__ == "__main__":
+    codes = {}
+    for name, argv in COMMANDS.items():
+        codes[name], out = run(argv)
+        (GOLDEN / f"{name}.out").write_text(out, encoding="ascii")
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")

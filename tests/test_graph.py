@@ -9,7 +9,6 @@ from regext import (
     complement,
     components_after_deletion,
     regularity,
-    regularity_witness,
     require_regular,
 )
 from families import (
@@ -95,9 +94,7 @@ class TestRegularity:
     def test_near_complete(self):
         g = build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
         assert regularity(g) is None
-        u, v = regularity_witness(g)
-        assert {g.degree(u), g.degree(v)} == {2, 3}
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"deg\(0\)=3 != deg\(2\)=2$"):
             require_regular(g)
 
     def test_empty(self):
