@@ -17,17 +17,18 @@ the check that confirms the conclusion.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import logging
 import os
 import random
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations
-from typing import Callable
+from typing import Callable, Iterator, TextIO
 
 from . import generation, structure
 from .extension import (
@@ -128,17 +129,31 @@ class Reporter:
         return 0 if self.fail_count == 0 else 1
 
 
+@contextmanager
+def _utf8_stdin() -> Iterator[TextIO]:
+    """stdin decoded as a file is, whatever its locale or PYTHONIOENCODING."""
+    buffer = getattr(sys.stdin, "buffer", None)
+    if buffer is None:  # already text with no bytes below it
+        yield sys.stdin
+        return
+    stream = io.TextIOWrapper(buffer, encoding="utf-8", errors="surrogateescape")
+    try:
+        yield stream
+    finally:
+        stream.detach()  # leave sys.stdin's buffer open
+
+
 def _read_graphs(path: str | None) -> list[tuple[int, str, Graph]]:
     """Parse graph6 lines from a file or stdin; exit 2 on the first bad line
     or an unreadable file.
 
-    A file is decoded as stdin is, UTF-8 with undecodable bytes escaped, so
-    a stray byte fails its line's graph6 parse instead of the whole read.
+    Both are decoded as UTF-8 with undecodable bytes escaped, so a stray
+    byte fails its line's graph6 parse instead of the whole read.
     """
     out = []
     try:
         with (open(path, encoding="utf-8", errors="surrogateescape")
-              if path else nullcontext(sys.stdin)) as stream:
+              if path else _utf8_stdin()) as stream:
             for lineno, raw in enumerate(stream, start=1):
                 line = raw.strip()
                 if not line:

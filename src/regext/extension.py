@@ -145,8 +145,13 @@ def cycle_to_matching(order: tuple[int, ...]) -> Matching:
     )
 
 
-def _complement_perfect_matching(g: Graph, r: int, strategy: Strategy) -> Matching | TutteViolator:
-    gc = complement(g)
+def _complement_perfect_matching(
+    g: Graph, r: int, strategy: Strategy, gc: Graph | None = None
+) -> Matching | TutteViolator:
+    """A perfect matching of the complement ``gc`` of g (built if not given)
+    or the blossom violator."""
+    if gc is None:
+        gc = complement(g)
     # a Hamiltonian cycle needs n >= 3; at n = 2 the blossom matcher finds K_2
     use_dirac = strategy == "dirac" or (strategy == "auto" and 2 * r < g.n and g.n > 2)
     if strategy == "dirac" and 2 * r >= g.n:
@@ -217,13 +222,15 @@ def _matching_candidates(
     level with no matching yields nothing and returns the violator of its
     one search; Dirac never fails, so it is the blossom one.
     """
-    first = _complement_perfect_matching(g, r, strategy)
+    # only alternatives reuse the complement; a suspended level without
+    # them keeps none alive
+    gc = complement(g) if backtrack > 0 else None
+    first = _complement_perfect_matching(g, r, strategy, gc)
     if isinstance(first, TutteViolator):
         return first
     yield first
     if backtrack <= 0:
         return
-    gc = complement(g)
     emitted = {first}
     budget = backtrack
     for u, v in sorted(first):

@@ -1,10 +1,21 @@
 """Random regular graph sampling and exhaustive small-order enumeration.
 
-Sampling: the pairing (configuration) model with whole-sample rejection for
-small degrees, falling back to a circulant start randomized by
-degree-preserving double edge swaps when rejection stalls or the degree is
-large.  Everything is driven by a caller-supplied seed and is bit-identical
-across runs.
+Sampling (``random_regular``) takes one of three paths:
+
+- r > (n-1)/2: the complement of a sampled (n-1-r)-regular graph, which
+  is as uniform as that sample; r = n - 1 gives K_n this way.
+- r <= 5: the pairing (configuration) model, stubs paired one at a time
+  and the attempt restarted at its first loop or repeated edge.  This is
+  exactly uniform over labeled r-regular graphs.
+- 6 <= r <= (n-1)/2: a circulant randomized by degree-preserving double
+  edge swaps, 100 rounds per edge.  This is close to uniform, not exactly.
+
+Everything is driven by a caller-supplied seed and is bit-identical across
+runs and Python versions from 3.10 on.  These paths replaced whole-shuffle
+pairing with up to 1000 attempts for r <= 8: seeded output, and so
+``regext gen``, changed for r <= 8 and for 2r > n - 1, and stayed the same
+elsewhere.  ``tests/oracles.py`` keeps the earlier sampler as
+``random_regular_legacy``.
 
 Enumeration: backtracking edge assignment over vertices in label order.
 Vertices that are indistinguishable so far are grouped into classes and
@@ -33,17 +44,35 @@ def _check_degree_args(n: int, r: int) -> None:
         raise GraphError(f"no {r}-regular graph on {n} vertices: n*r is odd")
 
 
-def _pairing_attempt(n: int, r: int, rng: random.Random) -> Graph | None:
-    stubs = list(range(n)) * r
-    rng.shuffle(stubs)
-    adj = [0] * n
-    for i in range(0, len(stubs), 2):
-        u, v = stubs[i], stubs[i + 1]
-        if u == v or adj[u] >> v & 1:
-            return None
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+def _pairing(n: int, r: int, rng: random.Random) -> Graph:
+    """Uniform simple r-regular graph by the pairing model with rejection.
+
+    Stubs are paired one at a time, the last unpaired stub with a uniformly
+    random partner, so every pairing is equally likely; an attempt restarts
+    at its first loop or repeated edge, which no completion could remove.
+    """
+    getrandbits = rng.getrandbits
+    while True:
+        stubs = list(range(n)) * r
+        adj = [0] * n
+        left = len(stubs)
+        while left:
+            left -= 1
+            u = stubs[left]
+            # j = rng.randrange(left), inlined as in _switching
+            k = left.bit_length()
+            j = getrandbits(k)
+            while j >= left:
+                j = getrandbits(k)
+            v = stubs[j]
+            left -= 1
+            stubs[j] = stubs[left]
+            if u == v or adj[u] >> v & 1:
+                break
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        else:
+            return Graph(n, tuple(adj))
 
 
 def _circulant(n: int, r: int) -> list[tuple[int, int]]:
@@ -55,17 +84,26 @@ def _circulant(n: int, r: int) -> list[tuple[int, int]]:
     return [(min(u, v), max(u, v)) for u, v in edges]
 
 
-def _edge_switch(edges: list[tuple[int, int]], rng: random.Random, rounds: int) -> None:
-    """Degree-preserving double edge swaps, rejecting loops and multi-edges."""
+def _switching(n: int, r: int, rng: random.Random) -> Graph:
+    """The circulant randomized by ``SWITCH_ROUNDS_PER_EDGE`` rounds per edge
+    of double edge swaps ab, cd -> ac, bd, rejecting loops and multi-edges."""
+    edges = _circulant(n, r)
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     m = len(edges)
-    if m < 2:
-        return
-    present = set(edges)
-    randrange = rng.randrange
+    # CPython's rng.randrange(m) draws getrandbits(k) until one is below m;
+    # inlined, it makes the same draws at half the cost
+    k = m.bit_length()
     getrandbits = rng.getrandbits
-    for _ in range(rounds):
-        i = randrange(m)
-        j = randrange(m)
+    for _ in range(SWITCH_ROUNDS_PER_EDGE * m):
+        i = getrandbits(k)
+        while i >= m:
+            i = getrandbits(k)
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
         if i == j:
             continue
         a, b = edges[i]
@@ -74,39 +112,36 @@ def _edge_switch(edges: list[tuple[int, int]], rng: random.Random, rounds: int) 
             c, d = d, c
         if a == c or a == d or b == c or b == d:
             continue
-        e1 = (a, c) if a < c else (c, a)
-        e2 = (b, d) if b < d else (d, b)
-        if e1 in present or e2 in present:
+        if adj[a] >> c & 1 or adj[b] >> d & 1:
             continue
-        present.discard(edges[i])
-        present.discard(edges[j])
-        present.add(e1)
-        present.add(e2)
-        edges[i] = e1
-        edges[j] = e2
+        adj[a] ^= 1 << b | 1 << c
+        adj[b] ^= 1 << a | 1 << d
+        adj[c] ^= 1 << d | 1 << a
+        adj[d] ^= 1 << c | 1 << b
+        edges[i] = (a, c) if a < c else (c, a)
+        edges[j] = (b, d) if b < d else (d, b)
+    return Graph(n, tuple(adj))
 
 
-_PAIRING_MAX_DEGREE = 8
-_PAIRING_ATTEMPTS = 1000
+# pairing succeeds with probability about exp((1 - r*r) / 4): one in 400
+# at r = 5, one in 6300 at r = 6, where switching is far cheaper
+_PAIRING_MAX_DEGREE = 5
 
 
 def random_regular(n: int, r: int, seed: int) -> Graph:
-    """Uniform-ish simple r-regular graph on n vertices; deterministic per seed."""
+    """Simple r-regular graph on n vertices, deterministic per seed.
+
+    Exactly uniform for r <= 5 and for the complements of those degrees;
+    edge switching from a circulant otherwise.
+    """
     _check_degree_args(n, r)
+    if 2 * r > n - 1:
+        # complementing is a bijection between the two degrees' graphs
+        return complement(random_regular(n, n - 1 - r, seed))
     rng = random.Random(seed)
-    if r == 0:
-        return build(n, [])
-    if r == n - 1:
-        return build(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     if r <= _PAIRING_MAX_DEGREE:
-        # rejection rates blow up toward r = 8; the cap keeps this total
-        for _ in range(_PAIRING_ATTEMPTS):
-            g = _pairing_attempt(n, r, rng)
-            if g is not None:
-                return g
-    edges = _circulant(n, r)
-    _edge_switch(edges, rng, SWITCH_ROUNDS_PER_EDGE * len(edges))
-    return build(n, edges)
+        return _pairing(n, r, rng)
+    return _switching(n, r, rng)
 
 
 def random_regular_bipartite(half: int, d: int, seed: int) -> Graph:

@@ -7,9 +7,10 @@ isomorphism checks try raw vertex permutations.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations
 
-from regext import Graph, GraphError
+from regext import Graph, GraphError, build
 
 
 def unionfind_components(g: Graph, deleted=()) -> list[set[int]]:
@@ -165,8 +166,100 @@ def count_labeled_regular(n: int, r: int) -> int:
 
 def is_bridge_by_deletion(g: Graph, u: int, v: int) -> bool:
     """An edge is a bridge iff deleting it increases the component count."""
-    from regext import build
-
     before = len(unionfind_components(g))
     pruned = build(g.n, [e for e in g.edges() if e != (min(u, v), max(u, v))])
     return len(unionfind_components(pruned)) > before
+
+
+# -- the sampler's earlier stream ------------------------------------------
+
+SWITCH_ROUNDS_PER_EDGE = 100
+
+
+def _check_degree_args(n: int, r: int) -> None:
+    if not 0 <= r < n:
+        raise GraphError(f"need 0 <= r < n, got r={r}, n={n}")
+    if (n * r) % 2 == 1:
+        raise GraphError(f"no {r}-regular graph on {n} vertices: n*r is odd")
+
+
+def _pairing_attempt(n: int, r: int, rng: random.Random) -> Graph | None:
+    stubs = list(range(n)) * r
+    rng.shuffle(stubs)
+    adj = [0] * n
+    for i in range(0, len(stubs), 2):
+        u, v = stubs[i], stubs[i + 1]
+        if u == v or adj[u] >> v & 1:
+            return None
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(n, tuple(adj))
+
+
+def _circulant(n: int, r: int) -> list[tuple[int, int]]:
+    edges = []
+    for off in range(1, r // 2 + 1):
+        edges.extend((v, (v + off) % n) for v in range(n))
+    if r % 2 == 1:
+        edges.extend((v, v + n // 2) for v in range(n // 2))
+    return [(min(u, v), max(u, v)) for u, v in edges]
+
+
+def _edge_switch(edges: list[tuple[int, int]], rng: random.Random, rounds: int) -> None:
+    """Degree-preserving double edge swaps, rejecting loops and multi-edges."""
+    m = len(edges)
+    if m < 2:
+        return
+    present = set(edges)
+    randrange = rng.randrange
+    getrandbits = rng.getrandbits
+    for _ in range(rounds):
+        i = randrange(m)
+        j = randrange(m)
+        if i == j:
+            continue
+        a, b = edges[i]
+        c, d = edges[j]
+        if getrandbits(1):
+            c, d = d, c
+        if a == c or a == d or b == c or b == d:
+            continue
+        e1 = (a, c) if a < c else (c, a)
+        e2 = (b, d) if b < d else (d, b)
+        if e1 in present or e2 in present:
+            continue
+        present.discard(edges[i])
+        present.discard(edges[j])
+        present.add(e1)
+        present.add(e2)
+        edges[i] = e1
+        edges[j] = e2
+
+
+_PAIRING_MAX_DEGREE = 8
+_PAIRING_ATTEMPTS = 1000
+
+
+def random_regular_legacy(n: int, r: int, seed: int) -> Graph:
+    """The earlier seeded stream of ``regext.random_regular``, kept verbatim
+    with its helpers so results drawn from it can be reproduced.
+
+    Whole-shuffle pairing with up to 1000 attempts for r <= 8, then edge
+    switching from a circulant.  It agrees with ``random_regular`` on every
+    cell with r >= 9 and 2r <= n - 1.
+    """
+    _check_degree_args(n, r)
+    rng = random.Random(seed)
+    if r == 0:
+        return build(n, [])
+    if r == n - 1:
+        return build(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    if r <= _PAIRING_MAX_DEGREE:
+        # rejection rates blow up toward r = 8; the cap keeps this total
+        for _ in range(_PAIRING_ATTEMPTS):
+            g = _pairing_attempt(n, r, rng)
+            if g is not None:
+                return g
+    edges = _circulant(n, r)
+    _edge_switch(edges, rng, SWITCH_ROUNDS_PER_EDGE * len(edges))
+    return build(n, edges)

@@ -223,6 +223,23 @@ class TestMatchCommand:
         assert not result["perfect"] and result["size"] == 2
         assert result["violator"]["s"] == []
 
+    @pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
+    def test_non_utf8_stdin(self, encoding):
+        # stdin is decoded as --input is, whatever PYTHONIOENCODING says
+        import os
+        import subprocess
+        import sys
+
+        import regext
+
+        env = {**os.environ, "PYTHONIOENCODING": encoding,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(regext.__file__))}
+        code = "import sys, regext.cli; sys.exit(regext.cli.main(['match']))"
+        proc = subprocess.run([sys.executable, "-c", code], input=b"A_\n\xff\n",
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert proc.stderr.startswith(b"error: line 2: non-ASCII character in graph6 line")
+
 
 class TestAnalyzeCommand:
     def test_balloon_graph(self, capsys, monkeypatch):

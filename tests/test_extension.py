@@ -260,6 +260,21 @@ class TestIterativeExtendTo:
         for backtrack in (0, 1, 2):
             assert extend_to(g, 7, backtrack) == _extend_to_recursive(g, 7, backtrack)
 
+    @pytest.mark.parametrize("backtrack,levels", [(0, 2), (1, 3)])
+    def test_one_complement_per_level(self, monkeypatch, backtrack, levels):
+        # alternatives re-solve the level's complement instead of rebuilding
+        # it; with backtracking the dead end at r=6 and its rescue are two
+        # levels on different graphs
+        from regext import extension
+
+        g = parse_graph6("GJiu]o")
+        expected = _extend_to_recursive(g, 7, backtrack)
+        calls = []
+        fn = extension.complement
+        monkeypatch.setattr(extension, "complement", lambda g: calls.append(g) or fn(g))
+        assert extend_to(g, 7, backtrack=backtrack) == expected
+        assert len(calls) == len(set(calls)) == levels
+
 
 def _paper_hypotheses(n, r):
     """Each rule's hypothesis as the paper bounds read, written out here

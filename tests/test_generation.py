@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -19,7 +20,9 @@ from regext import (
     sample_spanning_biclique_regular,
     spanning_biclique,
     find_clique,
+    format_graph6,
 )
+from regext import generation
 from families import complete_graph, cycle_graph, petersen_graph, prism_graph
 
 import oracles
@@ -61,6 +64,135 @@ class TestRandomRegular:
     def test_seeds_vary_output(self):
         distinct = {random_regular(16, 3, seed) for seed in range(10)}
         assert len(distinct) > 1
+
+
+class TestSeedStream:
+    def test_switching_cells_match_legacy_stream(self):
+        # switching makes the same draws as before, so every cell that went
+        # straight to switching before (r >= 9, 2r <= n - 1) keeps its graphs
+        rng = random.Random(2024)
+        cells = 0
+        for n in range(19, 47):
+            for r in range(9, (n - 1) // 2 + 1):
+                if (n * r) % 2:
+                    continue
+                seed = rng.getrandbits(32)
+                assert random_regular(n, r, seed) == oracles.random_regular_legacy(n, r, seed), (n, r, seed)
+                cells += 1
+        assert cells == 154
+
+    def test_pinned_digest(self):
+        # reaches r = 0, pairing, switching, both under the complement, and
+        # r = n - 1; a change to this digest is a change of the seeded stream
+        grid = [(n, r) for n in (1, 2, 7, 12, 20) for r in range(n) if (n * r) % 2 == 0]
+        lines = [format_graph6(random_regular(n, r, seed)) for n, r in grid for seed in range(3)]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "722dd85d46ca4171a312a82855ea152375890f4b5c52bdcfa5477450dbf9c623"
+
+    def test_complement_path(self):
+        for n, r in [(7, 4), (12, 9), (20, 13)]:
+            assert random_regular(n, r, 5) == complement(random_regular(n, n - 1 - r, 5))
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """P(X >= x) for X chi-square with ``df`` degrees of freedom: the
+    regularized upper incomplete gamma Q(df/2, x/2), by its series below
+    z = a + 1 and by its continued fraction above (Numerical Recipes 6.2)."""
+    if x <= 0:
+        return 1.0
+    a, z = df / 2, x / 2
+    scale = math.exp(a * math.log(z) - z - math.lgamma(a))
+    if z < a + 1:
+        term = total = 1 / a
+        k = 0
+        while term > 1e-17 * total:
+            k += 1
+            term *= z / (a + k)
+            total += term
+        return 1 - scale * total
+    b = z + 1 - a
+    c, d = 1e300, 1 / b
+    h = d
+    for i in range(1, 1000):
+        an = -i * (i - a)
+        b += 2
+        d = 1 / (an * d + b)
+        c = b + an / c
+        h *= d * c
+        if abs(d * c - 1) < 1e-15:
+            break
+    return scale * h
+
+
+def _invariant(g):
+    """Sorted per-vertex profiles of (adjacent, common neighbours) pairs:
+    isomorphism-invariant, and a twentieth of canonical_form's cost at n = 10."""
+    adj = g.adj
+    return tuple(sorted(
+        tuple(sorted((adj[v] >> u & 1, (adj[v] & adj[u]).bit_count())
+                     for u in range(g.n) if u != v))
+        for v in range(g.n)))
+
+
+def _uniformity_p(n, r, graphs, classes):
+    """Chi-square p-value of the sampled class counts against n!/|Aut|,
+    the share of labeled graphs in each class; classes expected fewer than
+    five times are pooled into one bin."""
+    index = {canonical_form(c): i for i, c in enumerate(classes)}
+    # the invariant names the class wherever no other class shares it;
+    # canonical_form settles the rest
+    keys = [_invariant(c) for c in classes]
+    named = {key: i for i, key in enumerate(keys) if keys.count(key) == 1}
+    counts = [0] * len(classes)
+    for g in graphs:
+        i = named.get(_invariant(g))
+        counts[index[canonical_form(g)] if i is None else i] += 1
+    weights = [math.factorial(n) / oracles.automorphism_count(c) for c in classes]
+    total = sum(weights)
+    expected = [len(graphs) * w / total for w in weights]
+    bins = [(o, e) for o, e in zip(counts, expected) if e >= 5]
+    rest = [(o, e) for o, e in zip(counts, expected) if e < 5]
+    if rest:
+        bins.append((sum(o for o, _ in rest), sum(e for _, e in rest)))
+    stat = sum((o - e) ** 2 / e for o, e in bins)
+    return _chi2_sf(stat, len(bins) - 1)
+
+
+_UNIFORMITY_SAMPLES = 1200
+
+
+class TestUniformity:
+    """Sampled isomorphism classes occur in proportion to their labeled
+    graphs, n!/|Aut|: the pairing model is exactly uniform, and switching
+    from the circulant mixes well within its rounds at these orders."""
+
+    @pytest.mark.parametrize("n,r", [(8, 3), (10, 3), (10, 4)])
+    @pytest.mark.parametrize("sampler", [random_regular, oracles.random_regular_legacy],
+                             ids=["current", "legacy"])
+    def test_class_frequencies(self, small_regular_corpus, sampler, n, r):
+        graphs = [sampler(n, r, seed) for seed in range(_UNIFORMITY_SAMPLES)]
+        assert _uniformity_p(n, r, graphs, small_regular_corpus[(n, r)]) > 1e-3
+
+    def test_switching_alone(self, small_regular_corpus):
+        graphs = [generation._switching(10, 3, random.Random(seed))
+                  for seed in range(_UNIFORMITY_SAMPLES)]
+        assert _uniformity_p(10, 3, graphs, small_regular_corpus[(10, 3)]) > 1e-3
+
+    def test_detects_a_biased_sampler(self, small_regular_corpus, monkeypatch):
+        # one swap round per edge leaves the circulant's class too likely
+        monkeypatch.setattr(generation, "SWITCH_ROUNDS_PER_EDGE", 1)
+        graphs = [generation._switching(8, 3, random.Random(seed))
+                  for seed in range(_UNIFORMITY_SAMPLES)]
+        assert _uniformity_p(8, 3, graphs, small_regular_corpus[(8, 3)]) < 1e-3
+
+    def test_chi2_sf(self):
+        # closed forms on both sides of z = a + 1: Q(1, z) = exp(-z),
+        # Q(2, z) = exp(-z)(1 + z), Q(1/2, z) = erfc(sqrt(z))
+        for x in (0.5, 3.0, 20.0, 400.0):
+            z = x / 2
+            assert _chi2_sf(x, 2) == pytest.approx(math.exp(-z), rel=1e-9)
+            assert _chi2_sf(x, 4) == pytest.approx(math.exp(-z) * (1 + z), rel=1e-9)
+            assert _chi2_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(z)), rel=1e-9)
 
 
 class TestRandomRegularBipartite:
