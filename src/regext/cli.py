@@ -372,9 +372,10 @@ def _check_balloon(g6: str) -> dict | None:
             size = rng.randrange(4, g.n) if g.n > 4 else 0
             yield tuple(sorted(rng.sample(range(g.n), size))) if size else ()
 
+    check = structure.balloon_bound_checker(g)
     small = (s for k in range(4) for s in combinations(range(g.n), k))
     for s in chain(small, sampled_sets()):
-        chk = structure.check_balloon_bound(g, s)
+        chk = check(s)
         if chk.applicable and not chk.holds:
             return {"graph6": g6,
                     "certificate": {"type": "balloon-bound", "s": list(s),

@@ -21,8 +21,14 @@ Enumeration: backtracking edge assignment over vertices in label order.
 Vertices that are indistinguishable so far are grouped into classes and
 only class prefixes are used as neighbor choices, which discards most
 isomorphic duplicates during the search; exact dedup happens through
-canonical forms.  Hard cap n <= 10 - beyond that, import externally
-generated graph6 corpora through the CLI.
+canonical forms, and the first graph found in each class is the one
+yielded.  Hard cap n <= 10 - beyond that, import externally generated
+graph6 corpora through the CLI.
+
+Canonical forms (``canonical_form``, n <= 12) come from an
+individualization-refinement search with automorphism pruning (McKay &
+Piperno, J. Symbolic Comput. 60, 2014): canonical graph6 bytes, but not
+the lexicographically least encoding.
 """
 
 from __future__ import annotations
@@ -250,48 +256,257 @@ def sample_disconnected_regular(n: int, r: int, seed: int) -> Graph:
     return build(n, edges)
 
 
-def canonical_form(g: Graph) -> bytes:
-    """Isomorphism-invariant encoding: the graph6 line of the relabeling
-    whose upper-triangle bit string is lexicographically minimal.
+# the trace entry of an individualization, which sorts below every split's entry
+_INDIVIDUALIZE = (-1,)
 
-    Level-synchronized search over vertex orderings: at each depth only the
-    orderings achieving the minimal bit prefix survive, deduplicated by the
-    adjacency profile of the unplaced vertices (orderings with identical
-    profiles have identical completions).
+
+def _refine(nbr: dict[int, int], part: list[int], queue: list[int],
+            trace: list[tuple[int, ...]], best: tuple, cmp: int) -> int | None:
+    """Refine the ordered partition ``part`` in place to the coarsest
+    equitable partition below it, with the queued cells as splitters.
+
+    ``part[s]`` is the vertex bitmask of the cell that starts at position s,
+    and 0 inside a cell; ``nbr`` maps a vertex's bit to its neighbourhood.
+    A cell splits by each vertex's number of neighbours in the splitter,
+    fragments in ascending count, and appends (position, count, size,
+    count, size, ...) to ``trace``.  ``cmp`` is 0 while ``trace`` is a
+    prefix of ``best`` and -1 once it is smaller; returns the updated
+    ``cmp``, or None as soon as ``trace`` is larger.
+    """
+    n = len(part)
+    inq = [False] * n
+    for s in queue:
+        inq[s] = True
+    cells = sum(1 for m in part if m)
+    i = 0
+    while i < len(queue) and cells < n:
+        s = queue[i]
+        i += 1
+        inq[s] = False
+        # planes[j] holds bit j of every vertex's count of neighbours in the
+        # splitter: a ripple-carry sum of the splitter's neighbourhoods
+        x = part[s]
+        planes = []
+        if not x & (x - 1):
+            planes.append(nbr[x])
+            x = 0
+        while x:
+            b = x & -x
+            x ^= b
+            carry = nbr[b]
+            for j, p in enumerate(planes):
+                planes[j] = p ^ carry
+                carry &= p
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
+        planes.reverse()
+        c = 0
+        while c < n:
+            m = part[c]
+            size = m.bit_count()
+            for p in planes:
+                if m & p and m & ~p:
+                    break
+            else:
+                c += size
+                continue
+            # the most significant plane first, its 0 side before its 1 side,
+            # so the fragments come out in ascending count
+            frags = [(m, 0)]
+            for p in planes:
+                nxt = []
+                for f, k in frags:
+                    lo = f & ~p
+                    if lo:
+                        nxt.append((lo, k << 1))
+                    if lo != f:
+                        nxt.append((f & p, k << 1 | 1))
+                frags = nxt
+            sizes = [f.bit_count() for f, _ in frags]
+            # Hopcroft: a queued cell queues all its fragments, any other
+            # cell all but its first largest
+            drop = -1 if inq[c] else sizes.index(max(sizes))
+            entry = [c]
+            for idx, (f, k) in enumerate(frags):
+                part[c] = f
+                entry += (k, sizes[idx])
+                if idx != drop and not inq[c]:
+                    inq[c] = True
+                    queue.append(c)
+                c += sizes[idx]
+            cells += len(frags) - 1
+            cmp = _extend(trace, tuple(entry), best, cmp)
+            if cmp is None:
+                return None
+    return cmp
+
+
+def _extend(trace: list[tuple[int, ...]], entry: tuple[int, ...], best: tuple,
+            cmp: int) -> int | None:
+    """Append ``entry`` to ``trace`` and update ``cmp`` as in ``_refine``."""
+    trace.append(entry)
+    if cmp == 0:
+        j = len(trace) - 1
+        if j >= len(best) or entry > best[j]:
+            return None
+        if entry < best[j]:
+            return -1
+    return cmp
+
+
+def _orbit_roots(n: int, gens: list[tuple[list[int], int]], prefix: int) -> list[int]:
+    """The least vertex of each vertex's orbit under the generators that
+    fix every vertex of the ``prefix`` mask."""
+    root = list(range(n))
+    for image, fixed in gens:
+        if prefix & ~fixed:
+            continue
+        for u, w in enumerate(image):
+            while root[u] != u:
+                u = root[u]
+            while root[w] != w:
+                w = root[w]
+            if u != w:
+                root[max(u, w)] = min(u, w)
+    for u in range(n):
+        root[u] = root[root[u]]
+    return root
+
+
+def canonical_form(g: Graph) -> bytes:
+    """Isomorphism-invariant encoding: the graph6 line of a canonical
+    relabeling, so two graphs get equal bytes iff they are isomorphic.
+
+    Individualization-refinement search (McKay & Piperno, J. Symbolic
+    Comput. 60, 2014).  The root partition groups vertices by triangle
+    count; every node refines its partition to an equitable one and
+    branches on the vertices of its first non-singleton cell, and a
+    discrete partition (a leaf) is a relabeling.  Each refinement's trace
+    is isomorphism-invariant; the answer is the leaf with the least
+    (trace, relabeled adjacency) key, so a node whose trace is already
+    larger than the best leaf's is cut.  Two leaves with equal keys give an
+    automorphism: the search returns to the node where their paths split,
+    and a node explores one child per orbit of the automorphisms found so
+    far that fix its individualized vertices.  The bytes are canonical but,
+    unlike an exhaustive search, not the lexicographically least encoding.
     """
     if g.n > CANONICAL_CAP:
         raise GraphError(f"n={g.n} exceeds canonical-form limit {CANONICAL_CAP}")
     n = g.n
-    if n == 0:
+    if n < 2:
         return format_graph6(g).encode("ascii")
-    adj = g.adj
-    # state: (order tuple, profiles dict vertex -> placed-adjacency bits)
-    states: list[tuple[tuple[int, ...], dict[int, int]]] = [
-        ((), {v: 0 for v in range(n)})
-    ]
-    for _ in range(n):
-        best_row = None
-        picks: list[tuple[tuple[int, ...], dict[int, int], int]] = []
-        for order, prof in states:
-            for v, row in prof.items():
-                if best_row is None or row < best_row:
-                    best_row = row
-                    picks = [(order, prof, v)]
-                elif row == best_row:
-                    picks.append((order, prof, v))
-        next_states = {}
-        for order, prof, v in picks:
-            new_prof = {
-                u: p << 1 | (adj[u] >> v & 1) for u, p in prof.items() if u != v
-            }
-            key = tuple(sorted(new_prof.items()))
-            if key not in next_states:
-                next_states[key] = (order + (v,), new_prof)
-        states = list(next_states.values())
-    order = states[0][0]
-    relabel = {v: i for i, v in enumerate(order)}
-    mapped = build(n, [(relabel[u], relabel[v]) for u, v in g.edges()])
-    return format_graph6(mapped).encode("ascii")
+    nbr = {1 << v: a for v, a in enumerate(g.adj)}
+    trace: list[tuple[int, ...]] = []
+    best: tuple | None = None  # the least (trace, rows) key so far
+    improved = 0  # how often ``best`` changed
+    leaves: dict[tuple, tuple[list[int], list[int]]] = {}
+    gens: list[tuple[list[int], int]] = []  # (vertex images, fixed-point mask)
+
+    def leaf(part: list[int], path: list[int]) -> int:
+        nonlocal best, improved
+        pos = {b: s for s, b in enumerate(part)}
+        rows = []
+        for b in part:
+            x = nbr[b]
+            row = 0
+            while x:
+                y = x & -x
+                row |= 1 << pos[y]
+                x ^= y
+            rows.append(row)
+        key = (tuple(trace), tuple(rows))
+        if best is None or key < best:
+            best = key
+            improved += 1
+        seen = leaves.setdefault(key, (part, path))
+        if seen[1] is path:
+            return len(path)
+        # the earlier leaf's s-th vertex maps to this leaf's s-th vertex
+        image = list(range(n))
+        fixed = 0
+        for a, b in zip(seen[0], part):
+            image[a.bit_length() - 1] = b.bit_length() - 1
+            if a == b:
+                fixed |= a
+        gens.append((image, fixed))
+        k = 0
+        while seen[1][k] == path[k]:
+            k += 1
+        return k
+
+    def search(part: list[int], path: list[int], prefix: int, cmp: int) -> int:
+        """Explore below an equitable partition; returns the depth of the
+        node where the search resumes."""
+        depth = len(path)
+        t = 0
+        while t < n and not part[t] & (part[t] - 1):
+            t += 1
+        if t == n:
+            return leaf(part, path)
+        cell = part[t]
+        mark = len(trace)
+        era = improved
+        done: list[int] = []
+        root = None
+        ngens = len(gens)
+        x = cell
+        while x:
+            b = x & -x
+            x ^= b
+            v = b.bit_length() - 1
+            if done:
+                if root is None or len(gens) != ngens:
+                    ngens = len(gens)
+                    root = _orbit_roots(n, gens, prefix)
+                if any(root[v] == root[u] for u in done):
+                    continue
+            if improved != era:
+                # the new best leaf lies below this node, so its trace
+                # starts with this node's
+                era = improved
+                cmp = 0
+            child = part[:]
+            child[t] = b
+            child[t + 1] = cell ^ b
+            bt = best[0] if best else ()
+            c = _extend(trace, _INDIVIDUALIZE, bt, cmp)
+            if c is not None:
+                c = _refine(nbr, child, [t], trace, bt, c)
+            if c is not None:
+                k = search(child, path + [v], prefix | b, c)
+                if k < depth:
+                    del trace[mark:]
+                    return k
+            del trace[mark:]
+            done.append(v)
+        return depth
+
+    # root partition: cells of equal triangle count (twice the count, as
+    # each triangle at v is seen from both of its other corners)
+    cells: dict[int, int] = {}
+    for b, a in nbr.items():
+        x = a
+        tri = 0
+        while x:
+            y = x & -x
+            x ^= y
+            tri += (nbr[y] & a).bit_count()
+        cells[tri] = cells.get(tri, 0) | b
+    part = [0] * n
+    queue = []
+    entry = [0]
+    s = 0
+    for tri in sorted(cells):
+        part[s] = cells[tri]
+        queue.append(s)
+        entry += (tri, cells[tri].bit_count())
+        s += cells[tri].bit_count()
+    trace.append(tuple(entry))
+    _refine(nbr, part, queue, trace, (), -1)
+    search(part, [], 0, -1)
+    return format_graph6(Graph(n, best[1])).encode("ascii")
 
 
 def _residual_feasible(residual: list[int], start: int, n: int) -> bool:

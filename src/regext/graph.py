@@ -212,6 +212,7 @@ def add_matching(g: Graph, matching: Iterable[Edge]) -> Graph:
 # column-major order packed into 6-bit chunks offset by 63.
 
 _G6_HEADER = ">>graph6<<"
+_G6_SIXBITS = [format(x, "06b") for x in range(64)]
 
 
 def _g6_order_bytes(n: int) -> bytes:
@@ -272,19 +273,17 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"expected {(need + 5) // 6} payload bytes for n={n}, got {len(body)}"
         )
-    bits = 0
-    for byte in body:
-        bits = bits << 6 | (byte - 63)
     pad = len(body) * 6 - need
-    if pad and bits & ((1 << pad) - 1):
+    if pad and (body[-1] - 63) & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits")
-    bits >>= pad
-    adj = [0] * n
-    pos = need - 1
-    for col in range(1, n):
-        for row in range(col):
-            if bits >> pos & 1:
-                adj[col] |= 1 << row
-                adj[row] |= 1 << col
-            pos -= 1
+    bits = "".join([_G6_SIXBITS[byte - 63] for byte in body])
+    # cols[c][v] is the bit of the edge vc for v < c, padded to n; the
+    # transpose gives each vertex's neighbours above it
+    cols = []
+    start = 0
+    for c in range(n):
+        cols.append(bits[start:start + c] + "0" * (n - c))
+        start += c
+    adj = [int((cols[v][:v] + "".join(row[v:]))[::-1], 2)
+           for v, row in enumerate(zip(*cols))]
     return Graph(n, tuple(adj))

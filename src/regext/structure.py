@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterable
 
 from .graph import (
     Edge,
@@ -140,33 +141,44 @@ def balloons(g: Graph) -> BalloonReport:
     return BalloonReport(tuple(bridge_list), blocks, tuple(balloon_blocks))
 
 
-def check_balloon_bound(g: Graph, s) -> BalloonBoundCheck:
-    """Evaluate odd(G-s) - |s| against (r/(r-1)) * b(G) on a regular graph.
-
-    Applicable only when every odd component of G-s sends exactly 1 or at
-    least r edges into s.
-    """
+def balloon_bound_checker(g: Graph) -> Callable[[Iterable[int]], BalloonBoundCheck]:
+    """``check_balloon_bound`` for one graph: its degree and balloon count
+    are computed here once, and each call of the result checks one set."""
     r = require_regular(g)
     if r < 2:
         raise GraphError(f"balloon bound needs degree >= 2, got r={r}")
-    s_set = frozenset(s)
-    smask = 0
-    for v in s_set:
-        smask |= 1 << v
-    parts = components_after_deletion(g, s_set)
-    applicable = True
-    for block in parts.blocks:
-        if len(block) % 2 == 0:
-            continue
-        boundary = sum((g.adj[v] & smask).bit_count() for v in block)
-        if boundary != 1 and boundary < r:
-            applicable = False
-            break
     b = balloons(g).b
-    lhs = Fraction(parts.odd_count - len(s_set))
     rhs = Fraction(r, r - 1) * b
     rhs_alt = Fraction(r - 1, r) * b
-    return BalloonBoundCheck(applicable, lhs <= rhs, lhs, rhs, rhs_alt, lhs <= rhs_alt)
+
+    def check(s: Iterable[int]) -> BalloonBoundCheck:
+        s_set = frozenset(s)
+        smask = 0
+        for v in s_set:
+            smask |= 1 << v
+        parts = components_after_deletion(g, s_set)
+        applicable = True
+        for block in parts.blocks:
+            if len(block) % 2 == 0:
+                continue
+            boundary = sum((g.adj[v] & smask).bit_count() for v in block)
+            if boundary != 1 and boundary < r:
+                applicable = False
+                break
+        lhs = Fraction(parts.odd_count - len(s_set))
+        return BalloonBoundCheck(applicable, lhs <= rhs, lhs, rhs, rhs_alt, lhs <= rhs_alt)
+
+    return check
+
+
+def check_balloon_bound(g: Graph, s: Iterable[int]) -> BalloonBoundCheck:
+    """Evaluate odd(G-s) - |s| against (r/(r-1)) * b(G) on a regular graph.
+
+    Applicable only when every odd component of G-s sends exactly 1 or at
+    least r edges into s.  To check many sets of one graph, call
+    ``balloon_bound_checker`` once instead.
+    """
+    return balloon_bound_checker(g)(s)
 
 
 def _clique_search(g: Graph, floor: int, stop: int) -> list[int]:

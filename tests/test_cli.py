@@ -355,6 +355,20 @@ class TestVerifyCommand:
         assert (summary["checked"], summary["failed"], summary["skipped"]) == \
             (QUICK_CHECKED[rule], 0, 0)
 
+    def test_balloons_once_per_graph(self, capsys, monkeypatch):
+        # the degree and balloon count belong to the graph: one balloon
+        # decomposition per checked graph, not one per vertex set
+        from regext import structure
+
+        graphs = []
+        balloons = structure.balloons
+        monkeypatch.setattr(structure, "balloons", lambda g: graphs.append(g) or balloons(g))
+        code, out, _ = run_cli(capsys, ["verify", "--rule", "L0-balloon", "--json",
+                                        *QUICK["L0-balloon"]])
+        summary = json_lines(out)[-1]
+        assert (code, summary["checked"], summary["failed"]) == (0, 101, 0)
+        assert len(graphs) == 101
+
     @pytest.mark.parametrize("argv,checked,skipped", [
         # empty hypothesis region: no even-even cell below n = 18
         (["--rule", "T2", "--n-range", "4..6"], 0, 1),

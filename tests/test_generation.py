@@ -21,9 +21,18 @@ from regext import (
     spanning_biclique,
     find_clique,
     format_graph6,
+    parse_graph6,
 )
 from regext import generation
-from families import complete_graph, cycle_graph, petersen_graph, prism_graph
+from families import (
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    empty_graph,
+    petersen_graph,
+    prism_graph,
+)
 
 import oracles
 
@@ -126,7 +135,7 @@ def _chi2_sf(x: float, df: int) -> float:
 
 def _invariant(g):
     """Sorted per-vertex profiles of (adjacent, common neighbours) pairs:
-    isomorphism-invariant, and a twentieth of canonical_form's cost at n = 10."""
+    isomorphism-invariant, and cheaper than canonical_form at n = 10."""
     adj = g.adj
     return tuple(sorted(
         tuple(sorted((adj[v] >> u & 1, (adj[v] & adj[u]).bit_count())
@@ -254,6 +263,35 @@ class TestSamplers:
             sample_disconnected_regular(20, 17, 0)  # one component max
 
 
+def _shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _nx(g):
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def _union(*graphs):
+    out = graphs[0]
+    for g in graphs[1:]:
+        out = disjoint_union(out, g)
+    return out
+
+
+def _prism(k):
+    """C_k times K_2: two k-cycles joined by a perfect matching."""
+    ring = [(i, (i + 1) % k) for i in range(k)]
+    return build(2 * k, ring + [(k + u, k + v) for u, v in ring]
+                 + [(i, k + i) for i in range(k)])
+
+
 class TestCanonicalForm:
     def test_relabeling_invariance(self):
         rng = random.Random(9)
@@ -298,6 +336,59 @@ class TestCanonicalForm:
     def test_cap(self):
         with pytest.raises(GraphError):
             canonical_form(cycle_graph(13))
+
+    def test_equal_bytes_iff_isomorphic(self):
+        # pairs of three kinds: a graph and a relabeling (isomorphic), two
+        # samples of one (n, r) cell, and a graph and a relabeling with one
+        # edge moved (same order, size and often degrees)
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(77)
+        outcomes = {True: 0, False: 0}
+        for i in range(300):
+            n = rng.randrange(1, 13)
+            if i % 3 == 1 and n > 2:
+                r = rng.randrange(n - 1 if n % 2 else n)
+                r -= (n * r) % 2
+                g = random_regular(n, r, rng.getrandbits(32))
+                h = random_regular(n, r, rng.getrandbits(32))
+            else:
+                p = rng.random()
+                g = build(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                              if rng.random() < p])
+                h = g
+                edges, non = list(g.edges()), list(complement(g).edges())
+                if i % 3 == 2 and edges and non:
+                    moved = set(edges) - {rng.choice(edges)} | {rng.choice(non)}
+                    h = build(n, moved)
+                h = _shuffled(h, rng)
+            same = nx.is_isomorphic(_nx(g), _nx(h))
+            assert (canonical_form(g) == canonical_form(h)) == same, (g, h)
+            outcomes[same] += 1
+        assert min(outcomes.values()) >= 60, outcomes
+
+    @pytest.mark.parametrize("g", [
+        empty_graph(11), empty_graph(12), complete_graph(11), complete_graph(12),
+        complete_bipartite(5, 6), complete_bipartite(6, 6),
+        _union(*[complete_graph(3)] * 4), _union(*[complete_graph(4)] * 3),
+        cycle_graph(11), cycle_graph(12), _union(cycle_graph(6), cycle_graph(6)),
+        _prism(6), _union(petersen_graph(), complete_graph(1)),
+        _union(petersen_graph(), complete_graph(2)),
+    ], ids=["E11", "E12", "K11", "K12", "K5,6", "K6,6", "4K3", "3K4", "C11", "C12",
+            "2C6", "prism12", "Petersen+K1", "Petersen+K2"])
+    def test_symmetric_graphs(self, g, monkeypatch):
+        # large automorphism groups: the search must prune by orbits (the
+        # empty graph alone has 12! leaves) and stay relabeling-invariant
+        refinements = []
+        refine = generation._refine
+        monkeypatch.setattr(generation, "_refine",
+                            lambda *args: refinements.append(1) or refine(*args))
+        base = canonical_form(g)
+        assert len(refinements) <= g.n ** 2
+        h = parse_graph6(base.decode("ascii"))
+        assert sorted(map(h.degree, range(h.n))) == sorted(map(g.degree, range(g.n)))
+        rng = random.Random(g.n)
+        for _ in range(10):
+            assert canonical_form(_shuffled(g, rng)) == base
 
 
 class TestEnumeration:
@@ -344,6 +435,21 @@ class TestEnumeration:
                 flipped = {canonical_form(complement(g))
                            for g in small_regular_corpus[(n, n - 1 - r)]}
                 assert direct == flipped
+
+    def test_pinned_stream(self, small_regular_corpus):
+        # every class of every (n, r) with n <= 10 in stream order, then the
+        # connected cubic classes at n = 8 and 10; canonical_form decides
+        # only which graphs are repeats, so its labeling cannot move this
+        cells = [(n, r) for n in range(1, 11) for r in range(n) if (n * r) % 2 == 0]
+        stream = [g for cell in cells for g in (
+            small_regular_corpus[cell] if cell in small_regular_corpus
+            else enumerate_regular(*cell))]
+        stream += enumerate_regular(8, 3, connected_only=True)
+        stream += enumerate_regular(10, 3, connected_only=True)
+        assert len(stream) == 274
+        lines = "".join(format_graph6(g) + "\n" for g in stream)
+        digest = hashlib.sha256(lines.encode()).hexdigest()
+        assert digest == "30a5451249eae6ba6159bbf32fe3cf3d3280ff78c2a83c6376479c39a2b8f137"
 
     def test_deterministic_stream(self):
         first = [g for g in enumerate_regular(8, 4)]

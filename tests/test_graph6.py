@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +60,33 @@ def test_nonzero_padding_rejected():
     with pytest.raises(Graph6Error):
         parse_graph6("B~")
     assert parse_graph6("Bw").m == 3  # K_3 uses only the top three bits
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 200, 300])
+def test_roundtrip_orders(n):
+    # both sides of the one-byte/four-byte order switch at 63, and the large
+    # orders where decoding used to be quadratic
+    rng = random.Random(n)
+    for p in (0.0, 0.1, 0.5, 1.0):
+        g = build(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        assert parse_graph6(format_graph6(g)) == g
+
+
+def _set_low_bit(line):
+    return line[:-1] + chr((ord(line[-1]) - 63 | 1) + 63)
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("B~", "nonzero padding bits"),
+    (_set_low_bit(format_graph6(cycle_graph(200))), "nonzero padding bits"),
+    ("C", "expected 1 payload bytes for n=4, got 0"),
+    ("C~~", "expected 1 payload bytes for n=4, got 2"),
+    (format_graph6(cycle_graph(200))[:-1], "expected 3317 payload bytes for n=200, got 3316"),
+    ("~??", "truncated multi-byte order"),
+])
+def test_error_messages(bad, message):
+    with pytest.raises(Graph6Error, match=f"^{message}$"):
+        parse_graph6(bad)
 
 
 @st.composite
