@@ -35,13 +35,11 @@ from .structure import (
     BalloonBoundCheck,
     BalloonReport,
     BicliqueWitness,
-    OddCycle,
     balloons,
     check_balloon_bound,
     check_ineq_kr,
     check_ineq_x,
     clique_number,
-    complement_bipartite_check,
     find_bridges,
     find_clique,
     spanning_biclique,

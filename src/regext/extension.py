@@ -54,9 +54,10 @@ def validate_cycle(g: Graph, order: tuple[int, ...]) -> None:
     n = g.n
     if sorted(order) != list(range(n)):
         raise GraphError("cycle is not a permutation of the vertices")
+    adj = g.adj
     for i in range(n):
         u, v = order[i], order[(i + 1) % n]
-        if not g.has_edge(u, v):
+        if not adj[u] >> v & 1:
             raise GraphError(f"cycle step ({u},{v}) is not an edge")
 
 
@@ -65,51 +66,52 @@ def dirac_cycle(g: Graph) -> tuple[int, ...]:
 
     Constructive rotation-extension: grow a maximal path, close it through
     a crossing chord (which the degree condition guarantees), and absorb an
-    outside vertex whenever the cycle is not yet spanning.  Chords are taken
-    first-found in ascending label order, so the output is deterministic.
+    outside vertex whenever the cycle is not yet spanning.  The path is also
+    kept as a vertex mask, so each extension takes the lowest set bit of an
+    endpoint's neighbours off the path.  Every choice is the first in
+    ascending label order, so the output is deterministic.
     """
     n = g.n
     if n < 3:
         raise DiracPreconditionError(f"need n >= 3, got n={n}")
-    for v in range(n):
-        if 2 * g.degree(v) < n:
+    adj = g.adj
+    for v, a in enumerate(adj):
+        if 2 * a.bit_count() < n:
             raise DiracPreconditionError(
-                f"deg({v})={g.degree(v)} < n/2={n / 2}", vertex=v
+                f"deg({v})={a.bit_count()} < n/2={n / 2}", vertex=v
             )
 
     path = [0]
-    on_path = [False] * n
-    on_path[0] = True
+    on = 1
 
-    def extend_maximal() -> None:
+    while True:
+        # extend at the tail, then at the head, until neither end can grow
         grew = True
         while grew:
             grew = False
-            for w in g.neighbors(path[-1]):
-                if not on_path[w]:
-                    path.append(w)
-                    on_path[w] = True
-                    grew = True
-                    break
-            for w in g.neighbors(path[0]):
-                if not on_path[w]:
-                    path.insert(0, w)
-                    on_path[w] = True
-                    grew = True
-                    break
-
-    while True:
-        extend_maximal()
+            free = adj[path[-1]] & ~on
+            if free:
+                b = free & -free
+                path.append(b.bit_length() - 1)
+                on |= b
+                grew = True
+            free = adj[path[0]] & ~on
+            if free:
+                b = free & -free
+                path.insert(0, b.bit_length() - 1)
+                on |= b
+                grew = True
         head, tail = path[0], path[-1]
-        if g.has_edge(head, tail):
-            cycle = list(path)
+        adj_head, adj_tail = adj[head], adj[tail]
+        if adj_head >> tail & 1:
+            cycle = path
         else:
             # maximal path: both endpoints' neighborhoods sit on the path, so
             # deg(head) + deg(tail) >= n > len(path) - 1 forces a position i
             # with head ~ path[i+1] and tail ~ path[i]
             idx = None
             for i in range(len(path) - 1):
-                if g.has_edge(head, path[i + 1]) and g.has_edge(tail, path[i]):
+                if adj_head >> path[i + 1] & 1 and adj_tail >> path[i] & 1:
                     idx = i
                     break
             if idx is None:
@@ -118,22 +120,21 @@ def dirac_cycle(g: Graph) -> tuple[int, ...]:
         if len(cycle) == n:
             validate_cycle(g, tuple(cycle))
             return tuple(cycle)
-        # absorb an outside vertex adjacent to the cycle and go again
-        cyc_pos = None
-        for u in range(n):
-            if on_path[u]:
-                continue
-            for j, c in enumerate(cycle):
-                if g.has_edge(u, c):
-                    cyc_pos = (u, j)
-                    break
-            if cyc_pos:
+        # absorb the lowest outside vertex adjacent to the cycle, entering
+        # at its first neighbour in cycle order, and go again
+        off = ((1 << n) - 1) & ~on
+        while off:
+            b = off & -off
+            if adj[b.bit_length() - 1] & on:
                 break
-        if cyc_pos is None:
+            off ^= b
+        if not off:
             raise AssertionError("graph disconnected despite degree bound")
-        u, j = cyc_pos
+        u = b.bit_length() - 1
+        adj_u = adj[u]
+        j = next(j for j, c in enumerate(cycle) if adj_u >> c & 1)
         path = [u] + cycle[j:] + cycle[:j]
-        on_path[u] = True
+        on |= b
 
 
 def cycle_to_matching(order: tuple[int, ...]) -> Matching:

@@ -197,7 +197,7 @@ def add_matching(g: Graph, matching: Iterable[Edge]) -> Graph:
     for u, v in matching:
         if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
             raise GraphError(f"invalid matching edge ({u},{v})")
-        if g.has_edge(u, v):
+        if g.adj[u] >> v & 1:
             raise GraphError(f"edge ({u},{v}) already present")
         bits = (1 << u) | (1 << v)
         if seen & bits:
@@ -213,6 +213,7 @@ def add_matching(g: Graph, matching: Iterable[Edge]) -> Graph:
 
 _G6_HEADER = ">>graph6<<"
 _G6_SIXBITS = [format(x, "06b") for x in range(64)]
+_G6_CHARS = {bits: chr(x + 63) for x, bits in enumerate(_G6_SIXBITS)}
 
 
 def _g6_order_bytes(n: int) -> bytes:
@@ -227,21 +228,14 @@ def _g6_order_bytes(n: int) -> bytes:
 
 def format_graph6(g: Graph) -> str:
     """Encode as a graph6 line (no trailing newline)."""
-    out = bytearray(_g6_order_bytes(g.n))
-    acc = 0
-    nbits = 0
-    for col in range(1, g.n):
-        colbits = g.adj[col]
-        for row in range(col):
-            acc = acc << 1 | (colbits >> row & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return out.decode("ascii")
+    # column c holds the bits of the edges vc for v < c, lowest v first:
+    # the binary digits of adj[c] below bit c, reversed and padded to c
+    bits = "".join([bin(a & ((1 << c) - 1))[:1:-1].ljust(c, "0")
+                    for c, a in enumerate(g.adj) if c])
+    bits += "0" * (-len(bits) % 6)
+    body = "".join(map(_G6_CHARS.__getitem__,
+                       [bits[i:i + 6] for i in range(0, len(bits), 6)]))
+    return _g6_order_bytes(g.n).decode("ascii") + body
 
 
 def parse_graph6(text: str) -> Graph:

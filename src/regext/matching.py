@@ -10,8 +10,11 @@ contracts no blossom there.  ``tutte_violator_bruteforce`` scans all 2^n
 subsets; no product path calls it, it is the independent oracle the
 matcher is tested against.
 
-All searches scan vertices and neighbors in ascending label order, so every
-result is deterministic for a fixed input.
+All searches scan vertices in ascending label order and each vertex's
+neighbour mask lowest set bit first, so every result is deterministic for a
+fixed input.  A blossom phase keeps each blossom as a vertex mask: a scan
+leaves out the vertex's own blossom and its mate, which are never tree
+edges, and a contraction relabels only the vertices that join the blossom.
 """
 
 from __future__ import annotations
@@ -65,51 +68,66 @@ def _augment_from(g: Graph, match: list[int], root: int) -> int:
     bitmask of the tree's outer vertices, which holds at least the root.
     """
     n = g.n
+    adj = g.adj
     parent = [-1] * n
     base = list(range(n))
-    outer = [False] * n
-    outer[root] = True
+    # members[b] is the vertex mask of the blossom whose base is b
+    members = [1 << v for v in range(n)]
+    outer = 1 << root
     queue = deque([root])
 
     def lowest_common_base(a: int, b: int) -> int:
-        seen = [False] * n
+        seen = 0
         while True:
             a = base[a]
-            seen[a] = True
+            seen |= 1 << a
             if match[a] == -1:
                 break
             a = base[parent[match[a]]]
         while True:
             b = base[b]
-            if seen[b]:
+            if seen >> b & 1:
                 return b
             b = base[parent[match[b]]]
 
-    def mark_blossom(v: int, stop: int, child: int, in_blossom: list[bool]) -> None:
+    def mark_blossom(v: int, stop: int, child: int) -> int:
+        """Re-point parents on the tree path from v up to the base
+        ``stop``; returns the mask of every blossom on that path."""
+        blossom = 0
         while base[v] != stop:
-            in_blossom[base[v]] = True
-            in_blossom[base[match[v]]] = True
+            blossom |= members[base[v]] | members[base[match[v]]]
             parent[v] = child
             child = match[v]
             v = parent[match[v]]
+        return blossom
 
     while queue:
         v = queue.popleft()
-        for to in g.neighbors(v):
-            if base[v] == base[to] or match[v] == to:
-                continue
+        # v's own blossom and its mate are never tree edges
+        rest = adj[v] & ~members[base[v]]
+        if match[v] != -1:
+            rest &= ~(1 << match[v])
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            to = bit.bit_length() - 1
             if to == root or (match[to] != -1 and parent[match[to]] != -1):
                 # both endpoints outer in the same tree: contract the blossom
                 stem = lowest_common_base(v, to)
-                in_blossom = [False] * n
-                mark_blossom(v, stem, to, in_blossom)
-                mark_blossom(to, stem, v, in_blossom)
-                for i in range(n):
-                    if in_blossom[base[i]]:
-                        base[i] = stem
-                        if not outer[i]:
-                            outer[i] = True
-                            queue.append(i)
+                joined = ((mark_blossom(v, stem, to) | mark_blossom(to, stem, v))
+                          & ~members[stem])
+                members[stem] |= joined
+                new_outer = joined & ~outer
+                outer |= joined
+                while joined:
+                    b = joined & -joined
+                    i = b.bit_length() - 1
+                    base[i] = stem
+                    if new_outer & b:
+                        queue.append(i)
+                    joined ^= b
+                # the contraction put v into the blossom
+                rest &= ~members[stem]
             elif parent[to] == -1:
                 parent[to] = v
                 if match[to] == -1:
@@ -121,23 +139,29 @@ def _augment_from(g: Graph, match: list[int], root: int) -> int:
                         match[prev] = to
                         to = nxt
                     return 0
-                if not outer[match[to]]:
-                    outer[match[to]] = True
-                    queue.append(match[to])
-    return sum(1 << v for v in range(n) if outer[v])
+                mate = match[to]
+                if not outer >> mate & 1:
+                    outer |= 1 << mate
+                    queue.append(mate)
+    return outer
 
 
 def _match_array(g: Graph) -> list[int]:
     n = g.n
+    adj = g.adj
     match = [-1] * n
-    # greedy warm start keeps the number of blossom phases small
+    # greedy warm start keeps the number of blossom phases small: each
+    # vertex takes its lowest free neighbour
+    free = (1 << n) - 1
     for v in range(n):
-        if match[v] == -1:
-            for u in g.neighbors(v):
-                if match[u] == -1:
-                    match[v] = u
-                    match[u] = v
-                    break
+        if free >> v & 1:
+            cand = adj[v] & free
+            if cand:
+                b = cand & -cand
+                u = b.bit_length() - 1
+                match[v] = u
+                match[u] = v
+                free ^= 1 << v | b
     for v in range(n):
         if match[v] == -1:
             _augment_from(g, match, v)

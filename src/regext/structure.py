@@ -55,23 +55,6 @@ class BicliqueWitness:
 
 
 @dataclass(frozen=True)
-class OddCycle:
-    """Odd cycle witnessing that a graph is not bipartite."""
-
-    vertices: tuple[int, ...]
-
-    def verify_in_complement(self, g: Graph) -> bool:
-        k = len(self.vertices)
-        if k % 2 == 0 or k < 3 or len(set(self.vertices)) != k:
-            return False
-        return all(
-            not g.has_edge(self.vertices[i], self.vertices[(i + 1) % k])
-            and self.vertices[i] != self.vertices[(i + 1) % k]
-            for i in range(k)
-        )
-
-
-@dataclass(frozen=True)
 class BalloonBoundCheck:
     """Both sides of the odd-component balloon bound, as exact rationals.
 
@@ -89,8 +72,13 @@ class BalloonBoundCheck:
 
 
 def find_bridges(g: Graph) -> list[Edge]:
-    """All cut edges, by iterative lowpoint DFS, sorted."""
+    """All cut edges, by iterative lowpoint DFS, sorted.
+
+    Each stack frame holds the mask of its vertex's neighbours not yet
+    scanned, taken lowest bit first.
+    """
     n = g.n
+    adj = g.adj
     pre = [-1] * n
     low = [0] * n
     counter = 0
@@ -100,15 +88,20 @@ def find_bridges(g: Graph) -> list[Edge]:
             continue
         pre[root] = low[root] = counter
         counter += 1
-        stack = [(root, -1, g.neighbors(root))]
+        stack = [[root, -1, adj[root]]]
         while stack:
-            v, parent, it = stack[-1]
+            frame = stack[-1]
+            v, parent, rest = frame
             pushed = False
-            for w in it:
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                w = b.bit_length() - 1
                 if pre[w] == -1:
                     pre[w] = low[w] = counter
                     counter += 1
-                    stack.append((w, v, g.neighbors(w)))
+                    frame[2] = rest
+                    stack.append([w, v, adj[w]])
                     pushed = True
                     break
                 if w != parent and pre[w] < low[v]:
@@ -268,52 +261,6 @@ def spanning_biclique(g: Graph, require_odd_parts: bool = False) -> BicliqueWitn
         if a is None or (g.n - a.bit_count()) % 2 == 0:
             return None
     return BicliqueWitness(_mask_to_set(a), _mask_to_set(g.vertex_mask() ^ a))
-
-
-def complement_bipartite_check(g: Graph) -> tuple[frozenset[int], frozenset[int]] | OddCycle:
-    """2-color the complement by BFS, or return one of its odd cycles."""
-    gc = complement(g)
-    n = g.n
-    color = [-1] * n
-    parent = [-1] * n
-    for root in range(n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for w in gc.neighbors(v):
-                if color[w] == -1:
-                    color[w] = color[v] ^ 1
-                    parent[w] = v
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return _odd_cycle(parent, v, w)
-    part0 = frozenset(v for v in range(n) if color[v] == 0)
-    part1 = frozenset(v for v in range(n) if color[v] == 1)
-    return (part0, part1)
-
-
-def _odd_cycle(parent: list[int], v: int, w: int) -> OddCycle:
-    # walk both BFS branches up to the first common ancestor
-    up_v = [v]
-    seen = {v: 0}
-    cur = v
-    while parent[cur] != -1:
-        cur = parent[cur]
-        seen[cur] = len(up_v)
-        up_v.append(cur)
-    cur = w
-    up_w = [w]
-    while cur not in seen:
-        cur = parent[cur]
-        up_w.append(cur)
-    meet = seen[cur]
-    cycle = up_v[: meet + 1] + up_w[-2::-1]
-    return OddCycle(tuple(cycle))
 
 
 def check_ineq_kr(r, k) -> bool:

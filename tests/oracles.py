@@ -2,15 +2,18 @@
 
 Nothing here shares code paths with the package: components use union-find
 instead of bitset BFS, matching sizes come from exhaustive recursion, and
-isomorphism checks try raw vertex permutations.
+isomorphism checks try raw vertex permutations.  Code that only the tests
+use lives here too: the per-bit graph6 encoder and the complement's
+2-coloring with odd-cycle refutations.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from regext import Graph, GraphError, build
+from regext import Graph, GraphError, build, complement
 
 
 def unionfind_components(g: Graph, deleted=()) -> list[set[int]]:
@@ -169,6 +172,96 @@ def is_bridge_by_deletion(g: Graph, u: int, v: int) -> bool:
     before = len(unionfind_components(g))
     pruned = build(g.n, [e for e in g.edges() if e != (min(u, v), max(u, v))])
     return len(unionfind_components(pruned)) > before
+
+
+# -- graph6 and bipartiteness, one step at a time ---------------------------
+
+def format_graph6_per_bit(g: Graph) -> str:
+    """The graph6 encoder that shifts the upper triangle in one bit at a
+    time, column by column; ``regext.format_graph6`` must match it byte
+    for byte."""
+    n = g.n
+    if n <= 62:
+        out = bytearray([n + 63])
+    else:
+        out = bytearray([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
+    acc = 0
+    nbits = 0
+    for col in range(1, n):
+        colbits = g.adj[col]
+        for row in range(col):
+            acc = acc << 1 | (colbits >> row & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(acc + 63)
+                acc = 0
+                nbits = 0
+    if nbits:
+        out.append((acc << (6 - nbits)) + 63)
+    return out.decode("ascii")
+
+
+@dataclass(frozen=True)
+class OddCycle:
+    """Odd cycle witnessing that a graph is not bipartite."""
+
+    vertices: tuple[int, ...]
+
+    def verify_in_complement(self, g: Graph) -> bool:
+        k = len(self.vertices)
+        if k % 2 == 0 or k < 3 or len(set(self.vertices)) != k:
+            return False
+        return all(
+            not g.has_edge(self.vertices[i], self.vertices[(i + 1) % k])
+            and self.vertices[i] != self.vertices[(i + 1) % k]
+            for i in range(k)
+        )
+
+
+def complement_bipartite_check(g: Graph) -> tuple[frozenset[int], frozenset[int]] | OddCycle:
+    """2-color the complement by BFS, or return one of its odd cycles."""
+    gc = complement(g)
+    n = g.n
+    color = [-1] * n
+    parent = [-1] * n
+    for root in range(n):
+        if color[root] != -1:
+            continue
+        color[root] = 0
+        queue = [root]
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            for w in gc.neighbors(v):
+                if color[w] == -1:
+                    color[w] = color[v] ^ 1
+                    parent[w] = v
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return _odd_cycle(parent, v, w)
+    part0 = frozenset(v for v in range(n) if color[v] == 0)
+    part1 = frozenset(v for v in range(n) if color[v] == 1)
+    return (part0, part1)
+
+
+def _odd_cycle(parent: list[int], v: int, w: int) -> OddCycle:
+    # walk both BFS branches up to the first common ancestor
+    up_v = [v]
+    seen = {v: 0}
+    cur = v
+    while parent[cur] != -1:
+        cur = parent[cur]
+        seen[cur] = len(up_v)
+        up_v.append(cur)
+    cur = w
+    up_w = [w]
+    while cur not in seen:
+        cur = parent[cur]
+        up_w.append(cur)
+    meet = seen[cur]
+    cycle = up_v[: meet + 1] + up_w[-2::-1]
+    return OddCycle(tuple(cycle))
 
 
 # -- the sampler's earlier stream ------------------------------------------

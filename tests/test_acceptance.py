@@ -14,7 +14,6 @@ from math import factorial
 from regext import (
     RULES,
     ExtensionTrace,
-    OddCycle,
     TutteViolator,
     add_matching,
     build,
@@ -23,7 +22,6 @@ from regext import (
     check_ineq_x,
     classify,
     complement,
-    complement_bipartite_check,
     components_after_deletion,
     cycle_to_matching,
     dirac_cycle,
@@ -54,6 +52,7 @@ from families import (
 from regext.structure import balloons
 
 import oracles
+from oracles import OddCycle, complement_bipartite_check
 
 
 def _report(num: int, detail: str) -> None:

@@ -11,12 +11,10 @@ from regext import (
     ExtensionFailure,
     ExtensionTrace,
     GraphError,
-    OddCycle,
     TutteViolator,
     build,
     classify,
     complement,
-    complement_bipartite_check,
     cycle_to_matching,
     dirac_cycle,
     extend_once,
@@ -36,6 +34,7 @@ from families import (
     complete_graph,
     cycle_graph,
 )
+from oracles import OddCycle, complement_bipartite_check
 
 
 class TestDiracCycle:

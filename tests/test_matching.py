@@ -156,7 +156,7 @@ class TestBipartite:
 
     def test_regular_bipartite_always_matches_enumerated(self, small_regular_corpus):
         # complement_bipartite_check of the complement 2-colors g itself
-        from regext import OddCycle, complement_bipartite_check
+        from oracles import OddCycle, complement_bipartite_check
 
         seen = 0
         for (n, r), graphs in small_regular_corpus.items():

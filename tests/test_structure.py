@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from regext import (
     GraphError,
-    OddCycle,
     balloons,
     build,
     check_balloon_bound,
@@ -15,7 +14,6 @@ from regext import (
     check_ineq_x,
     clique_number,
     complement,
-    complement_bipartite_check,
     components_after_deletion,
     find_bridges,
     find_clique,
@@ -32,6 +30,7 @@ from families import (
 )
 
 import oracles
+from oracles import OddCycle, complement_bipartite_check
 
 
 class TestBridgesAndBalloons:
@@ -79,6 +78,24 @@ class TestBridgesAndBalloons:
                     assert ((u, v) in bridges) == oracles.is_bridge_by_deletion(g, u, v)
                     count += 1
         assert count > 100
+
+    def test_bridges_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(11)
+        with_bridges = 0
+        for _ in range(500):
+            n = rng.randrange(31)
+            # around the connectivity threshold bridges are common
+            p = rng.choice((0.05, 0.1, 0.2, 0.4)) if n else 0.0
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(edges)
+            expected = sorted((min(u, v), max(u, v)) for u, v in nx.bridges(h))
+            got = find_bridges(build(n, edges))
+            assert got == expected, (n, p)
+            with_bridges += bool(got)
+        assert with_bridges >= 200
 
     def test_connected_cubic_balloons_have_five_vertices(self, small_regular_corpus):
         # minimum balloon size in a cubic graph is r + 2 = 5
