@@ -1,28 +1,23 @@
 #!/usr/bin/env python3
 """Census of extension behavior over every small regular graph.
 
-For each (n, r) cell with even n up to the enumeration cap, try a greedy
-one-step extension of every isomorphism class and tabulate which rules
-fire.  The interesting column is "unexplained": graphs that extend fine
-although no sufficient condition applies, i.e. the open territory between
-the proved bounds and n-2.
+For each (n, r) cell with even n up to the enumeration cap, try a one-step
+extension (``extend_once``) of every isomorphism class and tabulate which
+rules fire.  A single step has no lower level to backtrack into, so a graph
+is stuck exactly when its complement has no perfect matching.  The
+interesting column is "unexplained": graphs that extend fine although no
+sufficient condition applies, i.e. the open territory between the proved
+bounds and n-2.
 
 Usage:
-    python scripts/extension_census.py [--max-n 10] [--backtrack 1]
+    python scripts/extension_census.py [--max-n 10]
 """
 
 import argparse
 import sys
 from collections import Counter
 
-from regext import (
-    ExtensionTrace,
-    TutteViolator,
-    classify,
-    enumerate_regular,
-    extend_once,
-    extend_to,
-)
+from regext import TutteViolator, classify, enumerate_regular, extend_once
 from regext.extension import (
     CONCLUSION_EXTENDABLE,
     CONCLUSION_EXTENDABLE_ANY,
@@ -32,7 +27,7 @@ from regext.extension import (
 SUFFICIENT = (CONCLUSION_EXTENDABLE, CONCLUSION_EXTENDABLE_ANY)
 
 
-def census_cell(n: int, r: int, backtrack: int) -> Counter:
+def census_cell(n: int, r: int) -> Counter:
     tally: Counter = Counter()
     for g in enumerate_regular(n, r):
         tally["graphs"] += 1
@@ -42,11 +37,7 @@ def census_cell(n: int, r: int, backtrack: int) -> Counter:
         if r > n - 2:
             tally["no-room"] += 1
             continue
-        res = extend_once(g, "auto")
-        extended = not isinstance(res, TutteViolator)
-        if not extended and backtrack:
-            extended = isinstance(extend_to(g, r + 1, backtrack=backtrack),
-                                  ExtensionTrace)
+        extended = not isinstance(extend_once(g), TutteViolator)
         if extended:
             tally["extended"] += 1
             if not sufficient:
@@ -62,7 +53,6 @@ def census_cell(n: int, r: int, backtrack: int) -> Counter:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-n", type=int, default=10)
-    ap.add_argument("--backtrack", type=int, default=0)
     args = ap.parse_args()
 
     header = (f"{'n':>3} {'r':>3} {'graphs':>7} {'extended':>9} {'stuck':>6} "
@@ -74,7 +64,7 @@ def main() -> int:
         for r in range(n):
             if (n * r) % 2:
                 continue
-            t = census_cell(n, r, args.backtrack)
+            t = census_cell(n, r)
             totals.update(t)
             print(f"{n:>3} {r:>3} {t['graphs']:>7} {t['extended']:>9} "
                   f"{t['stuck']:>6} {t['explained-impossible']:>11} "

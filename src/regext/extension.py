@@ -4,7 +4,9 @@ One extension step finds a perfect matching of the complement and adds it,
 turning an r-regular graph into an (r+1)-regular one on the same vertices.
 When the complement has minimum degree >= n/2 the matching is built
 constructively from a Hamiltonian cycle (rotation-extension); otherwise the
-blossom matcher is used and failures surface as Tutte violators.
+blossom matcher is used and failures surface as Tutte violators.  The
+step adds the matching to the graph and removes it from the complement in
+the same pass, so a climb over many levels builds one complement.
 
 ``RULES`` holds one ``Rule`` record per sufficient or impossibility
 condition this package verifies: its arithmetic hypothesis on (n, r), the
@@ -146,22 +148,47 @@ def cycle_to_matching(order: tuple[int, ...]) -> Matching:
     )
 
 
-def _complement_perfect_matching(
-    g: Graph, r: int, strategy: Strategy, gc: Graph | None = None
-) -> Matching | TutteViolator:
-    """A perfect matching of the complement ``gc`` of g (built if not given)
+def _level_matching(gc: Graph, r: int, strategy: Strategy) -> Matching | TutteViolator:
+    """A perfect matching of ``gc``, the complement of an r-regular graph,
     or the blossom violator."""
-    if gc is None:
-        gc = complement(g)
-    # a Hamiltonian cycle needs n >= 3; at n = 2 the blossom matcher finds K_2
-    use_dirac = strategy == "dirac" or (strategy == "auto" and 2 * r < g.n and g.n > 2)
-    if strategy == "dirac" and 2 * r >= g.n:
+    n = gc.n
+    if strategy == "dirac" and 2 * r >= n:
         raise DiracPreconditionError(
-            f"dirac strategy needs r < n/2, got r={r}, n={g.n}"
+            f"dirac strategy needs r < n/2, got r={r}, n={n}"
         )
-    if use_dirac:
+    # a Hamiltonian cycle needs n >= 3; at n = 2 the blossom matcher finds K_2
+    if strategy == "dirac" or (strategy == "auto" and 2 * r < n and n > 2):
         return cycle_to_matching(dirac_cycle(gc))
     return perfect_matching(gc)
+
+
+def _step(g: Graph, gc: Graph, m: Matching) -> tuple[Graph, Graph]:
+    """g plus the perfect matching m of its complement gc, and the
+    complement of that: gc minus m.
+
+    ``bits[v]`` is the bit of v's partner; it is ORed into row v of g and
+    XORed out of row v of gc.  The checks of ``add_matching`` cost O(n):
+    n/2 pairs that leave no vertex without a partner make the partner map a
+    fixed-point-free involution, so the pairs are disjoint and cover V.
+    Then, g being regular and gc its complement, the new graph is regular
+    one degree up exactly when every pair is an edge of gc.
+    """
+    n = g.n
+    bits = [0] * n
+    pairs = 0
+    try:
+        for u, v in m:
+            bits[u] = 1 << v
+            bits[v] = 1 << u
+            pairs += 1
+    except (IndexError, ValueError):
+        raise GraphError(f"matching pair out of range for n={n}") from None
+    if 2 * pairs != n or 0 in bits:
+        raise GraphError("matching pairs overlap or miss a vertex")
+    rows = tuple([a | b for a, b in zip(g.adj, bits)])
+    if set(map(int.bit_count, rows)) != {g.adj[0].bit_count() + 1}:
+        raise GraphError("a matching pair is not an edge of the complement")
+    return Graph(n, rows), Graph(n, tuple([a ^ b for a, b in zip(gc.adj, bits)]))
 
 
 def extend_once(g: Graph, strategy: Strategy = "auto") -> tuple[Graph, Matching] | TutteViolator:
@@ -175,12 +202,11 @@ def extend_once(g: Graph, strategy: Strategy = "auto") -> tuple[Graph, Matching]
         raise GraphError(f"extension needs even n, got n={g.n}")
     if r > g.n - 2:
         raise GraphError(f"r={r} leaves no room to extend (n={g.n})")
-    result = _complement_perfect_matching(g, r, strategy)
+    gc = complement(g)
+    result = _level_matching(gc, r, strategy)
     if isinstance(result, TutteViolator):
         return result
-    extended = add_matching(g, result)
-    assert require_regular(extended) == r + 1
-    return extended, result
+    return _step(g, gc, result)[0], result
 
 
 @dataclass(frozen=True)
@@ -214,19 +240,17 @@ class ExtensionFailure:
 
 
 def _matching_candidates(
-    g: Graph, r: int, strategy: Strategy, backtrack: int
+    gc: Graph, r: int, strategy: Strategy, backtrack: int
 ) -> Generator[Matching, None, TutteViolator | None]:
     """Primary matching for one level, then up to ``backtrack`` alternatives.
 
-    Alternatives re-solve the complement with one edge of the primary
-    matching forbidden, which is enough to escape a greedy dead end.  A
-    level with no matching yields nothing and returns the violator of its
-    one search; Dirac never fails, so it is the blossom one.
+    ``gc`` is the complement of the level's r-regular graph.  Alternatives
+    re-solve it with one edge of the primary matching forbidden, which is
+    enough to escape a greedy dead end.  A level with no matching yields
+    nothing and returns the violator of its one search; Dirac never fails,
+    so it is the blossom one.
     """
-    # only alternatives reuse the complement; a suspended level without
-    # them keeps none alive
-    gc = complement(g) if backtrack > 0 else None
-    first = _complement_perfect_matching(g, r, strategy, gc)
+    first = _level_matching(gc, r, strategy)
     if isinstance(first, TutteViolator):
         return first
     yield first
@@ -255,7 +279,13 @@ def extend_to(
     backtrack: int = 0,
     strategy: Strategy = "auto",
 ) -> ExtensionTrace | ExtensionFailure:
-    """Extend step by step to ``target_r``, backtracking on stuck levels."""
+    """Extend step by step to ``target_r``, backtracking on stuck levels.
+
+    The complement is built once.  Each level's complement is the one
+    below it minus the matching just added, so every step builds the next
+    graph and its complement together (``_step``).  Only backtracking
+    resumes a lower level; without it the stack holds just the current one.
+    """
     r = require_regular(g)
     if g.n % 2 == 1:
         raise GraphError(f"extension needs even n, got n={g.n}")
@@ -265,11 +295,13 @@ def extend_to(
     if r == target_r:
         return ExtensionTrace(r, target_r, (), g)
     deepest: ExtensionFailure | None = None
-    # one frame per level: (graph, degree, steps so far, candidate
-    # matchings); depth-first in candidate order
-    stack = [(g, r, (), _matching_candidates(g, r, strategy, backtrack))]
+    gc = complement(g)
+    # one frame per level that may be resumed: (graph, its complement,
+    # degree, steps so far, candidate matchings); depth-first in candidate
+    # order
+    stack = [(g, gc, r, (), _matching_candidates(gc, r, strategy, backtrack))]
     while stack:
-        cur, cur_r, steps, candidates = stack[-1]
+        cur, cur_c, cur_r, steps, candidates = stack[-1]
         try:
             m = next(candidates)
         except StopIteration as done:
@@ -278,13 +310,19 @@ def extend_to(
             if violator is not None and (deepest is None or cur_r > deepest.reached_r):
                 deepest = ExtensionFailure(cur_r, steps, violator)
             if stack:
-                log.debug("backtracking at r=%d", stack[-1][1])
+                log.debug("backtracking at r=%d", stack[-1][2])
             continue
-        nxt = add_matching(cur, m)
+        nxt, nxt_c = _step(cur, cur_c, m)
         if cur_r + 1 == target_r:
             return ExtensionTrace(r, target_r, steps + (m,), nxt)
-        stack.append((nxt, cur_r + 1, steps + (m,),
-                      _matching_candidates(nxt, cur_r + 1, strategy, backtrack)))
+        frame = (nxt, nxt_c, cur_r + 1, steps + (m,),
+                 _matching_candidates(nxt_c, cur_r + 1, strategy, backtrack))
+        if backtrack > 0:
+            stack.append(frame)
+        else:
+            # without alternatives no level is resumed, so the one below
+            # need not keep its graph and complement alive
+            stack[-1] = frame
     assert deepest is not None
     return deepest
 

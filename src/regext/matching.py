@@ -12,15 +12,19 @@ matcher is tested against.
 
 All searches scan vertices in ascending label order and each vertex's
 neighbour mask lowest set bit first, so every result is deterministic for a
-fixed input.  A blossom phase keeps each blossom as a vertex mask: a scan
-leaves out the vertex's own blossom and its mate, which are never tree
-edges, and a contraction relabels only the vertices that join the blossom.
+fixed input.  A blossom phase keeps each blossom, the outer vertices and
+the inner vertices as vertex masks.  A scan leaves out the vertex's own
+blossom and the inner vertices (its mate is one of the two), which never
+give a tree edge; a neighbour whose bit is in the outer mask closes a
+blossom, and the contraction relabels only the vertices that join it.
+The single-vertex masks are made once per graph order and copied per
+phase.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .graph import Edge, Graph, GraphError, components_after_deletion, _norm_edge
@@ -60,65 +64,71 @@ def is_valid_matching(g: Graph, m: Matching, perfect: bool = False) -> bool:
     return True
 
 
-def _augment_from(g: Graph, match: list[int], root: int) -> int:
+@cache
+def _unit_masks(n: int) -> tuple[int, ...]:
+    """``1 << v`` for every vertex v < n, made once per order."""
+    return tuple([1 << v for v in range(n)])
+
+
+def _augment_from(adj: tuple[int, ...], match: list[int], root: int) -> int:
     """One blossom phase: grow an alternating tree from ``root``.
 
     Augments ``match`` in place and returns 0 when an exposed vertex is
-    reached.  When the tree is Hungarian (no augmenting path) it returns the
-    bitmask of the tree's outer vertices, which holds at least the root.
+    reached.  When the tree is Hungarian (no augmenting path) it returns
+    the bitmask of the tree's outer vertices, which holds at least the root.
     """
-    n = g.n
-    adj = g.adj
+    n = len(adj)
+    bits = _unit_masks(n)
     parent = [-1] * n
     base = list(range(n))
     # members[b] is the vertex mask of the blossom whose base is b
-    members = [1 << v for v in range(n)]
-    outer = 1 << root
-    queue = deque([root])
-
-    def lowest_common_base(a: int, b: int) -> int:
-        seen = 0
-        while True:
-            a = base[a]
-            seen |= 1 << a
-            if match[a] == -1:
-                break
-            a = base[parent[match[a]]]
-        while True:
-            b = base[b]
-            if seen >> b & 1:
-                return b
-            b = base[parent[match[b]]]
-
-    def mark_blossom(v: int, stop: int, child: int) -> int:
-        """Re-point parents on the tree path from v up to the base
-        ``stop``; returns the mask of every blossom on that path."""
-        blossom = 0
-        while base[v] != stop:
-            blossom |= members[base[v]] | members[base[match[v]]]
-            parent[v] = child
-            child = match[v]
-            v = parent[match[v]]
-        return blossom
-
-    while queue:
-        v = queue.popleft()
-        # v's own blossom and its mate are never tree edges
-        rest = adj[v] & ~members[base[v]]
-        if match[v] != -1:
-            rest &= ~(1 << match[v])
+    members = list(bits)
+    outer = bits[root]
+    inner = 0
+    queue = [root]
+    head = 0
+    while head < len(queue):
+        v = queue[head]
+        head += 1
+        # v's own blossom and the inner vertices (v's mate among them when
+        # it is outside the blossom) are never tree edges
+        rest = adj[v] & ~(members[base[v]] | inner)
         while rest:
             bit = rest & -rest
             rest ^= bit
             to = bit.bit_length() - 1
-            if to == root or (match[to] != -1 and parent[match[to]] != -1):
+            if outer & bit:
                 # both endpoints outer in the same tree: contract the blossom
-                stem = lowest_common_base(v, to)
-                joined = ((mark_blossom(v, stem, to) | mark_blossom(to, stem, v))
-                          & ~members[stem])
+                # at their lowest common base
+                a = v
+                seen = 0
+                while True:
+                    a = base[a]
+                    seen |= bits[a]
+                    if match[a] == -1:
+                        break
+                    a = base[parent[match[a]]]
+                stem = to
+                while True:
+                    stem = base[stem]
+                    if seen >> stem & 1:
+                        break
+                    stem = base[parent[match[stem]]]
+                # re-point parents on both tree paths up to the stem and
+                # collect every blossom on them
+                joined = 0
+                for x, child in ((v, to), (to, v)):
+                    while base[x] != stem:
+                        y = match[x]
+                        joined |= members[base[x]] | members[base[y]]
+                        parent[x] = child
+                        child = y
+                        x = parent[y]
+                joined &= ~members[stem]
                 members[stem] |= joined
                 new_outer = joined & ~outer
                 outer |= joined
+                inner &= ~joined
                 while joined:
                     b = joined & -joined
                     i = b.bit_length() - 1
@@ -128,9 +138,11 @@ def _augment_from(g: Graph, match: list[int], root: int) -> int:
                     joined ^= b
                 # the contraction put v into the blossom
                 rest &= ~members[stem]
-            elif parent[to] == -1:
+            else:
+                # neither outer nor inner: a vertex outside the tree
                 parent[to] = v
-                if match[to] == -1:
+                mate = match[to]
+                if mate == -1:
                     # augment: flip matched status along the path back to root
                     while to != -1:
                         prev = parent[to]
@@ -139,10 +151,9 @@ def _augment_from(g: Graph, match: list[int], root: int) -> int:
                         match[prev] = to
                         to = nxt
                     return 0
-                mate = match[to]
-                if not outer >> mate & 1:
-                    outer |= 1 << mate
-                    queue.append(mate)
+                inner |= bit
+                outer |= bits[mate]
+                queue.append(mate)
     return outer
 
 
@@ -164,14 +175,14 @@ def _match_array(g: Graph) -> list[int]:
                 free ^= 1 << v | b
     for v in range(n):
         if match[v] == -1:
-            _augment_from(g, match, v)
+            _augment_from(adj, match, v)
     return match
 
 
 def max_matching(g: Graph) -> Matching:
     """A maximum-cardinality matching."""
     match = _match_array(g)
-    return frozenset((v, u) for v, u in enumerate(match) if u > v)
+    return frozenset([(v, u) for v, u in enumerate(match) if u > v])
 
 
 def _gallai_edmonds_violator(g: Graph, match: list[int]) -> TutteViolator:
@@ -186,7 +197,7 @@ def _gallai_edmonds_violator(g: Graph, match: list[int]) -> TutteViolator:
     d_mask = 0
     for v, u in enumerate(match):
         if u == -1:
-            d_mask |= _augment_from(g, match, v)
+            d_mask |= _augment_from(g.adj, match, v)
     s = frozenset(
         v for v in range(g.n) if not d_mask >> v & 1 and g.adj[v] & d_mask
     )
@@ -201,8 +212,8 @@ def max_matching_with_violator(g: Graph) -> tuple[Matching, TutteViolator | None
     """A maximum matching, plus the violator proving it maximum when it is
     not perfect; one blossom search serves both."""
     match = _match_array(g)
-    m = frozenset((v, u) for v, u in enumerate(match) if u > v)
-    if all(u != -1 for u in match):
+    m = frozenset([(v, u) for v, u in enumerate(match) if u > v])
+    if -1 not in match:
         return m, None
     return m, _gallai_edmonds_violator(g, match)
 

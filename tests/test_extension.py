@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from regext import (
     require_regular,
     validate_cycle,
 )
-from regext.extension import _complement_perfect_matching, _matching_candidates
+from regext.extension import _level_matching, _matching_candidates, _step
 from families import (
     cliques_plus_matching,
     complete_bipartite,
@@ -218,14 +219,14 @@ def _extend_to_recursive(g, target_r, backtrack):
         if cur_r == target_r:
             return ExtensionTrace(r, target_r, steps, cur)
         saw = False
-        for m in _matching_candidates(cur, cur_r, "auto", backtrack):
+        for m in _matching_candidates(complement(cur), cur_r, "auto", backtrack):
             saw = True
             done = descend(_apply(cur, [m]), cur_r + 1, steps + (m,))
             if done is not None:
                 return done
         if not saw and (deepest[0] is None or cur_r > deepest[0].reached_r):
             deepest[0] = ExtensionFailure(
-                cur_r, steps, _complement_perfect_matching(cur, cur_r, "blossom"))
+                cur_r, steps, _level_matching(complement(cur), cur_r, "blossom"))
         return None
 
     return descend(g, r, ()) or deepest[0]
@@ -261,18 +262,77 @@ class TestIterativeExtendTo:
 
     @pytest.mark.parametrize("backtrack,levels", [(0, 2), (1, 3)])
     def test_one_complement_per_level(self, monkeypatch, backtrack, levels):
-        # alternatives re-solve the level's complement instead of rebuilding
-        # it; with backtracking the dead end at r=6 and its rescue are two
-        # levels on different graphs
+        # one complement per climb: each level's complement is the one below
+        # minus the matching just added, built by the step with the next
+        # graph and no add_matching; with backtracking the dead end at r=6
+        # and its rescue are two levels on different graphs
         from regext import extension
 
         g = parse_graph6("GJiu]o")
         expected = _extend_to_recursive(g, 7, backtrack)
-        calls = []
-        fn = extension.complement
+        calls, added, searched = [], [], []
+        fn, search = extension.complement, extension._matching_candidates
         monkeypatch.setattr(extension, "complement", lambda g: calls.append(g) or fn(g))
+        monkeypatch.setattr(extension, "add_matching", lambda *a: added.append(a))
+        monkeypatch.setattr(extension, "_matching_candidates",
+                            lambda gc, *a: searched.append(gc) or search(gc, *a))
         assert extend_to(g, 7, backtrack=backtrack) == expected
-        assert len(calls) == len(set(calls)) == levels
+        assert calls == [g] and added == []
+        assert len(searched) == len(set(searched)) == levels
+        assert searched[0] == complement(g)
+
+    def test_backtrack_zero_keeps_one_level(self, monkeypatch):
+        # without alternatives no level is resumed: when a step starts, the
+        # graphs and complements of every level below the current one are
+        # freed, so a deep climb holds one level, not one per degree
+        from regext import extension
+
+        made = []
+        step = extension._step
+
+        def recording_step(g, gc, m):
+            assert all(ref() is None for refs in made[:-1] for ref in refs)
+            nxt = step(g, gc, m)
+            made.append([weakref.ref(h) for h in nxt])
+            return nxt
+
+        monkeypatch.setattr(extension, "_step", recording_step)
+        g = cliques_plus_matching(40)
+        assert isinstance(extend_to(g, 60), ExtensionTrace)
+        assert len(made) == 20
+
+
+class TestStep:
+    def test_next_graph_and_complement_together(self, small_regular_corpus):
+        for (n, r), graphs in small_regular_corpus.items():
+            if n % 2 or r > n - 2:
+                continue
+            for g in graphs:
+                gc = complement(g)
+                m = perfect_matching(gc)
+                if isinstance(m, TutteViolator):
+                    continue
+                nxt, nxt_c = _step(g, gc, m)
+                assert nxt == _apply(g, [m]) and nxt_c == complement(nxt)
+                assert regularity(nxt) == r + 1
+
+    # the faults add_matching raises on, plus those a perfect matching rules
+    # out: each must still raise although the step checks only partner bits
+    # and degrees
+    @pytest.mark.parametrize("pairs", [
+        [(0, 1), (2, 3), (4, 5)],  # (0,1) is already an edge of C6
+        [(0, 3), (3, 5), (1, 4)],  # overlap at 3, vertex 2 uncovered
+        [(0, 3), (1, 4)],  # 2 and 5 uncovered
+        # two triangles of pairs: every vertex has a partner bit, the
+        # partner map is no involution and would make an asymmetric graph
+        [(0, 2), (2, 4), (4, 0), (1, 3), (3, 5), (5, 1)],
+        [(0, 0), (1, 4), (2, 5)],  # self-pair
+        [(0, 6), (1, 4), (2, 5)],  # out of range
+    ])
+    def test_rejects_bad_matching(self, pairs):
+        g = cycle_graph(6)
+        with pytest.raises(GraphError):
+            _step(g, complement(g), pairs)
 
 
 def _paper_hypotheses(n, r):

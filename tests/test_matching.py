@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from regext import (
     GraphError,
     TutteViolator,
+    ExtensionTrace,
     build,
     complement,
+    extend_to,
     is_valid_matching,
     max_matching,
     max_matching_with_violator,
@@ -220,6 +222,40 @@ def random_deficient_graphs(rng, sizes, count):
     return found
 
 
+class _MateBudget(list):
+    """A mate array that fails once it has been read ``reads`` times."""
+
+    def __init__(self, mates, reads):
+        super().__init__(mates)
+        self.reads = reads
+
+    def __getitem__(self, i):
+        self.reads -= 1
+        if self.reads < 0:
+            raise AssertionError("blossom phase over its work bound")
+        return super().__getitem__(i)
+
+
+@pytest.fixture
+def bounded_phases(monkeypatch):
+    """Make a blossom phase fail, not loop, once it reads its mate array
+    4n^2 times.  Every loop of a phase reads it: growing the tree reads
+    each vertex's mate once, and each of fewer than n contractions walks
+    O(n) mates.  On climb complements a phase reads it about 2n times."""
+    from regext import matching
+
+    phase = matching._augment_from
+
+    def bounded(adj, match, root):
+        mates = _MateBudget(match, 4 * len(adj) ** 2)
+        try:
+            return phase(adj, mates, root)
+        finally:
+            match[:] = mates
+
+    monkeypatch.setattr(matching, "_augment_from", bounded)
+
+
 class TestAgreementRandom:
     def test_oracle_equivalence_sample(self):
         rng = random.Random(20240517)
@@ -284,3 +320,27 @@ class TestGallaiEdmonds:
             m = max_matching(g)
             assert is_valid_matching(g, m)
             assert len(m) == len(nx.max_weight_matching(h, maxcardinality=True))
+
+    def test_climb_complements_match_networkx(self, bounded_phases):
+        # the blossom regime of a climb: complements of the levels between
+        # n/2 and 3n/4 are d-regular with n/4 <= d < n/2 and leave the greedy
+        # start several exposed vertices, each phase contracting blossoms;
+        # deleting vertex 0 makes the deficient case on the same graph.
+        # The phases are bounded, so a broken contraction fails here
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(8)
+        for _ in range(16):
+            n = 2 * rng.randrange(16, 33)
+            r = rng.randrange(n // 2, 3 * n // 4)
+            tr = extend_to(random_regular(n, 3, rng.getrandbits(32)), r)
+            assert isinstance(tr, ExtensionTrace)
+            gc = complement(tr.final)
+            minus0 = build(n - 1, [(u - 1, v - 1) for u, v in gc.edges() if u])
+            for g in (gc, minus0):
+                h = nx.Graph()
+                h.add_nodes_from(range(g.n))
+                h.add_edges_from(g.edges())
+                m = max_matching(g)
+                assert is_valid_matching(g, m)
+                assert len(m) == len(nx.max_weight_matching(h, maxcardinality=True))
+            assert_tutte_berge_tight(minus0, perfect_matching(minus0))
