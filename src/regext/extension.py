@@ -36,7 +36,7 @@ from .matching import (
     matching_from_pairs,
     perfect_matching,
 )
-from .structure import find_clique, spanning_biclique
+from .structure import find_clique, l_vertex_bound, spanning_biclique
 
 log = logging.getLogger("regext.extension")
 
@@ -407,7 +407,7 @@ RULES = (
          lambda n, r: n % 2 == 0 and 2 * r >= n and n >= 2,
          witness=lambda g: find_clique(g, g.n // 2), search_limit=CLIQUE_SEARCH_LIMIT),
     Rule("L-Matching", CONCLUSION_HAS_PM,
-         lambda n, r: r > 15 and r % 2 == 1 and n % 2 == 0 and n < 3 * r + 7),
+         lambda n, r: r > 15 and r % 2 == 1 and n % 2 == 0 and n < l_vertex_bound(r)),
     Rule("C-Disconnected", CONCLUSION_HAS_PM,
          lambda n, r: n % 2 == 0 and r > 15 and r % 2 == 1 and 4 * r >= n,
          witness=lambda g: None if is_connected(g) else True, show_witness=False),

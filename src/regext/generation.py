@@ -10,6 +10,15 @@ Sampling (``random_regular``) takes one of three paths:
 - 6 <= r <= (n-1)/2: a circulant randomized by degree-preserving double
   edge swaps, 100 rounds per edge.  This is close to uniform, not exactly.
 
+The pairing and switching loops keep each vertex's own bit in its
+adjacency row while they run, with single-vertex masks from one table,
+and strip those bits once when the graph is built.  A proposed edge uv is
+then rejected by the one test ``adj[u] & bit[v]``, which catches the loop
+u = v and the repeated edge alike.  Every draw and every graph must equal
+those of the reference loops in ``tests/oracles.py``, which test each case
+with shifts and equalities, so this representation leaves the seeded
+stream unchanged.
+
 Everything is driven by a caller-supplied seed and is bit-identical across
 runs and Python versions from 3.10 on.  These paths replaced whole-shuffle
 pairing with up to 1000 attempts for r <= 8: seeded output, and so
@@ -36,7 +45,8 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from .graph import Graph, GraphError, build, complement, format_graph6, is_connected
+from .graph import (Graph, GraphError, _unit_masks, build, complement, format_graph6,
+                    is_connected)
 
 ENUMERATION_CAP = 10
 CANONICAL_CAP = 12
@@ -56,11 +66,14 @@ def _pairing(n: int, r: int, rng: random.Random) -> Graph:
     Stubs are paired one at a time, the last unpaired stub with a uniformly
     random partner, so every pairing is equally likely; an attempt restarts
     at its first loop or repeated edge, which no completion could remove.
+    Each row also marks its own vertex while the attempt runs, so one mask
+    test rejects both; the marks are stripped when the graph is built.
     """
+    bit = _unit_masks(n)
     getrandbits = rng.getrandbits
     while True:
         stubs = list(range(n)) * r
-        adj = [0] * n
+        adj = list(bit)
         left = len(stubs)
         while left:
             left -= 1
@@ -73,12 +86,12 @@ def _pairing(n: int, r: int, rng: random.Random) -> Graph:
             v = stubs[j]
             left -= 1
             stubs[j] = stubs[left]
-            if u == v or adj[u] >> v & 1:
+            if adj[u] & bit[v]:
                 break
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+            adj[u] |= bit[v]
+            adj[v] |= bit[u]
         else:
-            return Graph(n, tuple(adj))
+            return Graph(n, tuple([a ^ b for a, b in zip(adj, bit)]))
 
 
 def _circulant(n: int, r: int) -> list[tuple[int, int]]:
@@ -92,13 +105,26 @@ def _circulant(n: int, r: int) -> list[tuple[int, int]]:
 
 def _switching(n: int, r: int, rng: random.Random) -> Graph:
     """The circulant randomized by ``SWITCH_ROUNDS_PER_EDGE`` rounds per edge
-    of double edge swaps ab, cd -> ac, bd, rejecting loops and multi-edges."""
-    edges = _circulant(n, r)
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    m = len(edges)
+    of double edge swaps ab, cd -> ac, bd, rejecting loops and multi-edges.
+
+    Edge i runs from ``eu[i]`` to ``ev[i] > eu[i]``, and a coin drawn only
+    when i != j flips cd; that order and that skipped draw are part of the
+    seeded stream.  Each row also marks its own vertex, so ``adj[a] &
+    bit[c] or adj[b] & bit[d]`` is the whole rejection test: it catches
+    a = c and b = d as loops, an existing ac or bd as a repeated edge, and
+    a = d or b = c because then ac or bd is the existing edge cd.  The
+    marks are stripped when the graph is built.
+    """
+    bit = _unit_masks(n)
+    eu = []
+    ev = []
+    adj = list(bit)
+    for u, v in _circulant(n, r):
+        eu.append(u)
+        ev.append(v)
+        adj[u] |= bit[v]
+        adj[v] |= bit[u]
+    m = len(eu)
     # CPython's rng.randrange(m) draws getrandbits(k) until one is below m;
     # inlined, it makes the same draws at half the cost
     k = m.bit_length()
@@ -112,21 +138,33 @@ def _switching(n: int, r: int, rng: random.Random) -> Graph:
             j = getrandbits(k)
         if i == j:
             continue
-        a, b = edges[i]
-        c, d = edges[j]
+        a = eu[i]
+        b = ev[i]
         if getrandbits(1):
-            c, d = d, c
-        if a == c or a == d or b == c or b == d:
+            c = ev[j]
+            d = eu[j]
+        else:
+            c = eu[j]
+            d = ev[j]
+        if adj[a] & bit[c] or adj[b] & bit[d]:
             continue
-        if adj[a] >> c & 1 or adj[b] >> d & 1:
-            continue
-        adj[a] ^= 1 << b | 1 << c
-        adj[b] ^= 1 << a | 1 << d
-        adj[c] ^= 1 << d | 1 << a
-        adj[d] ^= 1 << c | 1 << b
-        edges[i] = (a, c) if a < c else (c, a)
-        edges[j] = (b, d) if b < d else (d, b)
-    return Graph(n, tuple(adj))
+        adj[a] ^= bit[b] | bit[c]
+        adj[b] ^= bit[a] | bit[d]
+        adj[c] ^= bit[d] | bit[a]
+        adj[d] ^= bit[c] | bit[b]
+        if a < c:
+            eu[i] = a
+            ev[i] = c
+        else:
+            eu[i] = c
+            ev[i] = a
+        if b < d:
+            eu[j] = b
+            ev[j] = d
+        else:
+            eu[j] = d
+            ev[j] = b
+    return Graph(n, tuple([a ^ b for a, b in zip(adj, bit)]))
 
 
 # pairing succeeds with probability about exp((1 - r*r) / 4): one in 400
@@ -151,34 +189,49 @@ def random_regular(n: int, r: int, seed: int) -> Graph:
 
 
 def random_regular_bipartite(half: int, d: int, seed: int) -> Graph:
-    """d-regular bipartite graph with parts 0..half-1 and half..2*half-1."""
+    """d-regular bipartite graph with parts 0..half-1 and half..2*half-1.
+
+    Circulant offsets, then 20 rounds per edge of bipartite double swaps
+    ab, cd -> ad, cb, which keep sides and degrees fixed.  Edge i is
+    ``left[i]``, which never changes, and ``right[i]``; ``rows[a]`` is the
+    right-side neighbourhood of left vertex a.  A swap with a = c or b = d
+    (``d2`` below) would add edge cd or ab again, so the repeated-edge test
+    rejects it.  The draws are ``rng.randrange(m)``'s, inlined as in
+    ``_switching``.
+    """
     if not 0 <= d <= half:
         raise GraphError(f"need 0 <= d <= half, got d={d}, half={half}")
     rng = random.Random(seed)
     offsets = rng.sample(range(half), d)
-    edges = [(v, half + (v + off) % half) for off in offsets for v in range(half)]
-    # bipartite double swaps keep sides and degrees fixed
-    m = len(edges)
+    left = [v for _ in offsets for v in range(half)]
+    right = [half + (v + off) % half for off in offsets for v in range(half)]
+    m = len(left)
     if m >= 2:
-        present = set(edges)
+        bit = _unit_masks(2 * half)
+        rows = [0] * half
+        for a, b in zip(left, right):
+            rows[a] |= bit[b]
+        k = m.bit_length()
+        getrandbits = rng.getrandbits
         for _ in range(20 * m):
-            i = rng.randrange(m)
-            j = rng.randrange(m)
-            a, b = edges[i]
-            c, d2 = edges[j]
-            if a == c or b == d2:
+            i = getrandbits(k)
+            while i >= m:
+                i = getrandbits(k)
+            j = getrandbits(k)
+            while j >= m:
+                j = getrandbits(k)
+            a = left[i]
+            c = left[j]
+            b = right[i]
+            d2 = right[j]
+            if rows[a] & bit[d2] or rows[c] & bit[b]:
                 continue
-            e1 = (a, d2)
-            e2 = (c, b)
-            if e1 in present or e2 in present:
-                continue
-            present.discard(edges[i])
-            present.discard(edges[j])
-            present.add(e1)
-            present.add(e2)
-            edges[i] = e1
-            edges[j] = e2
-    return build(2 * half, edges)
+            flip = bit[b] | bit[d2]
+            rows[a] ^= flip
+            rows[c] ^= flip
+            right[i] = d2
+            right[j] = b
+    return build(2 * half, zip(left, right))
 
 
 def biclique_splits(n: int, r: int, odd_parts: bool = False) -> list[int]:

@@ -10,6 +10,7 @@ targets (n up to a few hundred).  All operations are pure functions; a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
@@ -25,6 +26,12 @@ class Graph6Error(ValueError):
 
 def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
+
+
+@cache
+def _unit_masks(n: int) -> tuple[int, ...]:
+    """``1 << v`` for every vertex v < n, made once per order."""
+    return tuple([1 << v for v in range(n)])
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,9 @@ phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 
-from .graph import Edge, Graph, GraphError, components_after_deletion, _norm_edge
+from .graph import Edge, Graph, GraphError, components_after_deletion, _norm_edge, _unit_masks
 
 Matching = frozenset[Edge]
 
@@ -62,12 +61,6 @@ def is_valid_matching(g: Graph, m: Matching, perfect: bool = False) -> bool:
     if perfect and seen != g.vertex_mask():
         return False
     return True
-
-
-@cache
-def _unit_masks(n: int) -> tuple[int, ...]:
-    """``1 << v`` for every vertex v < n, made once per order."""
-    return tuple([1 << v for v in range(n)])
 
 
 def _augment_from(adj: tuple[int, ...], match: list[int], root: int) -> int:

@@ -263,9 +263,15 @@ def spanning_biclique(g: Graph, require_odd_parts: bool = False) -> BicliqueWitn
     return BicliqueWitness(_mask_to_set(a), _mask_to_set(g.vertex_mask() ^ a))
 
 
+def l_vertex_bound(r):
+    """3r + 7, L's vertex bound: for odd r > 15, every r-regular graph on
+    an even number n < 3r + 7 of vertices has a perfect matching."""
+    return 3 * r + 7
+
+
 def check_ineq_kr(r, k) -> bool:
     """(k+2)*r - k^2 + 2 > 3r + 7, evaluated exactly for exact inputs."""
-    return (k + 2) * r - k * k + 2 > 3 * r + 7
+    return (k + 2) * r - k * k + 2 > l_vertex_bound(r)
 
 
 def check_ineq_x(r, x) -> bool:

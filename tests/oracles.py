@@ -356,3 +356,113 @@ def random_regular_legacy(n: int, r: int, seed: int) -> Graph:
     edges = _circulant(n, r)
     _edge_switch(edges, rng, SWITCH_ROUNDS_PER_EDGE * len(edges))
     return build(n, edges)
+
+
+# -- the sampler loops before self-marked rows ------------------------------
+#
+# ``regext.generation``'s ``_pairing``, ``_switching`` and
+# ``random_regular_bipartite`` as they were before their loops moved to row
+# masks that mark their own vertex, kept verbatim: the product functions
+# must return equal graphs from equal seeds.  ``_switching_reference`` reads this
+# module's ``SWITCH_ROUNDS_PER_EDGE`` at call time.
+
+
+def _pairing_reference(n: int, r: int, rng: random.Random) -> Graph:
+    """Uniform simple r-regular graph by the pairing model with rejection.
+
+    Stubs are paired one at a time, the last unpaired stub with a uniformly
+    random partner, so every pairing is equally likely; an attempt restarts
+    at its first loop or repeated edge, which no completion could remove.
+    """
+    getrandbits = rng.getrandbits
+    while True:
+        stubs = list(range(n)) * r
+        adj = [0] * n
+        left = len(stubs)
+        while left:
+            left -= 1
+            u = stubs[left]
+            # j = rng.randrange(left), inlined as in _switching
+            k = left.bit_length()
+            j = getrandbits(k)
+            while j >= left:
+                j = getrandbits(k)
+            v = stubs[j]
+            left -= 1
+            stubs[j] = stubs[left]
+            if u == v or adj[u] >> v & 1:
+                break
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        else:
+            return Graph(n, tuple(adj))
+
+
+def _switching_reference(n: int, r: int, rng: random.Random) -> Graph:
+    """The circulant randomized by ``SWITCH_ROUNDS_PER_EDGE`` rounds per edge
+    of double edge swaps ab, cd -> ac, bd, rejecting loops and multi-edges."""
+    edges = _circulant(n, r)
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    m = len(edges)
+    # CPython's rng.randrange(m) draws getrandbits(k) until one is below m;
+    # inlined, it makes the same draws at half the cost
+    k = m.bit_length()
+    getrandbits = rng.getrandbits
+    for _ in range(SWITCH_ROUNDS_PER_EDGE * m):
+        i = getrandbits(k)
+        while i >= m:
+            i = getrandbits(k)
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
+        if i == j:
+            continue
+        a, b = edges[i]
+        c, d = edges[j]
+        if getrandbits(1):
+            c, d = d, c
+        if a == c or a == d or b == c or b == d:
+            continue
+        if adj[a] >> c & 1 or adj[b] >> d & 1:
+            continue
+        adj[a] ^= 1 << b | 1 << c
+        adj[b] ^= 1 << a | 1 << d
+        adj[c] ^= 1 << d | 1 << a
+        adj[d] ^= 1 << c | 1 << b
+        edges[i] = (a, c) if a < c else (c, a)
+        edges[j] = (b, d) if b < d else (d, b)
+    return Graph(n, tuple(adj))
+
+
+def random_regular_bipartite_reference(half: int, d: int, seed: int) -> Graph:
+    """d-regular bipartite graph with parts 0..half-1 and half..2*half-1."""
+    if not 0 <= d <= half:
+        raise GraphError(f"need 0 <= d <= half, got d={d}, half={half}")
+    rng = random.Random(seed)
+    offsets = rng.sample(range(half), d)
+    edges = [(v, half + (v + off) % half) for off in offsets for v in range(half)]
+    # bipartite double swaps keep sides and degrees fixed
+    m = len(edges)
+    if m >= 2:
+        present = set(edges)
+        for _ in range(20 * m):
+            i = rng.randrange(m)
+            j = rng.randrange(m)
+            a, b = edges[i]
+            c, d2 = edges[j]
+            if a == c or b == d2:
+                continue
+            e1 = (a, d2)
+            e2 = (c, b)
+            if e1 in present or e2 in present:
+                continue
+            present.discard(edges[i])
+            present.discard(edges[j])
+            present.add(e1)
+            present.add(e2)
+            edges[i] = e1
+            edges[j] = e2
+    return build(2 * half, edges)

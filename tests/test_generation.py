@@ -37,6 +37,10 @@ from families import (
 import oracles
 
 
+# the cells of the benchmark's sample workload
+_SAMPLE_GRID = [(n, r) for n in range(18, 47, 2) for r in (3, 5, 6, 7, 8, 9, 17) if r < n]
+
+
 class TestRandomRegular:
     def test_forced_k4(self):
         for seed in range(5):
@@ -97,6 +101,45 @@ class TestSeedStream:
         lines = [format_graph6(random_regular(n, r, seed)) for n, r in grid for seed in range(3)]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "722dd85d46ca4171a312a82855ea152375890f4b5c52bdcfa5477450dbf9c623"
+
+    def test_sample_grid_digest(self):
+        # two seeds on every cell of the benchmark's sample grid: pairing,
+        # switching and the complement path at the orders the sampler is
+        # timed on; a change to this digest is a change of the seeded stream
+        lines = [format_graph6(random_regular(n, r, seed))
+                 for n, r in _SAMPLE_GRID for seed in range(2)]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "b27217084b1ec8062b0a062d89863c4477013068963efa73142f1095eac58034"
+
+    def test_loops_match_reference(self, monkeypatch):
+        # the product loops make the reference loops' draws and return
+        # their graphs, on the path random_regular takes for each cell
+        switching = (generation._switching, oracles._switching_reference)
+        pairing = (generation._pairing, oracles._pairing_reference)
+
+        def same(loops, n, r, seed):
+            product, reference = loops
+            got = product(n, r, random.Random(seed))
+            assert got == reference(n, r, random.Random(seed)), (product.__name__, n, r, seed)
+            assert require_regular(got) == r
+
+        rng = random.Random(909)
+        for n, r in _SAMPLE_GRID:
+            d = min(r, n - 1 - r)
+            loops = pairing if d <= generation._PAIRING_MAX_DEGREE else switching
+            for _ in range(2):
+                same(loops, n, d, rng.getrandbits(32))
+        # odd r puts the circulant's diameters in; (2, 1) has one edge and
+        # (4, 1) two, so every proposal of (2, 1) draws i == j
+        for n, r in [(10, 3), (8, 3), (4, 1), (2, 1)]:
+            for seed in range(3):
+                same(switching, n, r, seed)
+        monkeypatch.setattr(generation, "SWITCH_ROUNDS_PER_EDGE", 1)
+        monkeypatch.setattr(oracles, "SWITCH_ROUNDS_PER_EDGE", 1)
+        for n, r in [(8, 3), (20, 6), (30, 9)]:
+            for seed in range(3):
+                same(switching, n, r, seed)
+                same(pairing, n, min(r, 5), seed)
 
     def test_complement_path(self):
         for n, r in [(7, 4), (12, 9), (20, 13)]:
@@ -216,6 +259,13 @@ class TestRandomRegularBipartite:
     def test_bad_degree(self):
         with pytest.raises(GraphError):
             random_regular_bipartite(4, 5, 0)
+
+    def test_matches_reference(self):
+        for half in range(1, 21):
+            for d in range(half + 1):
+                for seed in range(3):
+                    assert random_regular_bipartite(half, d, seed) == \
+                        oracles.random_regular_bipartite_reference(half, d, seed), (half, d, seed)
 
 
 class TestSamplers:
