@@ -5,10 +5,13 @@ default, JSON-lines with --json (a header object, one object per result,
 one summary object).  Exit codes: 0 all good, 1 any semantic failure
 (non-extendable input, counterexample, violator where success was required,
 non-regular input to a command that needs regularity), 2 usage, parse or
-unreadable-input errors.  All randomness flows from --seed, so reports are
+unreadable-input errors; a negative --backtrack, --count or --samples is a
+usage error.  All randomness flows from --seed, so reports are
 byte-identical across runs.
 
-``check`` prints one verdict per record of ``extension.RULES``.  ``verify``
+``extend`` climbs the one ladder of ``extension.extend_to``, which picks
+each level's matcher from (n, r), so it has no matcher option.  ``check``
+prints one verdict per record of ``extension.RULES``.  ``verify``
 takes its (n, r) cells from the same records' ``holds`` and keeps, per
 rule, only a plan (``_PLANS``): default range, sampler, seed formula and
 the check that confirms the conclusion.
@@ -26,7 +29,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import chain, combinations
 from typing import Callable, Iterator, TextIO
 
@@ -35,7 +37,6 @@ from .extension import (
     CLIQUE_SEARCH_LIMIT,
     RULES,
     ExtensionTrace,
-    Strategy,
     TheoremVerdict,
     classify,
     extend_once,
@@ -171,8 +172,8 @@ def _read_graphs(path: str | None) -> list[tuple[int, str, Graph]]:
 
 def cmd_extend(args) -> int:
     reporter = Reporter("extend", {
-        "target_r": args.target_r, "strategy": args.strategy,
-        "backtrack": args.backtrack, "certificates": args.certificates,
+        "target_r": args.target_r, "backtrack": args.backtrack,
+        "certificates": args.certificates,
     }, args.json)
     for lineno, line, g in _read_graphs(args.input):
         r = regularity(g)
@@ -182,7 +183,7 @@ def cmd_extend(args) -> int:
             continue
         target = args.target_r if args.target_r is not None else r + 1
         try:
-            res = extend_to(g, target, backtrack=args.backtrack, strategy=args.strategy)
+            res = extend_to(g, target, backtrack=args.backtrack)
         except GraphError as exc:
             reporter.result(False, f"line {lineno}: error: {exc}",
                             {"line": lineno, "graph6": line, "error": str(exc)})
@@ -319,9 +320,9 @@ def _span(range_str: str | None, default: tuple[int, int]) -> tuple[int, int]:
         raise SystemExit(2)
 
 
-def _check_extends(g6: str, strategy: Strategy = "auto") -> dict | None:
+def _check_extends(g6: str) -> dict | None:
     g = parse_graph6(g6)
-    res = extend_once(g, strategy)
+    res = extend_once(g)
     if isinstance(res, TutteViolator):
         return {"graph6": g6, "certificate": certificate_json(res)}
     _, m = res
@@ -345,11 +346,8 @@ def _check_t4(g6: str) -> dict | None:
     r = require_regular(g)
     if not _RULE["T4"].verdict(g, r).applies:
         return {"graph6": g6, "certificate": {"type": "rule-not-detected"}}
-    if r == g.n - 1:
-        # no room for extend_once; the complement must still lack a matching
-        res = perfect_matching(complement(g))
-    else:
-        res = extend_once(g, "auto")
+    # the T4 region has 2r >= n, where the ladder runs this same search
+    res = perfect_matching(complement(g))
     if not isinstance(res, TutteViolator) or not res.verify(complement(g)):
         return {"graph6": g6, "certificate": {"type": "extension-succeeded"}}
     return None
@@ -420,8 +418,7 @@ def _biclique_plan(rule: str, check, odd_parts: bool, n_range: tuple[int, int]) 
 _RULE = {rule.short: rule for rule in RULES}
 
 _PLANS = {
-    "T1": _Plan(_RULE["T1"].holds, partial(_check_extends, strategy="dirac"),
-                generation.random_regular, (4, 10),
+    "T1": _Plan(_RULE["T1"].holds, _check_extends, generation.random_regular, (4, 10),
                 seed=lambda s, n, r, i: s + 1000 * n + 10 * r + i, exhaustive=True),
     "T2": _Plan(_RULE["T2"].holds, _check_extends, generation.random_regular,
                 (4, 60), spread=True),
@@ -571,7 +568,6 @@ def main(argv: list[str] | None = None) -> int:
     common(p)
     p.add_argument("--target-r", type=int, default=None, dest="target_r",
                    help="target degree (default r+1)")
-    p.add_argument("--strategy", choices=["auto", "blossom", "dirac"], default="auto")
     p.add_argument("--backtrack", type=int, default=0,
                    help="alternative matchings to try per stuck level")
     p.set_defaults(func=cmd_extend)
@@ -611,6 +607,11 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
+    for flag in ("backtrack", "count", "samples"):
+        value = getattr(args, flag, 0)
+        if value < 0:
+            print(f"error: --{flag} must be >= 0, got {value}", file=sys.stderr)
+            return 2
     return args.func(args)
 
 

@@ -2,11 +2,13 @@
 
 One extension step finds a perfect matching of the complement and adds it,
 turning an r-regular graph into an (r+1)-regular one on the same vertices.
-When the complement has minimum degree >= n/2 the matching is built
-constructively from a Hamiltonian cycle (rotation-extension); otherwise the
-blossom matcher is used and failures surface as Tutte violators.  The
-step adds the matching to the graph and removes it from the complement in
-the same pass, so a climb over many levels builds one complement.
+Every extension runs up one ladder, ``extend_to``; ``extend_once`` is its
+single step.  The ladder picks each level's matcher from (n, r).  When
+2r < n the complement has minimum degree >= n/2, so a Hamiltonian cycle
+(Dirac, built by rotation-extension) gives the matching.  Everywhere else
+the blossom matcher gives a matching or a Tutte violator.  The step adds
+the matching to the graph and removes it from the complement in the same
+pass, so a climb over many levels builds one complement.
 
 ``RULES`` holds one ``Rule`` record per sufficient or impossibility
 condition this package verifies: its arithmetic hypothesis on (n, r), the
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Generator, Literal
+from typing import Callable, Generator
 
 from .graph import (
     Graph,
@@ -39,8 +41,6 @@ from .matching import (
 from .structure import find_clique, l_vertex_bound, spanning_biclique
 
 log = logging.getLogger("regext.extension")
-
-Strategy = Literal["auto", "blossom", "dirac"]
 
 
 class DiracPreconditionError(GraphError):
@@ -148,20 +148,6 @@ def cycle_to_matching(order: tuple[int, ...]) -> Matching:
     )
 
 
-def _level_matching(gc: Graph, r: int, strategy: Strategy) -> Matching | TutteViolator:
-    """A perfect matching of ``gc``, the complement of an r-regular graph,
-    or the blossom violator."""
-    n = gc.n
-    if strategy == "dirac" and 2 * r >= n:
-        raise DiracPreconditionError(
-            f"dirac strategy needs r < n/2, got r={r}, n={n}"
-        )
-    # a Hamiltonian cycle needs n >= 3; at n = 2 the blossom matcher finds K_2
-    if strategy == "dirac" or (strategy == "auto" and 2 * r < n and n > 2):
-        return cycle_to_matching(dirac_cycle(gc))
-    return perfect_matching(gc)
-
-
 def _step(g: Graph, gc: Graph, m: Matching) -> tuple[Graph, Graph]:
     """g plus the perfect matching m of its complement gc, and the
     complement of that: gc minus m.
@@ -189,24 +175,6 @@ def _step(g: Graph, gc: Graph, m: Matching) -> tuple[Graph, Graph]:
     if set(map(int.bit_count, rows)) != {g.adj[0].bit_count() + 1}:
         raise GraphError("a matching pair is not an edge of the complement")
     return Graph(n, rows), Graph(n, tuple([a ^ b for a, b in zip(gc.adj, bits)]))
-
-
-def extend_once(g: Graph, strategy: Strategy = "auto") -> tuple[Graph, Matching] | TutteViolator:
-    """Add one perfect matching of the complement; (r+1)-regular result.
-
-    Returns a Tutte violator for the complement when no such matching
-    exists.  Parity and regularity violations raise instead.
-    """
-    r = require_regular(g)
-    if g.n % 2 == 1:
-        raise GraphError(f"extension needs even n, got n={g.n}")
-    if r > g.n - 2:
-        raise GraphError(f"r={r} leaves no room to extend (n={g.n})")
-    gc = complement(g)
-    result = _level_matching(gc, r, strategy)
-    if isinstance(result, TutteViolator):
-        return result
-    return _step(g, gc, result)[0], result
 
 
 @dataclass(frozen=True)
@@ -240,19 +208,25 @@ class ExtensionFailure:
 
 
 def _matching_candidates(
-    gc: Graph, r: int, strategy: Strategy, backtrack: int
+    gc: Graph, r: int, backtrack: int
 ) -> Generator[Matching, None, TutteViolator | None]:
     """Primary matching for one level, then up to ``backtrack`` alternatives.
 
-    ``gc`` is the complement of the level's r-regular graph.  Alternatives
-    re-solve it with one edge of the primary matching forbidden, which is
-    enough to escape a greedy dead end.  A level with no matching yields
-    nothing and returns the violator of its one search; Dirac never fails,
-    so it is the blossom one.
+    ``gc`` is the complement of the level's r-regular graph on n vertices.
+    When 2r < n its minimum degree n - 1 - r is at least n/2, so the primary
+    matching is every other edge of a Dirac cycle; a cycle needs n >= 3,
+    and at n = 2 the blossom matcher finds K_2.  Everywhere else the blossom
+    matcher gives a matching or a Tutte violator.  Alternatives re-solve
+    ``gc`` with one edge of the primary matching forbidden, which is enough
+    to escape a greedy dead end.  A level with no matching yields nothing
+    and returns the violator of its one search.
     """
-    first = _level_matching(gc, r, strategy)
-    if isinstance(first, TutteViolator):
-        return first
+    if 2 * r < gc.n and gc.n > 2:
+        first = cycle_to_matching(dirac_cycle(gc))
+    else:
+        first = perfect_matching(gc)
+        if isinstance(first, TutteViolator):
+            return first
     yield first
     if backtrack <= 0:
         return
@@ -274,10 +248,7 @@ def _matching_candidates(
 
 
 def extend_to(
-    g: Graph,
-    target_r: int,
-    backtrack: int = 0,
-    strategy: Strategy = "auto",
+    g: Graph, target_r: int, backtrack: int = 0
 ) -> ExtensionTrace | ExtensionFailure:
     """Extend step by step to ``target_r``, backtracking on stuck levels.
 
@@ -299,7 +270,7 @@ def extend_to(
     # one frame per level that may be resumed: (graph, its complement,
     # degree, steps so far, candidate matchings); depth-first in candidate
     # order
-    stack = [(g, gc, r, (), _matching_candidates(gc, r, strategy, backtrack))]
+    stack = [(g, gc, r, (), _matching_candidates(gc, r, backtrack))]
     while stack:
         cur, cur_c, cur_r, steps, candidates = stack[-1]
         try:
@@ -316,7 +287,7 @@ def extend_to(
         if cur_r + 1 == target_r:
             return ExtensionTrace(r, target_r, steps + (m,), nxt)
         frame = (nxt, nxt_c, cur_r + 1, steps + (m,),
-                 _matching_candidates(nxt_c, cur_r + 1, strategy, backtrack))
+                 _matching_candidates(nxt_c, cur_r + 1, backtrack))
         if backtrack > 0:
             stack.append(frame)
         else:
@@ -325,6 +296,17 @@ def extend_to(
             stack[-1] = frame
     assert deepest is not None
     return deepest
+
+
+def extend_once(g: Graph) -> tuple[Graph, Matching] | TutteViolator:
+    """One rung of the ladder, ``extend_to(g, r + 1)``: the (r+1)-regular
+    g + M and the perfect matching M of the complement it adds, or the
+    complement's Tutte violator when it has none.  Odd n, r = n - 1 and
+    irregular input raise GraphError, as in ``extend_to``."""
+    res = extend_to(g, require_regular(g) + 1)
+    if isinstance(res, ExtensionFailure):
+        return res.violator
+    return res.final, res.steps[0]
 
 
 CONCLUSION_EXTENDABLE = "extendable"

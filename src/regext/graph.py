@@ -51,14 +51,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        """Neighbors of ``v`` in ascending order."""
-        a = self.adj[v]
-        while a:
-            b = a & -a
-            yield b.bit_length() - 1
-            a ^= b
-
     def edges(self) -> Iterator[Edge]:
         """All edges (u, v) with u < v, in lexicographic order."""
         for u in range(self.n):
@@ -128,14 +120,9 @@ def require_regular(g: Graph) -> int:
 
 @dataclass(frozen=True)
 class ComponentPartition:
-    """Connected components of an induced subgraph, flagged by parity."""
+    """Connected components of an induced subgraph, and how many are odd."""
 
     blocks: tuple[frozenset[int], ...]
-
-    @property
-    def parity_flags(self) -> tuple[bool, ...]:
-        """True for odd-cardinality blocks."""
-        return tuple(len(b) % 2 == 1 for b in self.blocks)
 
     @property
     def odd_count(self) -> int:

@@ -49,10 +49,13 @@ def matching_from_pairs(pairs) -> Matching:
 
 
 def is_valid_matching(g: Graph, m: Matching, perfect: bool = False) -> bool:
-    """Edges exist in g and are pairwise vertex-disjoint (and cover V if perfect)."""
+    """Edges exist in g and are pairwise vertex-disjoint (and cover V if perfect).
+
+    An endpoint outside 0..n-1 makes the answer False, not an error."""
+    n = g.n
     seen = 0
     for u, v in m:
-        if u == v or not g.has_edge(u, v):
+        if not (0 <= u < n and 0 <= v < n) or u == v or not g.has_edge(u, v):
             return False
         bits = (1 << u) | (1 << v)
         if seen & bits:

@@ -218,6 +218,11 @@ class OddCycle:
         )
 
 
+def neighbors(g: Graph, v: int) -> list[int]:
+    """Neighbors of ``v`` in ascending order."""
+    return [w for w in range(g.n) if g.adj[v] >> w & 1]
+
+
 def complement_bipartite_check(g: Graph) -> tuple[frozenset[int], frozenset[int]] | OddCycle:
     """2-color the complement by BFS, or return one of its odd cycles."""
     gc = complement(g)
@@ -233,7 +238,7 @@ def complement_bipartite_check(g: Graph) -> tuple[frozenset[int], frozenset[int]
         while head < len(queue):
             v = queue[head]
             head += 1
-            for w in gc.neighbors(v):
+            for w in neighbors(gc, v):
                 if color[w] == -1:
                     color[w] = color[v] ^ 1
                     parent[w] = v

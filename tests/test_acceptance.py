@@ -128,8 +128,8 @@ def test_criterion_02_dirac_extension_exhaustive():
                 assert is_valid_matching(gc, m, perfect=True)
                 g2 = add_matching(g, m)
                 assert require_regular(g2) == r + 1
-                res = extend_once(g, "dirac")  # same route through the API
-                assert not isinstance(res, TutteViolator)
+                # the API takes the same route: 2r < n picks the Dirac cycle
+                assert extend_once(g) == (g2, m)
                 checked += 1
     assert failures == 0
     _report(2, f"{checked} enumerated graphs extended via Dirac, zero failures")
@@ -172,7 +172,7 @@ def test_criterion_04_even_even_extension_region():
     for i in range(200):
         n, r = cells[(7 * i) % len(cells)]
         g = random_regular(n, r, 31_337 + i)
-        res = extend_once(g, "auto")
+        res = extend_once(g)
         assert not isinstance(res, TutteViolator), (n, r, i)
         g2, m = res
         assert require_regular(g2) == r + 1
@@ -197,7 +197,7 @@ def test_criterion_05_impossibility_certificates():
             assert res.verify(complement(g))
         # the complement really is two odd K_m blocks
         comp_parts = components_after_deletion(complement(g))
-        assert comp_parts.parity_flags == (True, True)
+        assert [len(b) % 2 for b in comp_parts.blocks] == [1, 1]
     _report(5, "K_{3,3}, K_{5,5}, K_{7,7}: T4 + violator s={} with 2 odd components")
 
 

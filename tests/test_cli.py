@@ -143,19 +143,12 @@ class TestExtendCommand:
         code, out, _ = run_cli(capsys, ["extend"], [g6], monkeypatch)
         assert code == 1
 
-    def test_dirac_strategy_passthrough(self, capsys, monkeypatch):
-        g6 = format_graph6(cycle_graph(6))
-        code, out, _ = run_cli(capsys, ["extend", "--strategy", "dirac", "--json"],
-                               [g6], monkeypatch)
-        assert code == 0
-        assert json_lines(out)[1]["final_r"] == 3
-
-    def test_dirac_strategy_error_on_dense(self, capsys, monkeypatch):
-        g6 = format_graph6(complete_bipartite(3, 3))
-        code, out, _ = run_cli(capsys, ["extend", "--strategy", "dirac", "--json"],
-                               [g6], monkeypatch)
-        assert code == 1
-        assert "r < n/2" in json_lines(out)[1]["error"]
+    def test_strategy_flag_is_usage_error(self, capsys, monkeypatch):
+        # the ladder picks each level's matcher from (n, r); no option
+        # chooses it
+        code, out, err = run_cli(capsys, ["extend", "--strategy", "dirac"],
+                                 [format_graph6(cycle_graph(6))], monkeypatch)
+        assert code == 2 and out == [] and "--strategy" in err
 
     def test_log_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("REGEXT_LOG", "debug")
@@ -328,12 +321,15 @@ class TestVerifyCommand:
         assert code == 0
         assert "counterexamples 0" in out[0]
 
-    def test_t1_exhaustive_small(self, capsys):
+    # (2, 0) is in T1's region: its extension is K_2, found by the blossom
+    # matcher since a Hamiltonian cycle needs n >= 3
+    @pytest.mark.parametrize("n_range,checked", [("4..8", 17), ("2..4", 3)])
+    def test_t1_exhaustive_small(self, capsys, n_range, checked):
         code, out, _ = run_cli(capsys, ["verify", "--rule", "T1",
-                                        "--n-range", "4..8", "--json"])
+                                        "--n-range", n_range, "--json"])
         assert code == 0
         summary = json_lines(out)[-1]
-        assert summary["failed"] == 0 and summary["checked"] == 17
+        assert summary["failed"] == 0 and summary["checked"] == checked
 
     def test_l_rule_small(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--rule", "L",
@@ -463,3 +459,14 @@ class TestVerifyCommand:
         _, out1, _ = run_cli(capsys, argv, lines, monkeypatch)
         _, out2, _ = run_cli(capsys, argv, lines, monkeypatch)
         assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ["extend", "--backtrack", "-5"],
+    ["gen", "--n", "8", "--r", "3", "--count", "-2"],
+    ["verify", "--rule", "T1", "--samples", "-1"],
+])
+def test_negative_count_is_usage_error(capsys, monkeypatch, argv):
+    code, out, err = run_cli(capsys, argv, [format_graph6(cycle_graph(6))], monkeypatch)
+    assert code == 2 and out == []
+    assert err.count("\n") == 1 and err.startswith("error: --")

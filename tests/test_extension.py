@@ -28,7 +28,7 @@ from regext import (
     require_regular,
     validate_cycle,
 )
-from regext.extension import _level_matching, _matching_candidates, _step
+from regext.extension import _matching_candidates, _step
 from families import (
     cliques_plus_matching,
     complete_bipartite,
@@ -99,8 +99,11 @@ class TestCycleToMatching:
 
 class TestExtendOnce:
     def test_c6_dirac(self):
-        g2, m = extend_once(cycle_graph(6), "dirac")
+        # 2r < n: the matching is every other edge of the complement's
+        # Dirac cycle
+        g2, m = extend_once(cycle_graph(6))
         assert require_regular(g2) == 3
+        assert m == cycle_to_matching(dirac_cycle(complement(cycle_graph(6))))
         assert is_valid_matching(complement(cycle_graph(6)), m, perfect=True)
 
     def test_k33_violator(self):
@@ -121,9 +124,20 @@ class TestExtendOnce:
         g2, m = extend_once(build(2, []))
         assert g2 == complete_graph(2) and m == frozenset({(0, 1)})
 
-    def test_dirac_strategy_needs_sparse(self):
-        with pytest.raises(DiracPreconditionError):
-            extend_once(complete_bipartite(3, 3), "dirac")
+    def test_matcher_chosen_from_n_and_r(self, small_regular_corpus, monkeypatch):
+        # a Dirac cycle exactly when 2r < n and n > 2, blossom otherwise
+        from regext import extension
+
+        cycles = []
+        monkeypatch.setattr(extension, "dirac_cycle",
+                            lambda gc: cycles.append(gc) or dirac_cycle(gc))
+        for (n, r), graphs in small_regular_corpus.items():
+            if n % 2 or r > n - 2:
+                continue
+            for g in graphs:
+                cycles.clear()
+                extend_once(g)
+                assert len(cycles) == (2 * r < n and n > 2), (n, r)
 
     def test_odd_n_rejected(self):
         with pytest.raises(GraphError):
@@ -203,6 +217,18 @@ class TestExtendTo:
         assert isinstance(tr, ExtensionTrace)
         assert tr.verify(g)
 
+    # malformed steps on C4, whose complement is the matching {02, 13}
+    @pytest.mark.parametrize("step", [
+        {(0, 2), (1, 3), (0, 1)},  # overlap, and 01 is an edge of C4
+        {(0, 2)},  # 1 and 3 uncovered
+        {(7, 0), (1, 3)},  # endpoint past n - 1
+        {(-1, 2), (1, 3)},  # negative endpoint
+    ])
+    def test_verify_rejects_malformed_trace(self, step):
+        g = cycle_graph(4)
+        tr = ExtensionTrace(2, 3, (frozenset(step),), complete_graph(4))
+        assert tr.verify(g) is False
+
     def test_bad_target(self):
         with pytest.raises(GraphError):
             extend_to(cycle_graph(6), 6)
@@ -219,14 +245,14 @@ def _extend_to_recursive(g, target_r, backtrack):
         if cur_r == target_r:
             return ExtensionTrace(r, target_r, steps, cur)
         saw = False
-        for m in _matching_candidates(complement(cur), cur_r, "auto", backtrack):
+        for m in _matching_candidates(complement(cur), cur_r, backtrack):
             saw = True
             done = descend(_apply(cur, [m]), cur_r + 1, steps + (m,))
             if done is not None:
                 return done
         if not saw and (deepest[0] is None or cur_r > deepest[0].reached_r):
             deepest[0] = ExtensionFailure(
-                cur_r, steps, _level_matching(complement(cur), cur_r, "blossom"))
+                cur_r, steps, perfect_matching(complement(cur)))
         return None
 
     return descend(g, r, ()) or deepest[0]

@@ -106,7 +106,7 @@ class TestComponents:
         g = disjoint_union(complete_graph(3), complete_graph(3))
         parts = components_after_deletion(g)
         assert len(parts) == 2
-        assert parts.parity_flags == (True, True)
+        assert [len(b) % 2 for b in parts.blocks] == [1, 1]
         assert parts.odd_count == 2
 
     def test_path_minus_middle(self):

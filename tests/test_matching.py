@@ -95,6 +95,21 @@ class TestPerfectMatching:
         h = build(6, sorted(set(g.edges()) - set(m)))
         assert is_valid_matching(h, perfect_matching(h), perfect=True)
 
+    # on C4, whose edges are 01, 12, 23 and 03
+    @pytest.mark.parametrize("pairs,valid,perfect", [
+        ([(0, 1), (2, 3)], True, True),
+        ([(0, 1)], True, False),  # 2 and 3 uncovered
+        ([(0, 1), (1, 2)], False, False),  # overlap at 1
+        ([(0, 2)], False, False),  # not an edge
+        ([(1, 1)], False, False),  # self-pair
+        ([(7, 0)], False, False),  # endpoint past n - 1
+        ([(-1, 2)], False, False),  # negative endpoint
+    ])
+    def test_is_valid_matching_on_c4(self, pairs, valid, perfect):
+        m = frozenset(pairs)
+        assert is_valid_matching(cycle_graph(4), m) is valid
+        assert is_valid_matching(cycle_graph(4), m, perfect=True) is perfect
+
     def test_odd_n_short_circuit(self):
         v = perfect_matching(cycle_graph(7))
         assert isinstance(v, TutteViolator) and v.s == frozenset() and v.odd_count == 1
