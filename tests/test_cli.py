@@ -321,15 +321,21 @@ class TestVerifyCommand:
         assert code == 0
         assert "counterexamples 0" in out[0]
 
-    # (2, 0) is in T1's region: its extension is K_2, found by the blossom
-    # matcher since a Hamiltonian cycle needs n >= 3
-    @pytest.mark.parametrize("n_range,checked", [("4..8", 17), ("2..4", 3)])
-    def test_t1_exhaustive_small(self, capsys, n_range, checked):
+    def test_t1_exhaustive_small(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--rule", "T1",
-                                        "--n-range", n_range, "--json"])
+                                        "--n-range", "4..8", "--json"])
         assert code == 0
         summary = json_lines(out)[-1]
-        assert summary["failed"] == 0 and summary["checked"] == checked
+        assert summary["failed"] == 0 and summary["checked"] == 17
+
+    # (2, 0) is in T1's region: its extension is K_2, found by the blossom
+    # matcher since a Hamiltonian cycle needs n >= 3
+    def test_t1_smallest_orders(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "--rule", "T1",
+                                        "--n-range", "2..4", "--json"])
+        assert code == 0
+        summary = json_lines(out)[-1]
+        assert summary["failed"] == 0 and summary["checked"] == 3
 
     def test_l_rule_small(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--rule", "L",
