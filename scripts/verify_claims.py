@@ -8,7 +8,7 @@ balloon bound and the two arithmetic lemmas on grids.  Expected output is
 zero counterexamples on every row.
 
 Usage:
-    python scripts/verify_claims.py [--quick] [--seed N] [--jobs N]
+    python scripts/verify_claims.py [--quick] [--seed N]
 """
 
 import argparse
@@ -45,12 +45,11 @@ QUICK = {
 }
 
 
-def run_rule(rule: str, extra: list[str], seed: int, jobs: int) -> dict:
+def run_rule(rule: str, extra: list[str], seed: int) -> dict:
     buf = io.StringIO()
     t0 = time.monotonic()
     with redirect_stdout(buf):
-        code = cli_main(["verify", "--rule", rule, "--seed", str(seed),
-                         "--jobs", str(jobs), "--json", *extra])
+        code = cli_main(["verify", "--rule", rule, "--seed", str(seed), "--json", *extra])
     summary = json.loads(buf.getvalue().splitlines()[-1])
     return {
         "rule": rule,
@@ -65,7 +64,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--quick", action="store_true", help="smaller ranges")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
     plan = QUICK if args.quick else FULL
@@ -73,7 +71,7 @@ def main() -> int:
     print("-" * 48)
     worst = 0
     for rule, extra in plan.items():
-        row = run_rule(rule, extra, args.seed, args.jobs)
+        row = run_rule(rule, extra, args.seed)
         worst = max(worst, row["exit"])
         print(f"{row['rule']:<12} {row['checked']:>8} "
               f"{row['counterexamples']:>16} {row['seconds']:>7.1f}s")

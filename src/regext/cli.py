@@ -14,7 +14,8 @@ each level's matcher from (n, r), so it has no matcher option.  ``check``
 prints one verdict per record of ``extension.RULES``.  ``verify``
 takes its (n, r) cells from the same records' ``holds`` and keeps, per
 rule, only a plan (``_PLANS``): default range, sampler, seed formula and
-the check that confirms the conclusion.
+the check that confirms the conclusion; it draws and checks one instance
+at a time.
 """
 
 from __future__ import annotations
@@ -52,6 +53,17 @@ from .matching import (
 )
 
 log = logging.getLogger("regext.cli")
+
+
+class _StderrHandler(logging.Handler):
+    """Writes each record to ``sys.stderr`` as it is at that moment, so each
+    in-process ``main`` call logs to its own stderr."""
+
+    def emit(self, record):
+        print(f"{record.name} {record.levelname} {record.getMessage()}", file=sys.stderr)
+
+
+_LOG_HANDLER = _StderrHandler()
 
 # the cap under its CLI name, which perfbench's certify checker reads
 CLIQUE_CLI_LIMIT = CLIQUE_SEARCH_LIMIT
@@ -320,50 +332,45 @@ def _span(range_str: str | None, default: tuple[int, int]) -> tuple[int, int]:
         raise SystemExit(2)
 
 
-def _check_extends(g6: str) -> dict | None:
-    g = parse_graph6(g6)
+def _check_extends(g: Graph) -> dict | None:
     res = extend_once(g)
     if isinstance(res, TutteViolator):
-        return {"graph6": g6, "certificate": certificate_json(res)}
+        return certificate_json(res)
     _, m = res
     if not is_valid_matching(complement(g), m, perfect=True):
-        return {"graph6": g6, "certificate": {"type": "invalid-matching"}}
+        return {"type": "invalid-matching"}
     return None
 
 
-def _check_has_pm(g6: str) -> dict | None:
-    g = parse_graph6(g6)
+def _check_has_pm(g: Graph) -> dict | None:
     res = perfect_matching(g)
     if isinstance(res, TutteViolator):
-        return {"graph6": g6, "certificate": certificate_json(res)}
+        return certificate_json(res)
     if not is_valid_matching(g, res, perfect=True):
-        return {"graph6": g6, "certificate": {"type": "invalid-matching"}}
+        return {"type": "invalid-matching"}
     return None
 
 
-def _check_t4(g6: str) -> dict | None:
-    g = parse_graph6(g6)
-    r = require_regular(g)
-    if not _RULE["T4"].verdict(g, r).applies:
-        return {"graph6": g6, "certificate": {"type": "rule-not-detected"}}
+def _check_t4(g: Graph) -> dict | None:
+    if not _RULE["T4"].verdict(g, require_regular(g)).applies:
+        return {"type": "rule-not-detected"}
     # the T4 region has 2r >= n, where the ladder runs this same search
-    res = perfect_matching(complement(g))
-    if not isinstance(res, TutteViolator) or not res.verify(complement(g)):
-        return {"graph6": g6, "certificate": {"type": "extension-succeeded"}}
+    co = complement(g)
+    res = perfect_matching(co)
+    if not isinstance(res, TutteViolator) or not res.verify(co):
+        return {"type": "extension-succeeded"}
     return None
 
 
-def _check_t5(g6: str) -> dict | None:
-    g = parse_graph6(g6)
+def _check_t5(g: Graph) -> dict | None:
     res = extend_to(g, g.n - 1, backtrack=0)
     if not isinstance(res, ExtensionTrace) or not res.verify(g):
-        return {"graph6": g6, "certificate": {"type": "full-extension-failed"}}
+        return {"type": "full-extension-failed"}
     return None
 
 
-def _check_balloon(g6: str) -> dict | None:
-    g = parse_graph6(g6)
-    rng = random.Random(g6)
+def _check_balloon(g: Graph) -> dict | None:
+    rng = random.Random(format_graph6(g))
 
     def sampled_sets():
         for _ in range(20):
@@ -375,9 +382,8 @@ def _check_balloon(g6: str) -> dict | None:
     for s in chain(small, sampled_sets()):
         chk = check(s)
         if chk.applicable and not chk.holds:
-            return {"graph6": g6,
-                    "certificate": {"type": "balloon-bound", "s": list(s),
-                                    "lhs": str(chk.lhs), "rhs": str(chk.rhs)}}
+            return {"type": "balloon-bound", "s": list(s),
+                    "lhs": str(chk.lhs), "rhs": str(chk.rhs)}
     return None
 
 
@@ -396,7 +402,7 @@ class _Plan:
     """
 
     region: Callable[[int, int], bool]
-    check: Callable[[str], dict | None]
+    check: Callable[[Graph], dict | None]  # None, or the failure's certificate
     sample: Callable[[int, int, int], Graph]
     n_range: tuple[int, int] | Callable[[int], tuple[int, int]]
     r_range: tuple[int, int] | None = None
@@ -461,24 +467,22 @@ def _cells(plan: _Plan, args, notices: list[str]) -> list[tuple[int, int]]:
     return [(n, r) for n, r in pairs if plan.region(n, r) and plan.feasible(n, r)]
 
 
-def _verify_instances(rule: str, args) -> tuple[list[str], list[str]]:
-    """graph6 instances satisfying the rule's hypotheses, and notices for
-    the parts of the requested region that were skipped."""
-    plan = _PLANS[rule]
+def _verify_instances(plan: _Plan, args, notices: list[str]) -> Iterator[Graph]:
+    """Graphs satisfying the plan's hypotheses, drawn one at a time; the
+    parts of the requested region that are skipped go to ``notices``."""
     seed, samples = args.seed, args.samples
-    notices: list[str] = []
-    out: list[str] = []
     cells = _cells(plan, args, notices)
     if plan.spread:
         if not cells:
-            return out, notices + ["empty hypothesis region"]
+            notices.append("empty hypothesis region")
+            return
         for i in range(samples):
             n, r = cells[(seed + i) % len(cells)]
-            out.append(format_graph6(plan.sample(n, r, plan.seed(seed, n, r, i))))
-        return out, notices
+            yield plan.sample(n, r, plan.seed(seed, n, r, i))
+        return
     for n, r in cells:
         if plan.exhaustive and n <= generation.ENUMERATION_CAP:
-            out.extend(format_graph6(g) for g in generation.enumerate_regular(n, r))
+            yield from generation.enumerate_regular(n, r)
             continue
         for i in range(plan.count(samples)):
             try:
@@ -486,71 +490,61 @@ def _verify_instances(rule: str, args) -> tuple[list[str], list[str]]:
             except GraphError as exc:
                 notices.append(f"n={n}, r={r} skipped: {exc}")
                 break
-            out.append(format_graph6(g))
-    return out, notices
+            yield g
 
 
-def _run_ineq(args) -> tuple[int, list[dict]]:
+def _run_ineq(args) -> Iterator[dict | None]:
+    """None or a counterexample per grid point of the two arithmetic lemmas."""
     rlo, rhi = _span(args.r_range, (16, 200))
-    checked = 0
-    bad: list[dict] = []
     for r in range(max(rlo, 16), rhi + 1):
         for k in range(2, r - 1):
-            checked += 1
-            if not structure.check_ineq_kr(r, k):
-                bad.append({"certificate": {"type": "ineq-kr", "r": r, "k": k}})
+            ok = structure.check_ineq_kr(r, k)
+            yield None if ok else {"certificate": {"type": "ineq-kr", "r": r, "k": k}}
     for r in range(1, rhi + 1):
         x = Fraction(1)
         while x <= r:
-            checked += 1
-            if not structure.check_ineq_x(Fraction(r), x):
-                bad.append({"certificate": {"type": "ineq-x", "r": r, "x": str(x)}})
+            ok = structure.check_ineq_x(Fraction(r), x)
+            yield None if ok else {"certificate": {"type": "ineq-x", "r": r, "x": str(x)}}
             x += Fraction(1, 4)
-    return checked, bad
 
 
-def _pool_check(item: tuple[str, str]) -> dict | None:
-    rule, g6 = item
-    return _PLANS[rule].check(g6)
+def _run_plan(plan: _Plan, args, notices: list[str]) -> Iterator[dict | None]:
+    """Check each instance as it is drawn: None, or the counterexample."""
+    for g in _verify_instances(plan, args, notices):
+        cert = plan.check(g)
+        yield None if cert is None else {"graph6": format_graph6(g), "certificate": cert}
 
 
 def cmd_verify(args) -> int:
     reporter = Reporter("verify", {
         "rule": args.rule, "n_range": args.n_range, "r_range": args.r_range,
-        "samples": args.samples, "seed": args.seed, "jobs": args.jobs,
+        "samples": args.samples, "seed": args.seed,
     }, args.json)
-    if args.rule == "INEQ":
-        checked, bad = _run_ineq(args)
-        notices: list[str] = []
-    else:
-        instances, notices = _verify_instances(args.rule, args)
-        checked = len(instances)
-        items = [(args.rule, g6) for g6 in instances]
-        jobs = min(args.jobs, os.cpu_count() or 1)
-        if jobs > 1 and len(items) > 1:
-            # imported here: loading the pool machinery costs every CLI start
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_pool_check, items, chunksize=16))
-        else:
-            results = [_pool_check(item) for item in items]
-        bad = [r for r in results if r is not None]
+    notices: list[str] = []
+    results = (_run_ineq(args) if args.rule == "INEQ"
+               else _run_plan(_PLANS[args.rule], args, notices))
+    checked = 0
+    for cx in results:
+        checked += 1
+        if cx is not None:
+            reporter.result(False, f"counterexample: {cx}", {"counterexample": cx})
     for notice in notices:
         log.info("skipped: %s", notice)
-    for cx in bad:
-        reporter.result(False, f"counterexample: {cx}", {"counterexample": cx})
-    human = f"rule {args.rule}: checked {checked}, counterexamples {len(bad)}"
     if not args.json:
-        print(human)
+        print(f"rule {args.rule}: checked {checked}, counterexamples {reporter.fail_count}")
     return reporter.summary({"rule": args.rule, "checked": checked,
                              "skipped": len(notices)})
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = {"error": logging.ERROR, "info": logging.INFO,
-             "debug": logging.DEBUG}.get(os.environ.get("REGEXT_LOG", "error"))
-    logging.basicConfig(stream=sys.stderr, level=level or logging.ERROR,
-                        format="%(name)s %(levelname)s %(message)s")
+    # the regext logger alone, at the level REGEXT_LOG names on this call;
+    # the embedding program's root logger is left as it is
+    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+    logger = logging.getLogger("regext")
+    logger.setLevel(levels.get(os.environ.get("REGEXT_LOG", ""), logging.ERROR))
+    if _LOG_HANDLER not in logger.handlers:
+        logger.addHandler(_LOG_HANDLER)
+        logger.propagate = False
 
     parser = argparse.ArgumentParser(
         prog="regext",
@@ -602,7 +596,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--samples", type=int, default=100,
                    help="samples per cell (L, C) or across the region")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -39,7 +39,9 @@ class TutteViolator:
     odd_count: int
 
     def verify(self, g: Graph) -> bool:
-        """Re-check the certificate against its host graph."""
+        """Re-check the certificate against g; an s outside 0..n-1 gives False."""
+        if any(not 0 <= v < g.n for v in self.s):
+            return False
         parts = components_after_deletion(g, self.s)
         return parts.odd_count == self.odd_count and self.odd_count > len(self.s)
 

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 from pathlib import Path
@@ -8,6 +9,7 @@ from regext import (
     TutteViolator,
     add_matching,
     build,
+    enumerate_regular,
     format_graph6,
     is_valid_matching,
     parse_graph6,
@@ -402,14 +404,6 @@ class TestVerifyCommand:
         assert code == 0
         assert json_lines(out)[-1]["checked"] == QUICK_CHECKED["T4"]
 
-    def test_jobs_pool_matches_serial(self, capsys):
-        argv = ["verify", "--rule", "T1", "--n-range", "4..8", "--json"]
-        _, serial, _ = run_cli(capsys, argv)
-        _, pooled, _ = run_cli(capsys, argv + ["--jobs", "2"])
-        strip = lambda lines: [json.loads(l) for l in lines
-                               if json.loads(l)["kind"] != "header"]
-        assert strip(serial) == strip(pooled)
-
     def test_pool_not_loaded_at_import(self):
         import os
         import subprocess
@@ -422,36 +416,70 @@ class TestVerifyCommand:
                 "sys.exit('concurrent.futures.process' in sys.modules)")
         assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
-    @pytest.mark.parametrize("requested,cpus,workers", [(64, 3, 3), (2, 3, 2)])
-    def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch, requested, cpus, workers):
-        import concurrent.futures
-        import os
+    def test_jobs_flag_is_usage_error(self, capsys):
+        # verify draws and checks one instance at a time; it has no pool
+        code, out, err = run_cli(capsys, ["verify", "--rule", "T1", "--jobs", "2"])
+        assert code == 2 and out == [] and "--jobs" in err
+
+    def test_counterexample_names_instance_and_certificate(self, capsys, monkeypatch):
+        from regext import cli
+
+        monkeypatch.setattr(cli, "extend_once", lambda g: TutteViolator(frozenset(), 1))
+        code, out, _ = run_cli(capsys, ["verify", "--rule", "T1", "--n-range", "4",
+                                        "--json"])
+        lines = json_lines(out)
+        assert code == 1 and lines[-1]["failed"] == lines[-1]["checked"] == 2
+        # T1's region at n = 4 is 2r < 4
+        graphs = [format_graph6(g) for r in (0, 1) for g in enumerate_regular(4, r)]
+        assert [line["counterexample"] for line in lines[1:-1]] == [
+            {"graph6": g6, "certificate": {"type": "tutte-violator", "s": [],
+                                           "odd_count": 1}}
+            for g6 in graphs]
+
+    @pytest.mark.parametrize("rule,extra", [
+        ("T2", ["--n-range", "4..40"]),
+        ("L", ["--r-range", "17", "--n-range", "18..28"]),
+    ])
+    def test_instances_drawn_lazily(self, rule, extra):
+        from dataclasses import replace
+        from itertools import islice
 
         from regext import cli
 
-        started = []
+        opts = dict(zip(extra[::2], extra[1::2]))
+        drawn = []
 
-        class SerialExecutor:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+        def sample(n, r, seed):
+            drawn.append((n, r))
+            return plan.sample(n, r, seed)
 
-            def __enter__(self):
-                return self
+        plan = cli._PLANS[rule]
+        counting = replace(plan, sample=sample)
 
-            def __exit__(self, *exc):
-                return False
+        def instances(samples):
+            args = argparse.Namespace(n_range=opts.get("--n-range"),
+                                      r_range=opts.get("--r-range"),
+                                      samples=samples, seed=0)
+            return cli._verify_instances(counting, args, [])
 
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
+        first = list(islice(instances(10 ** 9), 3))
+        assert len(drawn) == 3
+        assert first == list(instances(3))[:3]
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
-        # also cover a module-level import, so no real pool can start here
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialExecutor, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        code, _, _ = run_cli(capsys, ["verify", "--rule", "T1", "--n-range", "4..6",
-                                      "--jobs", str(requested)])
-        assert code == 0
-        assert started == [workers]
+    def test_logging_leaves_root_alone(self, capsys, monkeypatch):
+        import logging
+
+        root = logging.getLogger()
+        before = (root.level, list(root.handlers))
+        # C has no split of n = 10 into two 17-regular components
+        argv = ["verify", "--rule", "C", "--r-range", "17", "--n-range", "10",
+                "--samples", "1"]
+        _, _, err = run_cli(capsys, argv)
+        assert (root.level, root.handlers) == before and "skipped" not in err
+        monkeypatch.setenv("REGEXT_LOG", "info")
+        _, _, err = run_cli(capsys, argv)
+        assert (root.level, root.handlers) == before
+        assert "regext.cli INFO skipped: n=10, r=17 skipped" in err
 
     def test_bad_range_message(self, capsys):
         code, out, err = run_cli(capsys, ["verify", "--rule", "T1", "--n-range", "4..x"])

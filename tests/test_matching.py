@@ -110,6 +110,11 @@ class TestPerfectMatching:
         assert is_valid_matching(cycle_graph(4), m) is valid
         assert is_valid_matching(cycle_graph(4), m, perfect=True) is perfect
 
+    # a set with a vertex outside 0..n-1 certifies nothing and raises nothing
+    @pytest.mark.parametrize("s", [{7}, {-1}, {0, 5}])
+    def test_violator_outside_vertex_range(self, s):
+        assert TutteViolator(frozenset(s), 3).verify(cycle_graph(4)) is False
+
     def test_odd_n_short_circuit(self):
         v = perfect_matching(cycle_graph(7))
         assert isinstance(v, TutteViolator) and v.s == frozenset() and v.odd_count == 1

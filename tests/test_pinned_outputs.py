@@ -1,13 +1,19 @@
-"""Pinned outputs of the extension ladder and of the blossom matcher.
+"""Pinned outputs of the extension ladder and of the blossom matcher, and
+the instances ``regext verify`` draws.
 
-Both digests were recorded before the Dirac and blossom inner loops moved
-to mask arithmetic; they hold as long as every search still visits the same
-vertices in the same order.  The inputs come from ``random_regular`` and
-``random.Random``, so this module also pins them across Python versions.
+The first two digests were recorded before the Dirac and blossom inner loops
+moved to mask arithmetic; they hold as long as every search still visits the
+same vertices in the same order.  The instance digests were recorded while
+verify still collected every instance as graph6 before checking any.  The
+inputs come from ``random_regular``, the other samplers and ``random.Random``,
+so this module also pins them across Python versions.
 """
 
+import argparse
 import hashlib
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,11 +23,13 @@ from regext import (
     TutteViolator,
     build,
     extend_to,
+    format_graph6,
     max_matching,
     max_matching_with_violator,
     perfect_matching,
     random_regular,
 )
+from regext import cli
 
 
 def _edges(m) -> str:
@@ -107,3 +115,39 @@ def test_inner_loops_use_masks_only(monkeypatch):
     violator = perfect_matching(hub)
     assert isinstance(violator, TutteViolator)
     assert violator.s == frozenset({0}) and violator.odd_count == 3
+
+
+def _verify_claims_quick() -> dict:
+    path = Path(__file__).resolve().parent.parent / "scripts" / "verify_claims.py"
+    spec = importlib.util.spec_from_file_location("verify_claims", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.QUICK
+
+
+# rule: (instances, sha256 of their graph6 lines in order) for every QUICK
+# row of scripts/verify_claims.py at seed 0
+VERIFY_STREAMS = {
+    "T1": (17, "be02dedadc8bf5cc245fc103ee3d891b49d6f38d4838569543d8163449299e7f"),
+    "T2": (40, "21fbb8c24e1ba08a21a3ed7479e84a1b2c6f754cbda18615140ebcb00f56de6f"),
+    "T3": (15, "5bcfbb4a718ff1e1f0b4e1b67e3b90781a932096d7a5c1bdad03bc52aeb74f73"),
+    "T4": (25, "3d595cddaceaacd5e2fb2a00e360b682160c1d57821ed51c6bbcef754a97806d"),
+    "T5": (15, "4903853ed6a9b7499013bbb5cd74986d74a6363c9998a7202b877020e4c34c53"),
+    "L": (60, "73554ce2c5d7e5b57998d89ef1812ce60ab6ad5a2bfc40bc66361296be9bac4c"),
+    "C": (34, "5c9703b8692aa2f9c303cd9798a8fc7098c7ab2d8d3b1ab236e9d5340feced4e"),
+    "L0-balloon": (101, "7ab86c80e45e3df608f82b3f3ca82254181f611ac9f6c22ab00e77fadd17d088"),
+}
+
+
+@pytest.mark.parametrize("rule", VERIFY_STREAMS)
+def test_verify_instance_streams_pinned(rule):
+    extra = _verify_claims_quick()[rule]
+    opts = dict(zip(extra[::2], extra[1::2]))
+    args = argparse.Namespace(n_range=opts.get("--n-range"), r_range=opts.get("--r-range"),
+                              samples=int(opts.get("--samples", 100)), seed=0)
+    notices: list[str] = []
+    lines = [format_graph6(g) + "\n"
+             for g in cli._verify_instances(cli._PLANS[rule], args, notices)]
+    assert notices == []
+    assert (len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()) == \
+        VERIFY_STREAMS[rule]
