@@ -2,8 +2,8 @@
 
 ``golden/corpus.g6`` holds every regular graph up to isomorphism with
 n <= 8 (48 lines) and three non-regular graphs.  For each command below,
-``golden/<name>.out`` is its stdout on that corpus and
-``golden/exit_codes.json`` its exit code.  After an intended output change,
+in JSON and in human mode, ``golden/<name>.out`` is its stdout on that
+corpus and ``golden/exit_codes.json`` its exit code.  After an intended output change,
 regenerate the files with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -24,6 +24,10 @@ COMMANDS = {
     "analyze": ["analyze", "--json"],
     "match": ["match", "--json", "--certificates"],
     "extend": ["extend", "--json", "--certificates"],
+    "check-human": ["check"],
+    "analyze-human": ["analyze"],
+    "match-human": ["match"],
+    "extend-human": ["extend"],
 }
 
 
