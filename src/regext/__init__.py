@@ -29,7 +29,6 @@ from .matching import (
     max_matching,
     max_matching_with_violator,
     perfect_matching,
-    tutte_violator_bruteforce,
 )
 from .structure import (
     BalloonBoundCheck,

@@ -9,6 +9,10 @@ unreadable-input errors; a negative --backtrack, --count or --samples is a
 usage error.  All randomness flows from --seed, so reports are
 byte-identical across runs.
 
+``extend``, ``check``, ``match`` and ``analyze`` each answer one graph and
+leave reading and reporting to ``_each_graph``: a line that is not graph6
+costs only its own result, with its error on stderr and exit code 2.
+
 ``extend`` climbs the one ladder of ``extension.extend_to``, which picks
 each level's matcher from (n, r), so it has no matcher option.  ``check``
 prints one verdict per record of ``extension.RULES``.  ``verify``
@@ -73,26 +77,22 @@ def _edges_json(edges) -> list[list[int]]:
     return [list(e) for e in sorted(edges)]
 
 
-def _vertices_json(vs) -> list[int]:
-    return sorted(vs)
-
-
 def certificate_json(obj) -> object:
     """Stable JSON form for every certificate the library produces."""
     if obj is None:
         return None
     if isinstance(obj, TutteViolator):
-        return {"type": "tutte-violator", "s": _vertices_json(obj.s),
+        return {"type": "tutte-violator", "s": sorted(obj.s),
                 "odd_count": obj.odd_count}
     if isinstance(obj, structure.BicliqueWitness):
-        return {"type": "biclique", "part_a": _vertices_json(obj.part_a),
-                "part_b": _vertices_json(obj.part_b)}
+        return {"type": "biclique", "part_a": sorted(obj.part_a),
+                "part_b": sorted(obj.part_b)}
     if isinstance(obj, ExtensionTrace):
         return {"type": "trace", "start_r": obj.start_r, "target_r": obj.target_r,
                 "steps": [_edges_json(s) for s in obj.steps],
                 "final": format_graph6(obj.final)}
     if isinstance(obj, frozenset):
-        return {"type": "vertex-set", "vertices": _vertices_json(obj)}
+        return {"type": "vertex-set", "vertices": sorted(obj)}
     raise TypeError(f"no JSON form for {type(obj)!r}")
 
 
@@ -109,7 +109,6 @@ class Reporter:
     """Collects per-graph results and prints them in the selected format."""
 
     def __init__(self, command: str, options: dict, as_json: bool):
-        self.command = command
         self.as_json = as_json
         self.ok_count = 0
         self.fail_count = 0
@@ -156,9 +155,10 @@ def _utf8_stdin() -> Iterator[TextIO]:
         stream.detach()  # leave sys.stdin's buffer open
 
 
-def _read_graphs(path: str | None) -> list[tuple[int, str, Graph]]:
-    """Parse graph6 lines from a file or stdin; exit 2 on the first bad line
-    or an unreadable file.
+def _read_graphs(path: str | None) -> list[tuple[int, str, Graph | Graph6Error]]:
+    """Parse the graph6 lines of a file or stdin, all before any is answered;
+    a bad line keeps its ``Graph6Error`` in place of the graph.  Exit 2 on
+    an unreadable file.
 
     Both are decoded as UTF-8 with undecodable bytes escaped, so a stray
     byte fails its line's graph6 parse instead of the whole read.
@@ -174,116 +174,112 @@ def _read_graphs(path: str | None) -> list[tuple[int, str, Graph]]:
                 try:
                     out.append((lineno, line, parse_graph6(line)))
                 except Graph6Error as exc:
-                    print(f"error: line {lineno}: {exc}", file=sys.stderr)
-                    raise SystemExit(2)
+                    out.append((lineno, line, exc))
     except OSError as exc:
         print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
         raise SystemExit(2)
     return out
 
 
+def _each_graph(args, options: dict, answer, regular: bool = False) -> int:
+    """Answer every graph6 line of ``args.input``; return the exit code.
+
+    ``answer(g, r)`` gives ``(ok, text, fields)``, printed as ``line N:
+    text`` or as a JSON result of ``line``, ``graph6`` and ``fields``.  With
+    ``regular``, r is the degree of g and a non-regular graph is answered as
+    an error, as a ``GraphError`` from ``answer`` is; otherwise r is None.
+    """
+    reporter = Reporter(args.command, options, args.json)
+    unparsed = False
+    for lineno, line, g in _read_graphs(args.input):
+        if isinstance(g, Graph6Error):
+            print(f"error: line {lineno}: {g}", file=sys.stderr)
+            unparsed = True
+            continue
+        r = regularity(g) if regular else None
+        if regular and r is None:
+            ok, text, fields = False, "error: graph is not regular", {"error": "not regular"}
+        else:
+            try:
+                ok, text, fields = answer(g, r)
+            except GraphError as exc:
+                ok, text, fields = False, f"error: {exc}", {"error": str(exc)}
+        reporter.result(ok, f"line {lineno}: {text}", {"line": lineno, "graph6": line, **fields})
+    code = reporter.summary()
+    return 2 if unparsed else code
+
+
 def cmd_extend(args) -> int:
-    reporter = Reporter("extend", {
+    def answer(g, r):
+        target = args.target_r if args.target_r is not None else r + 1
+        res = extend_to(g, target, backtrack=args.backtrack)
+        if isinstance(res, ExtensionTrace):
+            final = format_graph6(res.final)
+            fields = {"n": g.n, "r": r, "final": final, "final_r": res.target_r}
+            if args.certificates:
+                fields["trace"] = certificate_json(res)
+            return True, f"extended r={r} -> {res.target_r}: {final}", fields
+        fields = {"n": g.n, "r": r, "stuck_r": res.reached_r,
+                  "violator": certificate_json(res.violator)}
+        return False, (f"not extendable at r={res.reached_r}: "
+                       f"violator s={sorted(res.violator.s)} "
+                       f"odd={res.violator.odd_count}"), fields
+
+    return _each_graph(args, {
         "target_r": args.target_r, "backtrack": args.backtrack,
         "certificates": args.certificates,
-    }, args.json)
-    for lineno, line, g in _read_graphs(args.input):
-        r = regularity(g)
-        if r is None:
-            reporter.result(False, f"line {lineno}: error: graph is not regular",
-                            {"line": lineno, "graph6": line, "error": "not regular"})
-            continue
-        target = args.target_r if args.target_r is not None else r + 1
-        try:
-            res = extend_to(g, target, backtrack=args.backtrack)
-        except GraphError as exc:
-            reporter.result(False, f"line {lineno}: error: {exc}",
-                            {"line": lineno, "graph6": line, "error": str(exc)})
-            continue
-        if isinstance(res, ExtensionTrace):
-            payload = {"line": lineno, "graph6": line, "n": g.n, "r": r,
-                       "final": format_graph6(res.final), "final_r": res.target_r}
-            if args.certificates:
-                payload["trace"] = certificate_json(res)
-            reporter.result(True, f"line {lineno}: extended r={r} -> {res.target_r}: "
-                                  f"{format_graph6(res.final)}", payload)
-        else:
-            payload = {"line": lineno, "graph6": line, "n": g.n, "r": r,
-                       "stuck_r": res.reached_r,
-                       "violator": certificate_json(res.violator)}
-            reporter.result(False, f"line {lineno}: not extendable at r={res.reached_r}: "
-                                   f"violator s={_vertices_json(res.violator.s)} "
-                                   f"odd={res.violator.odd_count}", payload)
-    return reporter.summary()
+    }, answer, regular=True)
 
 
 def cmd_check(args) -> int:
-    reporter = Reporter("check", {}, args.json)
-    for lineno, line, g in _read_graphs(args.input):
-        if regularity(g) is None:
-            reporter.result(False, f"line {lineno}: error: graph is not regular",
-                            {"line": lineno, "graph6": line, "error": "not regular"})
-            continue
+    def answer(g, r):
         verdicts = classify(g)
         applying = [v for v in verdicts if v.applies]
         text = ", ".join(f"{v.short_rule}: {v.conclusion}" for v in applying) or "none"
-        reporter.result(True, f"line {lineno}: {text}",
-                        {"line": lineno, "graph6": line,
-                         "verdicts": [verdict_json(v) for v in verdicts]})
-    return reporter.summary()
+        return True, text, {"verdicts": [verdict_json(v) for v in verdicts]}
+
+    return _each_graph(args, {}, answer, regular=True)
 
 
 def cmd_match(args) -> int:
-    reporter = Reporter("match", {"certificates": args.certificates}, args.json)
-    for lineno, line, g in _read_graphs(args.input):
+    def answer(g, r):
         m, violator = max_matching_with_violator(g)
         if violator is not None:
-            payload = {"line": lineno, "graph6": line, "size": len(m),
-                       "perfect": False, "matching": _edges_json(m),
-                       "violator": certificate_json(violator)}
-            reporter.result(False,
-                            f"line {lineno}: max matching {len(m)} edges, no perfect "
-                            f"matching: s={_vertices_json(violator.s)} "
-                            f"odd={violator.odd_count}",
-                            payload)
-        else:
-            payload = {"line": lineno, "graph6": line, "size": len(m),
-                       "perfect": True}
-            if args.certificates:
-                payload["matching"] = _edges_json(m)
-            reporter.result(True, f"line {lineno}: perfect matching with {len(m)} edges",
-                            payload)
-    return reporter.summary()
+            fields = {"size": len(m), "perfect": False, "matching": _edges_json(m),
+                      "violator": certificate_json(violator)}
+            return False, (f"max matching {len(m)} edges, no perfect matching: "
+                           f"s={sorted(violator.s)} odd={violator.odd_count}"), fields
+        fields = {"size": len(m), "perfect": True}
+        if args.certificates:
+            fields["matching"] = _edges_json(m)
+        return True, f"perfect matching with {len(m)} edges", fields
+
+    return _each_graph(args, {"certificates": args.certificates}, answer)
 
 
 def cmd_analyze(args) -> int:
-    reporter = Reporter("analyze", {}, args.json)
-    for lineno, line, g in _read_graphs(args.input):
+    def answer(g, _):
+        r = regularity(g)
         rep = structure.balloons(g)
         comps = components_after_deletion(g)
-        if g.n > CLIQUE_CLI_LIMIT:
-            clique_size = None
-            note = f"clique search skipped (n > {CLIQUE_CLI_LIMIT})"
-        else:
-            clique_size = structure.clique_number(g)
-            note = None
-        payload = {
-            "line": lineno, "graph6": line, "n": g.n, "m": g.m,
-            "r": regularity(g), "connected": len(comps) <= 1,
-            "components": [_vertices_json(c) for c in comps.blocks],
+        clique_size = structure.clique_number(g) if g.n <= CLIQUE_CLI_LIMIT else None
+        fields = {
+            "n": g.n, "m": g.m, "r": r, "connected": len(comps) <= 1,
+            "components": [sorted(c) for c in comps.blocks],
             "bridges": _edges_json(rep.bridges),
-            "blocks": [_vertices_json(b) for b in rep.blocks],
-            "balloons": [_vertices_json(b) for b in rep.balloons],
+            "blocks": [sorted(b) for b in rep.blocks],
+            "balloons": [sorted(b) for b in rep.balloons],
             "b": rep.b,
             "clique_number": clique_size,
         }
-        if note:
-            payload["note"] = note
-        human = (f"line {lineno}: n={g.n} m={g.m} r={payload['r']} "
-                 f"components={len(comps)} bridges={len(rep.bridges)} b={rep.b} "
-                 f"clique={clique_size if clique_size is not None else 'skipped'}")
-        reporter.result(True, human, payload)
-    return reporter.summary()
+        if clique_size is None:
+            fields["note"] = f"clique search skipped (n > {CLIQUE_CLI_LIMIT})"
+        text = (f"n={g.n} m={g.m} r={r} components={len(comps)} "
+                f"bridges={len(rep.bridges)} b={rep.b} "
+                f"clique={clique_size if clique_size is not None else 'skipped'}")
+        return True, text, fields
+
+    return _each_graph(args, {}, answer)
 
 
 def cmd_gen(args) -> int:
@@ -472,10 +468,10 @@ def _verify_instances(plan: _Plan, args, notices: list[str]) -> Iterator[Graph]:
     parts of the requested region that are skipped go to ``notices``."""
     seed, samples = args.seed, args.samples
     cells = _cells(plan, args, notices)
+    if not cells:
+        notices.append("empty hypothesis region")
+        return
     if plan.spread:
-        if not cells:
-            notices.append("empty hypothesis region")
-            return
         for i in range(samples):
             n, r = cells[(seed + i) % len(cells)]
             yield plan.sample(n, r, plan.seed(seed, n, r, i))

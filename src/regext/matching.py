@@ -7,8 +7,8 @@ Gallai-Edmonds set read off the Hungarian trees of a maximum matching, so
 it is Tutte-Berge tight: odd(G-S) - |S| equals the number of vertices a
 maximum matching misses.  Bipartite graphs take the same search, which
 contracts no blossom there.  ``tutte_violator_bruteforce`` scans all 2^n
-subsets; no product path calls it, it is the independent oracle the
-matcher is tested against.
+subsets; no product path calls it and the package does not export it, it
+is the independent oracle the matcher is tested against.
 
 All searches scan vertices in ascending label order and each vertex's
 neighbour mask lowest set bit first, so every result is deterministic for a

@@ -36,9 +36,9 @@ from regext import (
     random_regular,
     regularity,
     require_regular,
-    tutte_violator_bruteforce,
     validate_cycle,
 )
+from regext.matching import tutte_violator_bruteforce
 from regext.cli import main as cli_main
 from families import (
     balloon_cubic_pair,

@@ -105,6 +105,16 @@ class TestExtendCommand:
         assert code == 2
         assert "line 2" in err
 
+    def test_bad_line_costs_only_its_own_result(self, capsys, monkeypatch):
+        lines = [format_graph6(cycle_graph(4)), "!!notgraph6!!",
+                 format_graph6(complete_graph(4))]
+        code, out, err = run_cli(capsys, ["extend", "--json"], lines, monkeypatch)
+        assert code == 2
+        assert err.startswith("error: line 2: ") and err.count("\n") == 1
+        results = json_lines(out)
+        assert [(r["line"], r["ok"]) for r in results[1:-1]] == [(1, True), (3, False)]
+        assert results[-1] == {"kind": "summary", "ok": 1, "failed": 1}
+
     def test_missing_input_file(self, capsys, tmp_path):
         missing = tmp_path / "absent.g6"
         code, out, err = run_cli(capsys, ["extend", "--input", str(missing)])
@@ -113,11 +123,14 @@ class TestExtendCommand:
 
     @pytest.mark.parametrize("raw", [b"\xff", "\u00e9".encode()])
     def test_non_ascii_input_file(self, capsys, tmp_path, raw):
-        # a stray byte fails its own line, as it does on stdin
+        # a stray byte fails its own line, as it does on stdin; line 1 is
+        # still answered
         path = tmp_path / "in.g6"
         path.write_bytes(b"A_\n" + raw + b"\n")
         code, out, err = run_cli(capsys, ["extend", "--input", str(path)])
-        assert code == 2 and out == []
+        assert code == 2
+        assert out == ["line 1: error: target degree 2 outside 1..1",
+                       "summary: ok=0 failed=1"]
         assert err.startswith("error: line 2: non-ASCII character in graph6 line")
 
     def test_one_search_per_stuck_level(self, capsys, monkeypatch):
@@ -232,7 +245,8 @@ class TestMatchCommand:
         code = "import sys, regext.cli; sys.exit(regext.cli.main(['match']))"
         proc = subprocess.run([sys.executable, "-c", code], input=b"A_\n\xff\n",
                               capture_output=True, env=env, timeout=60)
-        assert proc.returncode == 2 and proc.stdout == b""
+        assert proc.returncode == 2
+        assert proc.stdout == b"line 1: perfect matching with 1 edges\nsummary: ok=1 failed=0\n"
         assert proc.stderr.startswith(b"error: line 2: non-ASCII character in graph6 line")
 
 
@@ -384,6 +398,10 @@ class TestVerifyCommand:
          17, 13),
         # no samples means no graphs, as for L
         (["--rule", "C", "--r-range", "17", "--samples", "0"], 0, 0),
+        # a reversed range is an empty request for every plan, not a clean run
+        (["--rule", "T1", "--n-range", "10..4"], 0, 1),
+        (["--rule", "L0-balloon", "--n-range", "10..4"], 0, 1),
+        (["--rule", "L", "--r-range", "17", "--n-range", "10..4"], 0, 1),
     ])
     def test_notices(self, capsys, argv, checked, skipped):
         code, out, _ = run_cli(capsys, ["verify", "--json", *argv])

@@ -17,8 +17,8 @@ from regext import (
     perfect_matching,
     random_regular,
     random_regular_bipartite,
-    tutte_violator_bruteforce,
 )
+from regext.matching import tutte_violator_bruteforce
 from families import (
     complete_bipartite,
     complete_graph,
