@@ -6,8 +6,8 @@ one summary object).  Exit codes: 0 all good, 1 any semantic failure
 (non-extendable input, counterexample, violator where success was required,
 non-regular input to a command that needs regularity), 2 usage, parse or
 unreadable-input errors; a negative --backtrack, --count or --samples is a
-usage error.  All randomness flows from --seed, so reports are
-byte-identical across runs.
+usage error, and so is a verify range the rule does not read.  All
+randomness flows from --seed, so reports are byte-identical across runs.
 
 ``extend``, ``check``, ``match`` and ``analyze`` each answer one graph and
 leave reading and reporting to ``_each_graph``: a line that is not graph6
@@ -512,6 +512,12 @@ def _run_plan(plan: _Plan, args, notices: list[str]) -> Iterator[dict | None]:
 
 
 def cmd_verify(args) -> int:
+    # only L, C and INEQ read --r-range, and INEQ does not read --n-range
+    flag, value = (("--n-range", args.n_range) if args.rule == "INEQ" else
+                   ("--r-range", None if _PLANS[args.rule].r_range else args.r_range))
+    if value is not None:
+        print(f"error: {flag} does not apply to rule {args.rule}", file=sys.stderr)
+        return 2
     reporter = Reporter("verify", {
         "rule": args.rule, "n_range": args.n_range, "r_range": args.r_range,
         "samples": args.samples, "seed": args.seed,
@@ -590,7 +596,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--n-range", dest="n_range", help="A..B")
     p.add_argument("--r-range", dest="r_range", help="A..B")
     p.add_argument("--samples", type=int, default=100,
-                   help="samples per cell (L, C) or across the region")
+                   help="graphs across the region (T2-T5) or per cell (L, C); "
+                        "T1 and L0-balloon enumerate n <= 10 and draw per cell "
+                        "beyond, L0-balloon max(1, samples // 10)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -20,11 +20,8 @@ with shifts and equalities, so this representation leaves the seeded
 stream unchanged.
 
 Everything is driven by a caller-supplied seed and is bit-identical across
-runs and Python versions from 3.10 on.  These paths replaced whole-shuffle
-pairing with up to 1000 attempts for r <= 8: seeded output, and so
-``regext gen``, changed for r <= 8 and for 2r > n - 1, and stayed the same
-elsewhere.  ``tests/oracles.py`` keeps the earlier sampler as
-``random_regular_legacy``.
+runs and Python versions from 3.10 on.  ``tests/oracles.py`` keeps an
+earlier whole-shuffle sampler as ``random_regular_legacy``.
 
 Enumeration: backtracking edge assignment over vertices in label order.
 Vertices that are indistinguishable so far are grouped into classes and
@@ -34,10 +31,11 @@ canonical forms, and the first graph found in each class is the one
 yielded.  Hard cap n <= 10 - beyond that, import externally generated
 graph6 corpora through the CLI.
 
-Canonical forms (``canonical_form``, n <= 12) come from an
-individualization-refinement search with automorphism pruning (McKay &
-Piperno, J. Symbolic Comput. 60, 2014): canonical graph6 bytes, but not
-the lexicographically least encoding.
+Canonical forms (``canonical_form``, n <= 12) are the graph6 bytes of the
+least relabeled adjacency among the leaves of an individualization-
+refinement search with automorphism pruning (McKay & Piperno, J. Symbolic
+Comput. 60, 2014): canonical, but not the lexicographically least
+encoding over all relabelings.
 """
 
 from __future__ import annotations
@@ -309,22 +307,15 @@ def sample_disconnected_regular(n: int, r: int, seed: int) -> Graph:
     return build(n, edges)
 
 
-# the trace entry of an individualization, which sorts below every split's entry
-_INDIVIDUALIZE = (-1,)
-
-
-def _refine(nbr: dict[int, int], part: list[int], queue: list[int],
-            trace: list[tuple[int, ...]], best: tuple, cmp: int) -> int | None:
+def _refine(nbr: dict[int, int], part: list[int], queue: list[int]) -> None:
     """Refine the ordered partition ``part`` in place to the coarsest
     equitable partition below it, with the queued cells as splitters.
 
     ``part[s]`` is the vertex bitmask of the cell that starts at position s,
     and 0 inside a cell; ``nbr`` maps a vertex's bit to its neighbourhood.
     A cell splits by each vertex's number of neighbours in the splitter,
-    fragments in ascending count, and appends (position, count, size,
-    count, size, ...) to ``trace``.  ``cmp`` is 0 while ``trace`` is a
-    prefix of ``best`` and -1 once it is smaller; returns the updated
-    ``cmp``, or None as soon as ``trace`` is larger.
+    fragments in ascending count, so the result does not depend on the
+    labelling.
     """
     n = len(part)
     inq = [False] * n
@@ -367,46 +358,50 @@ def _refine(nbr: dict[int, int], part: list[int], queue: list[int],
                 continue
             # the most significant plane first, its 0 side before its 1 side,
             # so the fragments come out in ascending count
-            frags = [(m, 0)]
+            frags = [m]
             for p in planes:
                 nxt = []
-                for f, k in frags:
+                for f in frags:
                     lo = f & ~p
                     if lo:
-                        nxt.append((lo, k << 1))
+                        nxt.append(lo)
                     if lo != f:
-                        nxt.append((f & p, k << 1 | 1))
+                        nxt.append(f & p)
                 frags = nxt
-            sizes = [f.bit_count() for f, _ in frags]
+            sizes = [f.bit_count() for f in frags]
             # Hopcroft: a queued cell queues all its fragments, any other
             # cell all but its first largest
             drop = -1 if inq[c] else sizes.index(max(sizes))
-            entry = [c]
-            for idx, (f, k) in enumerate(frags):
+            for idx, f in enumerate(frags):
                 part[c] = f
-                entry += (k, sizes[idx])
                 if idx != drop and not inq[c]:
                     inq[c] = True
                     queue.append(c)
                 c += sizes[idx]
             cells += len(frags) - 1
-            cmp = _extend(trace, tuple(entry), best, cmp)
-            if cmp is None:
-                return None
-    return cmp
 
 
-def _extend(trace: list[tuple[int, ...]], entry: tuple[int, ...], best: tuple,
-            cmp: int) -> int | None:
-    """Append ``entry`` to ``trace`` and update ``cmp`` as in ``_refine``."""
-    trace.append(entry)
-    if cmp == 0:
-        j = len(trace) - 1
-        if j >= len(best) or entry > best[j]:
-            return None
-        if entry < best[j]:
-            return -1
-    return cmp
+def _root_partition(nbr: dict[int, int]) -> list[int]:
+    """The equitable refinement of the cells of equal triangle count (twice
+    the count, as each triangle at v is seen from both of its other corners)."""
+    cells: dict[int, int] = {}
+    for b, a in nbr.items():
+        x = a
+        tri = 0
+        while x:
+            y = x & -x
+            x ^= y
+            tri += (nbr[y] & a).bit_count()
+        cells[tri] = cells.get(tri, 0) | b
+    part = [0] * len(nbr)
+    queue = []
+    s = 0
+    for tri in sorted(cells):
+        part[s] = cells[tri]
+        queue.append(s)
+        s += cells[tri].bit_count()
+    _refine(nbr, part, queue)
+    return part
 
 
 def _orbit_roots(n: int, gens: list[tuple[list[int], int]], prefix: int) -> list[int]:
@@ -436,14 +431,15 @@ def canonical_form(g: Graph) -> bytes:
     Comput. 60, 2014).  The root partition groups vertices by triangle
     count; every node refines its partition to an equitable one and
     branches on the vertices of its first non-singleton cell, and a
-    discrete partition (a leaf) is a relabeling.  Each refinement's trace
-    is isomorphism-invariant; the answer is the leaf with the least
-    (trace, relabeled adjacency) key, so a node whose trace is already
-    larger than the best leaf's is cut.  Two leaves with equal keys give an
-    automorphism: the search returns to the node where their paths split,
-    and a node explores one child per orbit of the automorphisms found so
-    far that fix its individualized vertices.  The bytes are canonical but,
-    unlike an exhaustive search, not the lexicographically least encoding.
+    discrete partition (a leaf) is a relabeling.  The answer is the least
+    relabeled adjacency (the rows as a tuple) among the leaves searched.
+    Two leaves with equal rows give an automorphism: the search returns to
+    the node where their paths split, and a node explores one child per
+    orbit of the automorphisms found so far that fix its individualized
+    vertices.  Both skip only images of subtrees already explored, and the
+    tree does not depend on the labelling, so the least rows searched are
+    the least rows of the whole tree.  The bytes are canonical but not the
+    lexicographically least encoding over all relabelings.
     """
     if g.n > CANONICAL_CAP:
         raise GraphError(f"n={g.n} exceeds canonical-form limit {CANONICAL_CAP}")
@@ -451,14 +447,10 @@ def canonical_form(g: Graph) -> bytes:
     if n < 2:
         return format_graph6(g).encode("ascii")
     nbr = {1 << v: a for v, a in enumerate(g.adj)}
-    trace: list[tuple[int, ...]] = []
-    best: tuple | None = None  # the least (trace, rows) key so far
-    improved = 0  # how often ``best`` changed
-    leaves: dict[tuple, tuple[list[int], list[int]]] = {}
+    leaves: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     gens: list[tuple[list[int], int]] = []  # (vertex images, fixed-point mask)
 
     def leaf(part: list[int], path: list[int]) -> int:
-        nonlocal best, improved
         pos = {b: s for s, b in enumerate(part)}
         rows = []
         for b in part:
@@ -469,11 +461,7 @@ def canonical_form(g: Graph) -> bytes:
                 row |= 1 << pos[y]
                 x ^= y
             rows.append(row)
-        key = (tuple(trace), tuple(rows))
-        if best is None or key < best:
-            best = key
-            improved += 1
-        seen = leaves.setdefault(key, (part, path))
+        seen = leaves.setdefault(tuple(rows), (part, path))
         if seen[1] is path:
             return len(path)
         # the earlier leaf's s-th vertex maps to this leaf's s-th vertex
@@ -489,7 +477,7 @@ def canonical_form(g: Graph) -> bytes:
             k += 1
         return k
 
-    def search(part: list[int], path: list[int], prefix: int, cmp: int) -> int:
+    def search(part: list[int], path: list[int], prefix: int) -> int:
         """Explore below an equitable partition; returns the depth of the
         node where the search resumes."""
         depth = len(path)
@@ -499,8 +487,6 @@ def canonical_form(g: Graph) -> bytes:
         if t == n:
             return leaf(part, path)
         cell = part[t]
-        mark = len(trace)
-        era = improved
         done: list[int] = []
         root = None
         ngens = len(gens)
@@ -515,51 +501,18 @@ def canonical_form(g: Graph) -> bytes:
                     root = _orbit_roots(n, gens, prefix)
                 if any(root[v] == root[u] for u in done):
                     continue
-            if improved != era:
-                # the new best leaf lies below this node, so its trace
-                # starts with this node's
-                era = improved
-                cmp = 0
             child = part[:]
             child[t] = b
             child[t + 1] = cell ^ b
-            bt = best[0] if best else ()
-            c = _extend(trace, _INDIVIDUALIZE, bt, cmp)
-            if c is not None:
-                c = _refine(nbr, child, [t], trace, bt, c)
-            if c is not None:
-                k = search(child, path + [v], prefix | b, c)
-                if k < depth:
-                    del trace[mark:]
-                    return k
-            del trace[mark:]
+            _refine(nbr, child, [t])
+            k = search(child, path + [v], prefix | b)
+            if k < depth:
+                return k
             done.append(v)
         return depth
 
-    # root partition: cells of equal triangle count (twice the count, as
-    # each triangle at v is seen from both of its other corners)
-    cells: dict[int, int] = {}
-    for b, a in nbr.items():
-        x = a
-        tri = 0
-        while x:
-            y = x & -x
-            x ^= y
-            tri += (nbr[y] & a).bit_count()
-        cells[tri] = cells.get(tri, 0) | b
-    part = [0] * n
-    queue = []
-    entry = [0]
-    s = 0
-    for tri in sorted(cells):
-        part[s] = cells[tri]
-        queue.append(s)
-        entry += (tri, cells[tri].bit_count())
-        s += cells[tri].bit_count()
-    trace.append(tuple(entry))
-    _refine(nbr, part, queue, trace, (), -1)
-    search(part, [], 0, -1)
-    return format_graph6(Graph(n, best[1])).encode("ascii")
+    search(_root_partition(nbr), [], 0)
+    return format_graph6(Graph(n, min(leaves))).encode("ascii")
 
 
 def _residual_feasible(residual: list[int], start: int, n: int) -> bool:
@@ -580,8 +533,6 @@ def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[
     """
     if n > ENUMERATION_CAP:
         raise GraphError(f"enumeration capped at n={ENUMERATION_CAP}")
-    if n < 1:
-        return
     _check_degree_args(n, r)
     if 2 * r > n - 1:
         # enumerate the sparser complement class and flip back

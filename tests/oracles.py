@@ -2,9 +2,11 @@
 
 Nothing here shares code paths with the package: components use union-find
 instead of bitset BFS, matching sizes come from exhaustive recursion, and
-isomorphism checks try raw vertex permutations.  Code that only the tests
-use lives here too: the per-bit graph6 encoder and the complement's
-2-coloring with odd-cycle refutations.
+isomorphism checks try raw vertex permutations.  The one exception is the
+unpruned canonical search, which checks the pruning of
+``generation.canonical_form`` and so reuses its root partition and
+refinement.  Code that only the tests use lives here too: the per-bit
+graph6 encoder and the complement's 2-coloring with odd-cycle refutations.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from regext import Graph, GraphError, build, complement
+from regext import Graph, GraphError, build, complement, generation
 
 
 def unionfind_components(g: Graph, deleted=()) -> list[set[int]]:
@@ -137,6 +139,38 @@ def automorphism_count(g: Graph) -> int:
 
     place(0)
     return total
+
+
+def canonical_form_unpruned(g: Graph) -> bytes:
+    """``generation.canonical_form`` without orbit pruning or the jump back:
+    the same root partition and refinement, every leaf of the tree visited
+    and the least relabeled adjacency kept.  Up to n! leaves, so for n <= 8."""
+    n = g.n
+    if n < 2:
+        return format_graph6_per_bit(g).encode("ascii")
+    nbr = {1 << v: a for v, a in enumerate(g.adj)}
+    best = None
+
+    def visit(part: list[int]) -> None:
+        nonlocal best
+        t = next((s for s, m in enumerate(part) if m & (m - 1)), None)
+        if t is None:
+            order = [m.bit_length() - 1 for m in part]
+            pos = {v: s for s, v in enumerate(order)}
+            rows = tuple(sum(1 << pos[u] for u in neighbors(g, v)) for v in order)
+            if best is None or rows < best:
+                best = rows
+            return
+        for v in range(n):
+            if part[t] >> v & 1:
+                child = part[:]
+                child[t] = 1 << v
+                child[t + 1] = part[t] ^ (1 << v)
+                generation._refine(nbr, child, [t])
+                visit(child)
+
+    visit(generation._root_partition(nbr))
+    return format_graph6_per_bit(Graph(n, best)).encode("ascii")
 
 
 def count_labeled_regular(n: int, r: int) -> int:

@@ -322,6 +322,12 @@ class TestGenCommand:
         code, _, err = run_cli(capsys, ["gen", "--n", "5", "--r", "3"])
         assert code == 2 and "odd" in err
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_enumerate_nonpositive_order_exit_2(self, capsys, n):
+        code, out, err = run_cli(capsys, ["gen", "--n", n, "--r", "0", "--enumerate"])
+        assert code == 2 and out == []
+        assert err == f"error: need 0 <= r < n, got r=0, n={n}\n"
+
     def test_pipes_into_match(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, ["gen", "--n", "8", "--r", "3",
                                         "--count", "2", "--seed", "1"])
@@ -503,6 +509,17 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, ["verify", "--rule", "T1", "--n-range", "4..x"])
         assert code == 2 and out == []
         assert err.strip() == "error: bad range '4..x'"
+
+    @pytest.mark.parametrize("rule,flag", [
+        ("T1", "--r-range"), ("T2", "--r-range"), ("L0-balloon", "--r-range"),
+        ("INEQ", "--n-range"),
+    ])
+    def test_unread_range_is_usage_error(self, capsys, rule, flag):
+        # the header would echo the range, and the rule would ignore it
+        code, out, err = run_cli(capsys, ["verify", "--rule", rule, "--json",
+                                          flag, "4..6"])
+        assert code == 2 and out == []
+        assert err == f"error: {flag} does not apply to rule {rule}\n"
 
     def test_reports_byte_identical(self, capsys, monkeypatch):
         argv = ["check", "--json"]

@@ -416,6 +416,21 @@ class TestCanonicalForm:
             outcomes[same] += 1
         assert min(outcomes.values()) >= 60, outcomes
 
+    def test_agrees_with_unpruned_search(self):
+        # orbit pruning and the jump back may skip only images of subtrees
+        # already explored, so the least rows searched are the whole tree's.
+        # Every regular class below n = 9 has equal rows at all its leaves,
+        # so only classes at (9, 4), (10, 3), (10, 4) and (10, 6) can show a
+        # cut that skips the least leaf
+        rng = random.Random(41)
+        for n in range(1, 11):
+            for r in range(n):
+                if n * r % 2 or n > 8 and not 3 <= r <= n - 4:
+                    continue
+                for g in enumerate_regular(n, r):
+                    for h in (g, _shuffled(g, rng)):
+                        assert canonical_form(h) == oracles.canonical_form_unpruned(h), h
+
     @pytest.mark.parametrize("g", [
         empty_graph(11), empty_graph(12), complete_graph(11), complete_graph(12),
         complete_bipartite(5, 6), complete_bipartite(6, 6),
@@ -445,6 +460,12 @@ class TestEnumeration:
     @pytest.mark.parametrize("n,r,count", [(4, 2, 1), (6, 3, 2), (8, 3, 6)])
     def test_frozen_counts(self, n, r, count):
         assert len(list(enumerate_regular(n, r))) == count
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_nonpositive_order_rejected(self, n):
+        # as random_regular does
+        with pytest.raises(GraphError, match="need 0 <= r < n"):
+            list(enumerate_regular(n, 0))
 
     def test_connected_filter(self):
         assert len(list(enumerate_regular(8, 3, connected_only=True))) == 5
