@@ -2,11 +2,14 @@
 
 Nothing here shares code paths with the package: components use union-find
 instead of bitset BFS, matching sizes come from exhaustive recursion, and
-isomorphism checks try raw vertex permutations.  The one exception is the
+isomorphism checks try raw vertex permutations.  The exceptions are the
 unpruned canonical search, which checks the pruning of
 ``generation.canonical_form`` and so reuses its root partition and
-refinement.  Code that only the tests use lives here too: the per-bit
-graph6 encoder and the complement's 2-coloring with odd-cycle refutations.
+refinement, and the matcher's greedy-only warm start, which runs the
+package's blossom phases.  Code that only the tests use lives here too: the
+per-bit graph6 encoder, the complement's 2-coloring with odd-cycle
+refutations, and the earlier sampler loops and warm start that pinned
+outputs were recorded with.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from regext import Graph, GraphError, build, complement, generation
+from regext import Graph, GraphError, build, complement, generation, matching
 
 
 def unionfind_components(g: Graph, deleted=()) -> list[set[int]]:
@@ -505,3 +508,30 @@ def random_regular_bipartite_reference(half: int, d: int, seed: int) -> Graph:
             edges[i] = e1
             edges[j] = e2
     return build(2 * half, edges)
+
+
+# -- the matcher's earlier warm start ----------------------------------------
+
+def match_array_greedy(g: Graph) -> list[int]:
+    """``matching._match_array`` without the length-3 augmenting pass: the
+    lowest-free-neighbour greedy, then one blossom phase per free vertex.
+    Patched in for ``matching._match_array``, it reproduces the matchings
+    and extension traces recorded before that pass existed, and it leaves
+    the blossom phases several free vertices to augment."""
+    n = g.n
+    adj = g.adj
+    match = [-1] * n
+    free = (1 << n) - 1
+    for v in range(n):
+        if free >> v & 1:
+            cand = adj[v] & free
+            if cand:
+                b = cand & -cand
+                u = b.bit_length() - 1
+                match[v] = u
+                match[u] = v
+                free ^= 1 << v | b
+    for v in range(n):
+        if match[v] == -1:
+            matching._augment_from(adj, match, v)
+    return match

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -261,12 +262,15 @@ def bounded_phases(monkeypatch):
     """Make a blossom phase fail, not loop, once it reads its mate array
     4n^2 times.  Every loop of a phase reads it: growing the tree reads
     each vertex's mate once, and each of fewer than n contractions walks
-    O(n) mates.  On climb complements a phase reads it about 2n times."""
+    O(n) mates.  On climb complements a phase reads it about 2n times.
+    Returns a list that gets one entry per phase run."""
     from regext import matching
 
     phase = matching._augment_from
+    roots = []
 
     def bounded(adj, match, root):
+        roots.append(root)
         mates = _MateBudget(match, 4 * len(adj) ** 2)
         try:
             return phase(adj, mates, root)
@@ -274,6 +278,7 @@ def bounded_phases(monkeypatch):
             match[:] = mates
 
     monkeypatch.setattr(matching, "_augment_from", bounded)
+    return roots
 
 
 class TestAgreementRandom:
@@ -341,26 +346,77 @@ class TestGallaiEdmonds:
             assert is_valid_matching(g, m)
             assert len(m) == len(nx.max_weight_matching(h, maxcardinality=True))
 
-    def test_climb_complements_match_networkx(self, bounded_phases):
+    def test_climb_complements_match_networkx(self, bounded_phases, monkeypatch):
         # the blossom regime of a climb: complements of the levels between
-        # n/2 and 3n/4 are d-regular with n/4 <= d < n/2 and leave the greedy
-        # start several exposed vertices, each phase contracting blossoms;
-        # deleting vertex 0 makes the deficient case on the same graph.
-        # The phases are bounded, so a broken contraction fails here
+        # n/2 and 3n/4 are d-regular with n/4 <= d < n/2; deleting vertex 0
+        # makes the deficient case on the same graph.  The phases are
+        # bounded, so a broken contraction fails here.  The length-3 pass
+        # leaves the phases few free vertices on these graphs, so they also
+        # run after the greedy-only start of ``oracles``, which leaves
+        # several, each phase contracting blossoms
+        from regext import matching
+
         nx = pytest.importorskip("networkx")
         rng = random.Random(8)
+        graphs = []
         for _ in range(16):
             n = 2 * rng.randrange(16, 33)
             r = rng.randrange(n // 2, 3 * n // 4)
             tr = extend_to(random_regular(n, 3, rng.getrandbits(32)), r)
             assert isinstance(tr, ExtensionTrace)
             gc = complement(tr.final)
-            minus0 = build(n - 1, [(u - 1, v - 1) for u, v in gc.edges() if u])
-            for g in (gc, minus0):
-                h = nx.Graph()
-                h.add_nodes_from(range(g.n))
-                h.add_edges_from(g.edges())
+            graphs.append((gc, build(n - 1, [(u - 1, v - 1) for u, v in gc.edges() if u])))
+        phases = {}
+        for name, start in (("product", matching._match_array),
+                            ("greedy", oracles.match_array_greedy)):
+            monkeypatch.setattr(matching, "_match_array", start)
+            bounded_phases.clear()
+            for gc, minus0 in graphs:
+                for g in (gc, minus0):
+                    h = nx.Graph()
+                    h.add_nodes_from(range(g.n))
+                    h.add_edges_from(g.edges())
+                    m = max_matching(g)
+                    assert is_valid_matching(g, m)
+                    assert len(m) == len(nx.max_weight_matching(h, maxcardinality=True))
+                assert_tutte_berge_tight(minus0, perfect_matching(minus0))
+            phases[name] = len(bounded_phases)
+        # 52 and 316 phases when recorded; the floor keeps the test from
+        # going empty should the greedy start ever leave less to augment
+        assert phases["greedy"] >= 200 and phases["product"] < phases["greedy"]
+
+
+class TestWarmStart:
+    def test_every_labelled_graph_up_to_six_vertices(self):
+        # 33 867 graphs: every case of the length-3 pass at this size,
+        # v's mate candidate u = v included
+        for n in range(1, 7):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = build(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
                 m = max_matching(g)
-                assert is_valid_matching(g, m)
-                assert len(m) == len(nx.max_weight_matching(h, maxcardinality=True))
-            assert_tutte_berge_tight(minus0, perfect_matching(minus0))
+                assert is_valid_matching(g, m), g.adj
+                assert len(m) == oracles.brute_max_matching_size(g), g.adj
+
+    def test_climb_levels_leave_few_phases(self, monkeypatch):
+        # the speed-up itself: on the blossom levels of cubic climbs to
+        # 3n/4 the greedy start leaves about 5.5 phases per level, and the
+        # length-3 pass leaves about one phase per four levels
+        from regext import matching
+
+        levels = []
+        phases = []
+        search = matching._match_array
+        phase = matching._augment_from
+        monkeypatch.setattr(matching, "_match_array",
+                            lambda g: levels.append(g.n) or search(g))
+        monkeypatch.setattr(matching, "_augment_from",
+                            lambda adj, match, root: phases.append(root)
+                            or phase(adj, match, root))
+        rng = random.Random(14)
+        for _ in range(12):
+            n = 2 * rng.randrange(16, 33)
+            tr = extend_to(random_regular(n, 3, rng.getrandbits(32)), 3 * n // 4)
+            assert isinstance(tr, ExtensionTrace)
+        assert len(levels) >= 100
+        assert 2 * len(phases) <= len(levels), (len(phases), len(levels))

@@ -1,10 +1,15 @@
 """Pinned outputs of the extension ladder and of the blossom matcher, and
 the instances ``regext verify`` draws.
 
-The first two digests were recorded before the Dirac and blossom inner loops
-moved to mask arithmetic; they hold as long as every search still visits the
-same vertices in the same order.  The instance digests were recorded while
-verify still collected every instance as graph6 before checking any.  The
+The extension and matching digests were first recorded before the Dirac
+and blossom inner loops moved to mask arithmetic, and they held as long as
+every search visited the same vertices in the same order.  The length-3
+augmenting pass of the matcher's warm start changed which matchings it
+finds, so both were recorded again; the earlier values are still asserted
+with the greedy-only warm start from ``oracles`` patched in.  The digest of
+the sizes and violators alone was recorded before that pass and holds under
+both starts.  The instance digests were recorded while verify still
+collected every instance as graph6 before checking any.  The
 inputs come from ``random_regular``, the other samplers and ``random.Random``,
 so this module also pins them across Python versions.
 """
@@ -29,7 +34,9 @@ from regext import (
     perfect_matching,
     random_regular,
 )
-from regext import cli
+from regext import cli, matching
+
+import oracles
 
 
 def _edges(m) -> str:
@@ -70,7 +77,7 @@ def matching_corpus(count=3000):
                         if rng.random() < p])
 
 
-def test_extension_traces_pinned():
+def _extension_digest() -> str:
     h = hashlib.sha256()
     stuck = 0
     for g, target, backtrack in extension_corpus():
@@ -79,24 +86,62 @@ def test_extension_traces_pinned():
         h.update(f"{g.n} {target} {backtrack} {_describe_extension(res)}\n".encode())
     # the failure record must be pinned too
     assert stuck >= 10
-    assert h.hexdigest() == "7dbb37cd882af01996c8fc7ec44475331b434a5ceb65e27794af954e2a0ce536"
+    return h.hexdigest()
 
 
-def test_matchings_and_violators_pinned():
-    h = hashlib.sha256()
+# the size of a maximum matching and the Gallai-Edmonds set do not depend on
+# which maximum matching the search finds, so no warm start or search order
+# may move this digest of (n, size, S, odd)
+SIZES_AND_VIOLATORS = "b283bc5d472be4586774267e277b7511dd06f75a35b11d9046b10d210c8441e5"
+
+
+def _matching_digests() -> tuple[str, str]:
+    """Digests of the matchings with their violators, and of the sizes with
+    the violators alone."""
+    full = hashlib.sha256()
+    sizes = hashlib.sha256()
     deficient = 0
     for g in matching_corpus():
         m, violator = max_matching_with_violator(g)
         assert max_matching(g) == m
         if violator is None:
-            line = f"{g.n} {_edges(m)} perfect\n"
+            tail = "perfect\n"
         else:
             deficient += 1
-            line = f"{g.n} {_edges(m)} {sorted(violator.s)} {violator.odd_count}\n"
-        h.update(line.encode())
+            tail = f"{sorted(violator.s)} {violator.odd_count}\n"
+        full.update(f"{g.n} {_edges(m)} {tail}".encode())
+        sizes.update(f"{g.n} {len(m)} {tail}".encode())
     # the corpus must keep both outcomes well represented
     assert 500 <= deficient <= 2500
-    assert h.hexdigest() == "db27944768f8f2e3bbd36e3263cb9bfad534769f8e27d7803c5b851313d860d4"
+    return full.hexdigest(), sizes.hexdigest()
+
+
+@pytest.fixture
+def greedy_start(monkeypatch):
+    """The matcher as it was before the length-3 augmenting pass."""
+    monkeypatch.setattr(matching, "_match_array", oracles.match_array_greedy)
+
+
+def test_extension_traces_pinned():
+    assert _extension_digest() == \
+        "4684fb89b745dd2f37b9c98b1763b8f369c1250e6796e06be42243652daed1e5"
+
+
+def test_matchings_and_violators_pinned():
+    assert _matching_digests() == (
+        "99830522978f8221588d8ae172fa3b20e17705e4014844721d73f86aeb425ba2",
+        SIZES_AND_VIOLATORS)
+
+
+def test_extension_traces_pinned_greedy_start(greedy_start):
+    assert _extension_digest() == \
+        "7dbb37cd882af01996c8fc7ec44475331b434a5ceb65e27794af954e2a0ce536"
+
+
+def test_matchings_and_violators_pinned_greedy_start(greedy_start):
+    assert _matching_digests() == (
+        "db27944768f8f2e3bbd36e3263cb9bfad534769f8e27d7803c5b851313d860d4",
+        SIZES_AND_VIOLATORS)
 
 
 def test_inner_loops_use_masks_only(monkeypatch):
