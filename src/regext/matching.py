@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Edge, Graph, GraphError, components_after_deletion, _norm_edge, _unit_masks
+from .graph import Edge, Graph, GraphError, components_after_deletion, _unit_masks
 
 Matching = frozenset[Edge]
 
@@ -53,10 +53,6 @@ class TutteViolator:
             return False
         parts = components_after_deletion(g, self.s)
         return parts.odd_count == self.odd_count and self.odd_count > len(self.s)
-
-
-def matching_from_pairs(pairs) -> Matching:
-    return frozenset(_norm_edge(u, v) for u, v in pairs)
 
 
 def is_valid_matching(g: Graph, m: Matching, perfect: bool = False) -> bool:

@@ -120,8 +120,10 @@ class TestPerfectMatching:
         v = perfect_matching(cycle_graph(7))
         assert isinstance(v, TutteViolator) and v.s == frozenset() and v.odd_count == 1
 
-    def test_gallai_edmonds_path_beyond_brute_limit(self):
-        # three K_9 blocks hanging off one apex: n = 28, violator is the apex
+    def test_gallai_edmonds_path_beyond_brute_limit(self, bounded_phases):
+        # three K_9 blocks hanging off one apex: n = 28, violator is the apex;
+        # a warm start that leaves a bad mate array loops here unless the
+        # phases are bounded
         k9 = complete_graph(9)
         g = disjoint_union(disjoint_union(k9, k9), k9)
         g = build(28, list(g.edges()) + [(27, 0), (27, 9), (27, 18)])
@@ -129,7 +131,7 @@ class TestPerfectMatching:
         assert isinstance(v, TutteViolator)
         assert v.s == frozenset({27}) and v.odd_count == 3 and v.verify(g)
 
-    def test_even_deficient_beyond_brute_limit(self):
+    def test_even_deficient_beyond_brute_limit(self, bounded_phases):
         # star-of-paths: center adjacent to 24 isolated-ish leaves, n = 26
         g = build(26, [(0, v) for v in range(1, 26)])
         v = perfect_matching(g)
@@ -243,44 +245,6 @@ def random_deficient_graphs(rng, sizes, count):
     return found
 
 
-class _MateBudget(list):
-    """A mate array that fails once it has been read ``reads`` times."""
-
-    def __init__(self, mates, reads):
-        super().__init__(mates)
-        self.reads = reads
-
-    def __getitem__(self, i):
-        self.reads -= 1
-        if self.reads < 0:
-            raise AssertionError("blossom phase over its work bound")
-        return super().__getitem__(i)
-
-
-@pytest.fixture
-def bounded_phases(monkeypatch):
-    """Make a blossom phase fail, not loop, once it reads its mate array
-    4n^2 times.  Every loop of a phase reads it: growing the tree reads
-    each vertex's mate once, and each of fewer than n contractions walks
-    O(n) mates.  On climb complements a phase reads it about 2n times.
-    Returns a list that gets one entry per phase run."""
-    from regext import matching
-
-    phase = matching._augment_from
-    roots = []
-
-    def bounded(adj, match, root):
-        roots.append(root)
-        mates = _MateBudget(match, 4 * len(adj) ** 2)
-        try:
-            return phase(adj, mates, root)
-        finally:
-            match[:] = mates
-
-    monkeypatch.setattr(matching, "_augment_from", bounded)
-    return roots
-
-
 class TestAgreementRandom:
     def test_oracle_equivalence_sample(self):
         rng = random.Random(20240517)
@@ -387,9 +351,10 @@ class TestGallaiEdmonds:
 
 
 class TestWarmStart:
-    def test_every_labelled_graph_up_to_six_vertices(self):
+    def test_every_labelled_graph_up_to_six_vertices(self, bounded_phases):
         # 33 867 graphs: every case of the length-3 pass at this size,
-        # v's mate candidate u = v included
+        # v's mate candidate u = v included; the phases are bounded, so a
+        # warm start that leaves a bad mate array fails and names its graph
         for n in range(1, 7):
             pairs = list(combinations(range(n), 2))
             for mask in range(1 << len(pairs)):

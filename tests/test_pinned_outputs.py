@@ -8,7 +8,11 @@ augmenting pass of the matcher's warm start changed which matchings it
 finds, so both were recorded again; the earlier values are still asserted
 with the greedy-only warm start from ``oracles`` patched in.  The digest of
 the sizes and violators alone was recorded before that pass and holds under
-both starts.  The instance digests were recorded while verify still
+both starts.  Taking the odd edges of each Dirac cycle as the next level's
+matching changed the extension traces from the level after the first cycle
+on, so both extension digests were recorded again; the earlier values are
+still asserted with the cycle not handed on, so that every Dirac level
+builds its own.  The instance digests were recorded while verify still
 collected every instance as graph6 before checking any.  The
 inputs come from ``random_regular``, the other samplers and ``random.Random``,
 so this module also pins them across Python versions.
@@ -26,15 +30,18 @@ from regext import (
     ExtensionTrace,
     Graph,
     TutteViolator,
+    add_matching,
     build,
+    complement,
     extend_to,
     format_graph6,
     max_matching,
     max_matching_with_violator,
     perfect_matching,
     random_regular,
+    require_regular,
 )
-from regext import cli, matching
+from regext import cli, extension, matching
 
 import oracles
 
@@ -102,8 +109,11 @@ def _matching_digests() -> tuple[str, str]:
     sizes = hashlib.sha256()
     deficient = 0
     for g in matching_corpus():
-        m, violator = max_matching_with_violator(g)
-        assert max_matching(g) == m
+        try:
+            m, violator = max_matching_with_violator(g)
+        except AssertionError as exc:  # a failed self-check names its graph
+            raise AssertionError(f"{exc} on adj={g.adj}") from exc
+        assert max_matching(g) == m, g.adj
         if violator is None:
             tail = "perfect\n"
         else:
@@ -122,12 +132,26 @@ def greedy_start(monkeypatch):
     monkeypatch.setattr(matching, "_match_array", oracles.match_array_greedy)
 
 
+@pytest.fixture
+def no_spare(monkeypatch):
+    """The ladder as it was before a Dirac cycle's odd edges served the next
+    level: every level ignores the cycle it is handed."""
+    candidates = extension._matching_candidates
+    monkeypatch.setattr(extension, "_matching_candidates",
+                        lambda gc, r, backtrack, cycle_below=None: candidates(gc, r, backtrack))
+
+
 def test_extension_traces_pinned():
+    assert _extension_digest() == \
+        "a7025455921f1acc875a20cf287f6d30417a23c444dd76cc16d1e78739212b87"
+
+
+def test_extension_traces_pinned_without_spare(no_spare):
     assert _extension_digest() == \
         "4684fb89b745dd2f37b9c98b1763b8f369c1250e6796e06be42243652daed1e5"
 
 
-def test_matchings_and_violators_pinned():
+def test_matchings_and_violators_pinned(bounded_phases):
     assert _matching_digests() == (
         "99830522978f8221588d8ae172fa3b20e17705e4014844721d73f86aeb425ba2",
         SIZES_AND_VIOLATORS)
@@ -135,7 +159,28 @@ def test_matchings_and_violators_pinned():
 
 def test_extension_traces_pinned_greedy_start(greedy_start):
     assert _extension_digest() == \
+        "5c465a86f5b893cc3fa99de8ba06ec701f5427bb5ec83f98c7e823bcdfe5e91b"
+
+
+def test_extension_traces_pinned_greedy_start_without_spare(greedy_start, no_spare):
+    assert _extension_digest() == \
         "7dbb37cd882af01996c8fc7ec44475331b434a5ceb65e27794af954e2a0ce536"
+
+
+def test_extension_corpus_verifies():
+    # every trace re-checks level by level from its input, and every failure
+    # carries a violator of the complement at the level it reached
+    for g, target, backtrack in extension_corpus():
+        res = extend_to(g, target, backtrack=backtrack)
+        where = (format_graph6(g), target, backtrack)
+        if isinstance(res, ExtensionTrace):
+            assert res.verify(g), where
+            continue
+        stuck = g
+        for m in res.steps:
+            stuck = add_matching(stuck, m)
+        assert require_regular(stuck) == res.reached_r, where
+        assert res.violator.verify(complement(stuck)), where
 
 
 def test_matchings_and_violators_pinned_greedy_start(greedy_start):
