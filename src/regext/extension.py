@@ -3,15 +3,13 @@
 One extension step finds a perfect matching of the complement and adds it,
 turning an r-regular graph into an (r+1)-regular one on the same vertices.
 Every extension runs up one ladder, ``extend_to``; ``extend_once`` is its
-single step.  The ladder picks each level's matcher from (n, r).  When
+single step.  The ladder's first level picks its matcher from (n, r).  When
 2r < n the complement has minimum degree >= n/2, so a Hamiltonian cycle
 (Dirac, built by rotation-extension) gives the matching: its even edges.
-The cycle's odd edges are a perfect matching of what is left of the
-complement, so they are the next level's first matching, and a Dirac
-cycle serves two levels.  Everywhere else the blossom matcher gives a
-matching or a Tutte violator.  The step adds the matching to the graph and
-removes it from the complement in the same pass, so a climb over many
-levels builds one complement.
+Every other level, and a first level with 2r >= n, takes the blossom
+matcher's matching or Tutte violator.  The step adds the matching to the
+graph and removes it from the complement in the same pass, so a climb over
+many levels builds one complement.
 
 ``RULES`` holds one ``Rule`` record per sufficient or impossibility
 condition this package verifies: its arithmetic hypothesis on (n, r), the
@@ -209,37 +207,29 @@ class ExtensionFailure:
 
 
 def _matching_candidates(
-    gc: Graph, r: int, backtrack: int, cycle_below: tuple[int, ...] | None = None
-) -> Generator[tuple[Matching, tuple[int, ...] | None], None, TutteViolator | None]:
-    """Primary matching for one level, then up to ``backtrack`` alternatives,
-    each with the Dirac cycle it was taken from (or None).
+    gc: Graph, r: int, backtrack: int, first_level: bool = False
+) -> Generator[Matching, None, TutteViolator | None]:
+    """Primary matching for one level, then up to ``backtrack`` alternatives.
 
     ``gc`` is the complement of the level's r-regular graph on n vertices.
-    ``cycle_below``, when given, is the Dirac cycle of the level below,
-    whose even edges that level added.  Its odd edges avoid them and were
-    edges of that level's complement, so they are a perfect matching of
-    ``gc``, and they are the primary matching.  Otherwise, when 2r < n, the
-    minimum degree n - 1 - r of ``gc`` is at least n/2, so the primary
-    matching is the even edges of a Dirac cycle, and the next level takes
-    the cycle's odd edges.  A cycle needs n >= 3, and at n = 2 the blossom
-    matcher finds K_2.  Everywhere else the blossom matcher gives a
-    matching or a Tutte violator.  Alternatives re-solve ``gc`` with one
+    On the ladder's first level with 2r < n, the minimum degree
+    n - 1 - r of ``gc`` is at least n/2, so the primary matching is the
+    even edges of a Dirac cycle (the paper's route for T1).  A cycle needs
+    n >= 3, and at n = 2 the blossom matcher finds K_2.  Every other level
+    takes the blossom matcher's matching or Tutte violator: with its
+    length-3 warm start it is cheaper than a cycle, and it leaves the
+    levels above it easier to match.  Alternatives re-solve ``gc`` with one
     edge of the primary matching forbidden, which is enough to escape a
-    greedy dead end; like a matching taken from the level below, they come
-    from no cycle.  A level with no matching yields nothing and returns the
-    violator of its one search.
+    greedy dead end.  A level with no matching yields nothing and returns
+    the violator of its one search.
     """
-    cycle = None
-    if cycle_below is not None:
-        first = cycle_to_matching(cycle_below[1:] + cycle_below[:1])
-    elif 2 * r < gc.n and gc.n > 2:
-        cycle = dirac_cycle(gc)
-        first = cycle_to_matching(cycle)
+    if first_level and 2 * r < gc.n and gc.n > 2:
+        first = cycle_to_matching(dirac_cycle(gc))
     else:
         first = perfect_matching(gc)
         if isinstance(first, TutteViolator):
             return first
-    yield first, cycle
+    yield first
     if backtrack <= 0:
         return
     emitted = {first}
@@ -256,7 +246,7 @@ def _matching_candidates(
             continue
         emitted.add(alt)
         budget -= 1
-        yield alt, None
+        yield alt
 
 
 def extend_to(
@@ -266,11 +256,9 @@ def extend_to(
 
     The complement is built once.  Each level's complement is the one
     below it minus the matching just added, so every step builds the next
-    graph and its complement together (``_step``).  A level that took the
-    even edges of a Dirac cycle hands the cycle to the next level, whose
-    first matching is its odd edges, so each cycle serves two levels.  Only
-    backtracking resumes a lower level; without it the stack holds just the
-    current one.
+    graph and its complement together (``_step``).  The first level alone
+    may take a Dirac cycle (``_matching_candidates``).  Only backtracking
+    resumes a lower level; without it the stack holds just the current one.
     """
     r = require_regular(g)
     if g.n % 2 == 1:
@@ -283,13 +271,13 @@ def extend_to(
     deepest: ExtensionFailure | None = None
     gc = complement(g)
     # one frame per level that may be resumed: (graph, its complement,
-    # degree, steps so far, candidate matchings with their Dirac cycles);
-    # depth-first in candidate order
-    stack = [(g, gc, r, (), _matching_candidates(gc, r, backtrack))]
+    # degree, steps so far, candidate matchings); depth-first in candidate
+    # order
+    stack = [(g, gc, r, (), _matching_candidates(gc, r, backtrack, first_level=True))]
     while stack:
         cur, cur_c, cur_r, steps, candidates = stack[-1]
         try:
-            m, cycle = next(candidates)
+            m = next(candidates)
         except StopIteration as done:
             stack.pop()
             violator = done.value
@@ -302,7 +290,7 @@ def extend_to(
         if cur_r + 1 == target_r:
             return ExtensionTrace(r, target_r, steps + (m,), nxt)
         frame = (nxt, nxt_c, cur_r + 1, steps + (m,),
-                 _matching_candidates(nxt_c, cur_r + 1, backtrack, cycle))
+                 _matching_candidates(nxt_c, cur_r + 1, backtrack))
         if backtrack > 0:
             stack.append(frame)
         else:

@@ -69,3 +69,21 @@ def cliques_plus_matching(k: int) -> Graph:
     half = complete_graph(k)
     g = disjoint_union(half, half)
     return build(2 * k, list(g.edges()) + [(i, i + k) for i in range(k)])
+
+
+def shrikhande_graph() -> Graph:
+    """Cayley graph on Z4 x Z4, vertex 4i + j for (i, j), with connection
+    set +-(1, 0), +-(0, 1), +-(1, 1): strongly regular (16, 6, 2, 2)."""
+    steps = ((1, 0), (0, 1), (1, 1))
+    return build(16, [(4 * i + j, 4 * ((i + a) % 4) + (j + b) % 4)
+                      for i in range(4) for j in range(4) for a, b in steps])
+
+
+def rook_graph(k: int) -> Graph:
+    """The k x k rook's graph: cells (i, j) as vertex k*i + j, joined when
+    they share a row or a column.  At k = 4 it is strongly regular with the
+    Shrikhande graph's parameters and not isomorphic to it."""
+    return build(k * k, [(k * i + j, k * i2 + j2)
+                         for i in range(k) for j in range(k)
+                         for i2 in range(k) for j2 in range(k)
+                         if (i == i2) != (j == j2) and k * i + j < k * i2 + j2])

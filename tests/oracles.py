@@ -5,11 +5,12 @@ instead of bitset BFS, matching sizes come from exhaustive recursion, and
 isomorphism checks try raw vertex permutations.  The exceptions are the
 unpruned canonical search, which checks the pruning of
 ``generation.canonical_form`` and so reuses its root partition and
-refinement, and the matcher's greedy-only warm start, which runs the
-package's blossom phases.  Code that only the tests use lives here too: the
-per-bit graph6 encoder, the complement's 2-coloring with odd-cycle
-refutations, and the earlier sampler loops and warm start that pinned
-outputs were recorded with.
+refinement, the matcher's greedy-only warm start, which runs the package's
+blossom phases, and the ladder's earlier route, which runs the package's
+step, Dirac cycles and matcher.  Code that only the tests use lives here
+too: the per-bit graph6 encoder, the complement's 2-coloring with odd-cycle
+refutations, and the earlier sampler loops, warm start and ladder that
+pinned outputs were recorded with.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from regext import Graph, GraphError, build, complement, generation, matching
+from regext import Graph, GraphError, build, complement, extension, generation, matching
 
 
 def unionfind_components(g: Graph, deleted=()) -> list[set[int]]:
@@ -535,3 +536,74 @@ def match_array_greedy(g: Graph) -> list[int]:
         if match[v] == -1:
             matching._augment_from(adj, match, v)
     return match
+
+
+# -- the ladder's earlier route ----------------------------------------------
+
+def _dirac_pair_candidates(gc: Graph, r: int, backtrack: int, cycle_below=None):
+    """A level's candidates on the route where each Dirac cycle served two
+    levels: (matching, the Dirac cycle it came from or None) pairs.  Given
+    the level below's cycle, the first matching is that cycle's odd edges;
+    otherwise every level with 2r < n and n > 2 builds a cycle and takes
+    its even edges, and the rest run the blossom matcher.  Alternatives
+    re-solve ``gc`` with one edge of the first matching forbidden."""
+    cycle = None
+    if cycle_below is not None:
+        first = extension.cycle_to_matching(cycle_below[1:] + cycle_below[:1])
+    elif 2 * r < gc.n and gc.n > 2:
+        cycle = extension.dirac_cycle(gc)
+        first = extension.cycle_to_matching(cycle)
+    else:
+        first = matching.perfect_matching(gc)
+        if isinstance(first, matching.TutteViolator):
+            return first
+    yield first, cycle
+    emitted = {first}
+    budget = backtrack
+    for u, v in sorted(first):
+        if budget <= 0:
+            return
+        pruned = Graph(gc.n, tuple(
+            a & ~(1 << v) if i == u else (a & ~(1 << u) if i == v else a)
+            for i, a in enumerate(gc.adj)
+        ))
+        alt = matching.perfect_matching(pruned)
+        if isinstance(alt, matching.TutteViolator) or alt in emitted:
+            continue
+        emitted.add(alt)
+        budget -= 1
+        yield alt, None
+
+
+def extend_to_dirac_pairs(g: Graph, target_r: int, backtrack: int = 0):
+    """``extension.extend_to`` on its earlier route, where each Dirac cycle's
+    odd edges were the next level's first matching.  Patched in for
+    ``extension.extend_to``, it reproduces the extension traces recorded on
+    that route; the blossom levels above its Dirac levels run far more
+    phases than on the product's route."""
+    r = extension.require_regular(g)
+    if r == target_r:
+        return extension.ExtensionTrace(r, target_r, (), g)
+    deepest = None
+    gc = complement(g)
+    stack = [(g, gc, r, (), _dirac_pair_candidates(gc, r, backtrack))]
+    while stack:
+        cur, cur_c, cur_r, steps, candidates = stack[-1]
+        try:
+            m, cycle = next(candidates)
+        except StopIteration as done:
+            stack.pop()
+            violator = done.value
+            if violator is not None and (deepest is None or cur_r > deepest.reached_r):
+                deepest = extension.ExtensionFailure(cur_r, steps, violator)
+            continue
+        nxt, nxt_c = extension._step(cur, cur_c, m)
+        if cur_r + 1 == target_r:
+            return extension.ExtensionTrace(r, target_r, steps + (m,), nxt)
+        frame = (nxt, nxt_c, cur_r + 1, steps + (m,),
+                 _dirac_pair_candidates(nxt_c, cur_r + 1, backtrack, cycle))
+        if backtrack > 0:
+            stack.append(frame)
+        else:
+            stack[-1] = frame
+    return deepest

@@ -20,6 +20,7 @@ from regext import (
     dirac_cycle,
     extend_once,
     extend_to,
+    format_graph6,
     is_valid_matching,
     parse_graph6,
     perfect_matching,
@@ -35,7 +36,7 @@ from families import (
     complete_graph,
     cycle_graph,
 )
-from oracles import OddCycle, complement_bipartite_check
+from oracles import OddCycle, complement_bipartite_check, extend_to_dirac_pairs
 
 
 class TestDiracCycle:
@@ -237,19 +238,18 @@ class TestExtendTo:
 
 
 def _extend_to_recursive(g, target_r, backtrack):
-    """Depth-first extension written recursively: the reference order.  Each
-    candidate hands the Dirac cycle it came from (or None) to the level it
-    leads to."""
+    """Depth-first extension written recursively: the reference order.  Only
+    the level at the input's degree is the ladder's first."""
     r = require_regular(g)
     deepest = [None]
 
-    def descend(cur, cur_r, steps, cycle_below):
+    def descend(cur, cur_r, steps):
         if cur_r == target_r:
             return ExtensionTrace(r, target_r, steps, cur)
         saw = False
-        for m, cycle in _matching_candidates(complement(cur), cur_r, backtrack, cycle_below):
+        for m in _matching_candidates(complement(cur), cur_r, backtrack, cur_r == r):
             saw = True
-            done = descend(_apply(cur, [m]), cur_r + 1, steps + (m,), cycle)
+            done = descend(_apply(cur, [m]), cur_r + 1, steps + (m,))
             if done is not None:
                 return done
         if not saw and (deepest[0] is None or cur_r > deepest[0].reached_r):
@@ -257,7 +257,7 @@ def _extend_to_recursive(g, target_r, backtrack):
                 cur_r, steps, perfect_matching(complement(cur)))
         return None
 
-    return descend(g, r, (), None) or deepest[0]
+    return descend(g, r, ()) or deepest[0]
 
 
 class TestIterativeExtendTo:
@@ -293,8 +293,8 @@ class TestIterativeExtendTo:
         # one complement per climb: each level's complement is the one below
         # minus the matching just added, built by the step with the next
         # graph and no add_matching; with backtracking the dead end at r=6
-        # and its rescue are two levels on different graphs.  At 2r >= n no
-        # level runs a Dirac cycle, so none is handed one
+        # and its rescue are two levels on different graphs.  Only the level
+        # of the input's complement is the ladder's first
         from regext import extension
 
         g = parse_graph6("GJiu]o")
@@ -304,14 +304,14 @@ class TestIterativeExtendTo:
         monkeypatch.setattr(extension, "complement", lambda g: calls.append(g) or fn(g))
         monkeypatch.setattr(extension, "add_matching", lambda *a: added.append(a))
         monkeypatch.setattr(extension, "_matching_candidates",
-                            lambda gc, r, backtrack, cycle_below=None:
-                            searched.append((gc, cycle_below))
-                            or search(gc, r, backtrack, cycle_below))
+                            lambda gc, r, backtrack, first_level=False:
+                            searched.append((gc, first_level))
+                            or search(gc, r, backtrack, first_level))
         assert extend_to(g, 7, backtrack=backtrack) == expected
         assert calls == [g] and added == []
         assert len(searched) == len(set(searched)) == levels
-        assert searched[0] == (complement(g), None)
-        assert all(cycle_below is None for _, cycle_below in searched)
+        assert searched[0] == (complement(g), True)
+        assert not any(first_level for _, first_level in searched[1:])
 
     def test_backtrack_zero_keeps_one_level(self, monkeypatch):
         # without alternatives no level is resumed: when a step starts, the
@@ -334,83 +334,51 @@ class TestIterativeExtendTo:
         assert len(made) == 20
 
 
-class TestDiracSpare:
-    """A Dirac level adds the even edges of its cycle; the odd edges are a
-    perfect matching of the complement that is left, and the next level
-    takes them first instead of building a cycle of its own."""
+class TestDiracFirstLevel:
+    """The ladder's first level takes a Dirac cycle when 2r < n; the blossom
+    matcher answers every level above it."""
 
-    @staticmethod
-    def _cubic_climbs(seed, count):
-        rng = random.Random(seed)
-        for _ in range(count):
-            n = 2 * rng.randrange(8, 33)
-            yield n, random_regular(n, 3, rng.getrandbits(32))
-
-    @staticmethod
-    def _recording_cycles(monkeypatch):
+    @pytest.mark.parametrize("backtrack", [0, 1])
+    def test_one_cycle_per_climb(self, monkeypatch, small_regular_corpus, backtrack):
+        # cubic climbs to 3n/4 cross many levels with 2r < n, yet build one
+        # cycle, the first level's; climbs from 2r >= n build none
         from regext import extension
 
         cycles = []
         monkeypatch.setattr(extension, "dirac_cycle",
                             lambda gc: cycles.append(dirac_cycle(gc)) or cycles[-1])
-        return cycles
-
-    @pytest.mark.parametrize("backtrack", [0, 1])
-    def test_one_cycle_per_two_dirac_levels(self, monkeypatch, backtrack):
-        # D levels with 2r < n climb on ceil(D/2) cycles
-        cycles = self._recording_cycles(monkeypatch)
-        for n, g in self._cubic_climbs(15, 12):
+        rng = random.Random(15)
+        climbs = [(g, 3 * g.n // 4) for g in (
+            random_regular(2 * rng.randrange(8, 33), 3, rng.getrandbits(32))
+            for _ in range(12))]
+        climbs += [(g, n - 1) for (n, r), graphs in small_regular_corpus.items()
+                   if n % 2 == 0 and r <= n - 2 for g in graphs]
+        first_levels = 0
+        for g, target in climbs:
             cycles.clear()
-            target = 3 * n // 4
-            tr = extend_to(g, target, backtrack=backtrack)
-            assert isinstance(tr, ExtensionTrace) and tr.verify(g)
-            dirac_levels = sum(1 for r in range(3, target) if 2 * r < n)
-            assert len(cycles) == (dirac_levels + 1) // 2, (n, dirac_levels)
+            r = require_regular(g)
+            res = extend_to(g, target, backtrack=backtrack)
+            assert isinstance(res, ExtensionFailure) or res.verify(g)
+            if 2 * r < g.n:
+                assert len(cycles) == 1, (format_graph6(g), target)
+                if backtrack == 0:  # else a rescue may resume the first level
+                    assert res.steps[0] == cycle_to_matching(cycles[0])
+                first_levels += 1
+            else:
+                assert cycles == [], (format_graph6(g), target)
+        assert first_levels > 12
 
-    def test_next_level_takes_the_odd_edges(self, monkeypatch):
-        # fresh cycles run at r = 3, 5, 7, ...; the step after each adds the
-        # cycle's odd edges, the last Dirac level's ones included, which
-        # serve the first blossom level when the Dirac levels are odd in
-        # number
-        cycles = self._recording_cycles(monkeypatch)
-        odd_edge_blossom_levels = 0
-        for n, g in self._cubic_climbs(16, 12):
-            cycles.clear()
-            tr = extend_to(g, 3 * n // 4)
-            assert isinstance(tr, ExtensionTrace)
-            for k, c in enumerate(cycles):
-                even = {tuple(sorted((c[i], c[i + 1]))) for i in range(0, n, 2)}
-                odd = {tuple(sorted((c[i], c[(i + 1) % n]))) for i in range(1, n, 2)}
-                assert tr.steps[2 * k] == even
-                if 2 * k + 1 < len(tr.steps):
-                    assert tr.steps[2 * k + 1] == odd
-                    odd_edge_blossom_levels += 2 * (3 + 2 * k + 1) >= n
-        assert odd_edge_blossom_levels > 0
-
-    def test_alternatives_pass_no_cycle(self):
-        g = complement(random_regular(20, 3, 4))
-        candidates = list(_matching_candidates(g, 3, 3))
-        assert len(candidates) >= 2
-        (first, cycle), *alternatives = candidates
-        assert cycle == dirac_cycle(g) and first == cycle_to_matching(cycle)
-        assert all(c is None for _, c in alternatives)
-
-    def test_level_above_builds_no_cycle(self, monkeypatch):
-        # the level above takes the odd edges first, a perfect matching of
-        # its complement, and hands no cycle on; its alternatives forbid one
-        # edge of that matching each
-        cycles = self._recording_cycles(monkeypatch)
-        g = random_regular(20, 3, 4)
-        first, cycle = next(_matching_candidates(complement(g), 3, 0))
-        nxt_c = complement(_apply(g, [first]))
-        candidates = list(_matching_candidates(nxt_c, 4, 2, cycle))
-        assert cycles == [cycle] and len(candidates) >= 2
-        odd, below = candidates[0]
-        assert odd == cycle_to_matching(cycle[1:] + cycle[:1]) and below is None
-        assert is_valid_matching(nxt_c, odd, perfect=True) and not odd & first
-        for alt, below in candidates[1:]:
-            assert below is None and alt != odd
-            assert is_valid_matching(nxt_c, alt, perfect=True)
+    def test_blossom_levels_above_run_few_phases(self, bounded_phases):
+        # the blossom levels of a long ladder need almost no phases when the
+        # levels below them came from the blossom matcher, and dozens when
+        # they came from Dirac cycle halves (58 measured)
+        g = random_regular(200, 3, 7)
+        tr = extend_to(g, 150)
+        assert isinstance(tr, ExtensionTrace) and tr.verify(g)
+        assert len(bounded_phases) <= 5
+        bounded_phases.clear()
+        assert isinstance(extend_to_dirac_pairs(g, 150), ExtensionTrace)
+        assert len(bounded_phases) >= 40
 
 
 class TestStep:

@@ -32,6 +32,8 @@ from families import (
     empty_graph,
     petersen_graph,
     prism_graph,
+    rook_graph,
+    shrikhande_graph,
 )
 
 import oracles
@@ -454,6 +456,40 @@ class TestCanonicalForm:
         rng = random.Random(g.n)
         for _ in range(10):
             assert canonical_form(_shuffled(g, rng)) == base
+
+
+    @pytest.mark.parametrize("g,relabelings", [
+        (shrikhande_graph(), 7),
+        (disjoint_union(shrikhande_graph(), rook_graph(4)), 12),
+    ], ids=["Shrikhande", "Shrikhande+rook4"])
+    def test_strongly_regular_relabelings(self, g, relabelings, monkeypatch):
+        # the refinement cannot split a strongly regular graph, so its leaves
+        # fall in several orbits with unequal rows; orbit pruning by
+        # generators that move the node's individualized vertices, or a
+        # jump back to the root instead of to the node where two paths
+        # split, then gives several outputs over a few relabelings
+        monkeypatch.setattr(generation, "CANONICAL_CAP", g.n)
+        rng = random.Random(16)
+        outputs = {canonical_form(_shuffled(g, rng)) for _ in range(relabelings)}
+        assert len(outputs) == 1
+
+    def test_strongly_regular_equal_bytes_iff_isomorphic(self, monkeypatch):
+        # the Shrikhande and 4x4 rook's graphs share their parameters
+        # (16, 6, 2, 2) and are not isomorphic.  networkx takes seconds to
+        # a minute to tell two such unions at n = 32 apart, so every graph
+        # of that order here is the one union
+        nx = pytest.importorskip("networkx")
+        monkeypatch.setattr(generation, "CANONICAL_CAP", 32)
+        rng = random.Random(17)
+        shrikhande, rook = shrikhande_graph(), rook_graph(4)
+        graphs = [shrikhande, rook, disjoint_union(shrikhande, rook),
+                  disjoint_union(rook, shrikhande)]
+        graphs += [_shuffled(g, rng) for g in graphs]
+        for g in graphs:
+            for h in graphs:
+                if g.n == h.n:
+                    same = nx.is_isomorphic(_nx(g), _nx(h))
+                    assert (canonical_form(g) == canonical_form(h)) == same, (g, h)
 
 
 class TestEnumeration:

@@ -10,12 +10,14 @@ with the greedy-only warm start from ``oracles`` patched in.  The digest of
 the sizes and violators alone was recorded before that pass and holds under
 both starts.  Taking the odd edges of each Dirac cycle as the next level's
 matching changed the extension traces from the level after the first cycle
-on, so both extension digests were recorded again; the earlier values are
-still asserted with the cycle not handed on, so that every Dirac level
-builds its own.  The instance digests were recorded while verify still
-collected every instance as graph6 before checking any.  The
-inputs come from ``random_regular``, the other samplers and ``random.Random``,
-so this module also pins them across Python versions.
+on, and so did later taking the blossom matcher at every level above the
+first; both times the extension digests were recorded again.  The values
+from before the first change are asserted with a Dirac cycle forced at
+every level with 2r < n, and those from between the two with that route's
+ladder from ``oracles`` patched in.  The instance digests were recorded
+while verify still collected every instance as graph6 before checking any.
+The inputs come from ``random_regular``, the other samplers and
+``random.Random``, so this module also pins them across Python versions.
 """
 
 import argparse
@@ -88,7 +90,7 @@ def _extension_digest() -> str:
     h = hashlib.sha256()
     stuck = 0
     for g, target, backtrack in extension_corpus():
-        res = extend_to(g, target, backtrack=backtrack)
+        res = extension.extend_to(g, target, backtrack=backtrack)
         stuck += not isinstance(res, ExtensionTrace)
         h.update(f"{g.n} {target} {backtrack} {_describe_extension(res)}\n".encode())
     # the failure record must be pinned too
@@ -135,13 +137,25 @@ def greedy_start(monkeypatch):
 @pytest.fixture
 def no_spare(monkeypatch):
     """The ladder as it was before a Dirac cycle's odd edges served the next
-    level: every level ignores the cycle it is handed."""
+    level: every level with 2r < n builds a Dirac cycle of its own."""
     candidates = extension._matching_candidates
     monkeypatch.setattr(extension, "_matching_candidates",
-                        lambda gc, r, backtrack, cycle_below=None: candidates(gc, r, backtrack))
+                        lambda gc, r, backtrack, first_level=False:
+                        candidates(gc, r, backtrack, first_level=True))
+
+
+@pytest.fixture
+def dirac_pairs(monkeypatch):
+    """The ladder as it was while each Dirac cycle served two levels."""
+    monkeypatch.setattr(extension, "extend_to", oracles.extend_to_dirac_pairs)
 
 
 def test_extension_traces_pinned():
+    assert _extension_digest() == \
+        "b1b8eb46f1c039e82b24df02b63bae05ca29532cf24c1a776f3921acf376fcf5"
+
+
+def test_extension_traces_pinned_dirac_pairs(dirac_pairs):
     assert _extension_digest() == \
         "a7025455921f1acc875a20cf287f6d30417a23c444dd76cc16d1e78739212b87"
 
@@ -158,6 +172,11 @@ def test_matchings_and_violators_pinned(bounded_phases):
 
 
 def test_extension_traces_pinned_greedy_start(greedy_start):
+    assert _extension_digest() == \
+        "4517bee283835341d0c910d9c561f2f5931629286717027d2bc2a3e25835baf1"
+
+
+def test_extension_traces_pinned_greedy_start_dirac_pairs(greedy_start, dirac_pairs):
     assert _extension_digest() == \
         "5c465a86f5b893cc3fa99de8ba06ec701f5427bb5ec83f98c7e823bcdfe5e91b"
 
