@@ -13,8 +13,8 @@ randomness flows from --seed, so reports are byte-identical across runs.
 leave reading and reporting to ``_each_graph``: a line that is not graph6
 costs only its own result, with its error on stderr and exit code 2.
 
-``extend`` climbs the one ladder of ``extension.extend_to``, which picks
-each level's matcher from (n, r), so it has no matcher option.  ``check``
+``extend`` climbs the one ladder of ``extension.extend_to``, which takes
+the blossom matcher at every level, so it has no matcher option.  ``check``
 prints one verdict per record of ``extension.RULES``.  ``verify``
 takes its (n, r) cells from the same records' ``holds`` and keeps, per
 rule, only a plan (``_PLANS``): default range, sampler, seed formula and
@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Callable, Iterator, TextIO
 
-from . import generation, structure
+from . import extension, generation, structure
 from .extension import (
     CLIQUE_SEARCH_LIMIT,
     RULES,
@@ -328,23 +328,31 @@ def _span(range_str: str | None, default: tuple[int, int]) -> tuple[int, int]:
         raise SystemExit(2)
 
 
+def _certify_matching(g: Graph, m) -> dict | None:
+    """None when ``m`` is a perfect matching of g, else the certificate."""
+    if isinstance(m, TutteViolator):
+        return certificate_json(m)
+    return None if is_valid_matching(g, m, perfect=True) else {"type": "invalid-matching"}
+
+
 def _check_extends(g: Graph) -> dict | None:
     res = extend_once(g)
-    if isinstance(res, TutteViolator):
-        return certificate_json(res)
-    _, m = res
-    if not is_valid_matching(complement(g), m, perfect=True):
-        return {"type": "invalid-matching"}
-    return None
+    return _certify_matching(complement(g), res if isinstance(res, TutteViolator) else res[1])
+
+
+def _check_dirac(g: Graph) -> dict | None:
+    # T1 by the paper's route: with 2r < n the complement has minimum degree
+    # >= n/2, so it has a Hamiltonian cycle (Dirac) whose even edges are a
+    # perfect matching.  A cycle needs n >= 3; the one smaller order in T1's
+    # region, (2, 0), extends to K_2 through the ladder
+    if g.n < 3:
+        return _check_extends(g)
+    gc = complement(g)
+    return _certify_matching(gc, extension.cycle_to_matching(extension.dirac_cycle(gc)))
 
 
 def _check_has_pm(g: Graph) -> dict | None:
-    res = perfect_matching(g)
-    if isinstance(res, TutteViolator):
-        return certificate_json(res)
-    if not is_valid_matching(g, res, perfect=True):
-        return {"type": "invalid-matching"}
-    return None
+    return _certify_matching(g, perfect_matching(g))
 
 
 def _check_t4(g: Graph) -> dict | None:
@@ -420,7 +428,7 @@ def _biclique_plan(rule: str, check, odd_parts: bool, n_range: tuple[int, int]) 
 _RULE = {rule.short: rule for rule in RULES}
 
 _PLANS = {
-    "T1": _Plan(_RULE["T1"].holds, _check_extends, generation.random_regular, (4, 10),
+    "T1": _Plan(_RULE["T1"].holds, _check_dirac, generation.random_regular, (4, 10),
                 seed=lambda s, n, r, i: s + 1000 * n + 10 * r + i, exhaustive=True),
     "T2": _Plan(_RULE["T2"].holds, _check_extends, generation.random_regular,
                 (4, 60), spread=True),

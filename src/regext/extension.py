@@ -3,13 +3,13 @@
 One extension step finds a perfect matching of the complement and adds it,
 turning an r-regular graph into an (r+1)-regular one on the same vertices.
 Every extension runs up one ladder, ``extend_to``; ``extend_once`` is its
-single step.  The ladder's first level picks its matcher from (n, r).  When
-2r < n the complement has minimum degree >= n/2, so a Hamiltonian cycle
-(Dirac, built by rotation-extension) gives the matching: its even edges.
-Every other level, and a first level with 2r >= n, takes the blossom
-matcher's matching or Tutte violator.  The step adds the matching to the
+single step.  Every level takes the blossom matcher's perfect matching of
+the complement or its Tutte violator.  The step adds the matching to the
 graph and removes it from the complement in the same pass, so a climb over
-many levels builds one complement.
+many levels builds one complement.  ``dirac_cycle`` is the paper's route
+for T1 (2r < n): the complement then has minimum degree >= n/2, so it has
+a Hamiltonian cycle (Dirac) whose even edges are a perfect matching;
+``regext verify --rule T1`` checks that construction.
 
 ``RULES`` holds one ``Rule`` record per sufficient or impossibility
 condition this package verifies: its arithmetic hypothesis on (n, r), the
@@ -207,28 +207,20 @@ class ExtensionFailure:
 
 
 def _matching_candidates(
-    gc: Graph, r: int, backtrack: int, first_level: bool = False
+    gc: Graph, r: int, backtrack: int
 ) -> Generator[Matching, None, TutteViolator | None]:
     """Primary matching for one level, then up to ``backtrack`` alternatives.
 
-    ``gc`` is the complement of the level's r-regular graph on n vertices.
-    On the ladder's first level with 2r < n, the minimum degree
-    n - 1 - r of ``gc`` is at least n/2, so the primary matching is the
-    even edges of a Dirac cycle (the paper's route for T1).  A cycle needs
-    n >= 3, and at n = 2 the blossom matcher finds K_2.  Every other level
-    takes the blossom matcher's matching or Tutte violator: with its
-    length-3 warm start it is cheaper than a cycle, and it leaves the
-    levels above it easier to match.  Alternatives re-solve ``gc`` with one
-    edge of the primary matching forbidden, which is enough to escape a
-    greedy dead end.  A level with no matching yields nothing and returns
-    the violator of its one search.
+    ``gc`` is the complement of the level's r-regular graph.  The primary
+    matching is the blossom matcher's, which with its length-3 warm start
+    is cheaper than a Dirac cycle even where 2r < n.  Alternatives re-solve
+    ``gc`` with one edge of the primary matching forbidden, which is enough
+    to escape a greedy dead end.  A level with no matching yields nothing
+    and returns the violator of its one search.
     """
-    if first_level and 2 * r < gc.n and gc.n > 2:
-        first = cycle_to_matching(dirac_cycle(gc))
-    else:
-        first = perfect_matching(gc)
-        if isinstance(first, TutteViolator):
-            return first
+    first = perfect_matching(gc)
+    if isinstance(first, TutteViolator):
+        return first
     yield first
     if backtrack <= 0:
         return
@@ -256,8 +248,7 @@ def extend_to(
 
     The complement is built once.  Each level's complement is the one
     below it minus the matching just added, so every step builds the next
-    graph and its complement together (``_step``).  The first level alone
-    may take a Dirac cycle (``_matching_candidates``).  Only backtracking
+    graph and its complement together (``_step``).  Only backtracking
     resumes a lower level; without it the stack holds just the current one.
     """
     r = require_regular(g)
@@ -273,7 +264,7 @@ def extend_to(
     # one frame per level that may be resumed: (graph, its complement,
     # degree, steps so far, candidate matchings); depth-first in candidate
     # order
-    stack = [(g, gc, r, (), _matching_candidates(gc, r, backtrack, first_level=True))]
+    stack = [(g, gc, r, (), _matching_candidates(gc, r, backtrack))]
     while stack:
         cur, cur_c, cur_r, steps, candidates = stack[-1]
         try:
@@ -303,9 +294,9 @@ def extend_to(
 
 def extend_once(g: Graph) -> tuple[Graph, Matching] | TutteViolator:
     """One rung of the ladder, ``extend_to(g, r + 1)``: the (r+1)-regular
-    g + M and the perfect matching M of the complement it adds, or the
-    complement's Tutte violator when it has none.  Odd n, r = n - 1 and
-    irregular input raise GraphError, as in ``extend_to``."""
+    g + M and the blossom matcher's perfect matching M of the complement,
+    or the complement's Tutte violator when it has none.  Odd n, r = n - 1
+    and irregular input raise GraphError, as in ``extend_to``."""
     res = extend_to(g, require_regular(g) + 1)
     if isinstance(res, ExtensionFailure):
         return res.violator

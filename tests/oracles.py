@@ -6,10 +6,10 @@ isomorphism checks try raw vertex permutations.  The exceptions are the
 unpruned canonical search, which checks the pruning of
 ``generation.canonical_form`` and so reuses its root partition and
 refinement, the matcher's greedy-only warm start, which runs the package's
-blossom phases, and the ladder's earlier route, which runs the package's
+blossom phases, and the ladder's earlier routes, which run the package's
 step, Dirac cycles and matcher.  Code that only the tests use lives here
 too: the per-bit graph6 encoder, the complement's 2-coloring with odd-cycle
-refutations, and the earlier sampler loops, warm start and ladder that
+refutations, and the earlier sampler loops, warm start and ladders that
 pinned outputs were recorded with.
 """
 
@@ -538,19 +538,28 @@ def match_array_greedy(g: Graph) -> list[int]:
     return match
 
 
-# -- the ladder's earlier route ----------------------------------------------
+# -- the ladder's earlier routes ---------------------------------------------
 
-def _dirac_pair_candidates(gc: Graph, r: int, backtrack: int, cycle_below=None):
-    """A level's candidates on the route where each Dirac cycle served two
-    levels: (matching, the Dirac cycle it came from or None) pairs.  Given
-    the level below's cycle, the first matching is that cycle's odd edges;
-    otherwise every level with 2r < n and n > 2 builds a cycle and takes
-    its even edges, and the rest run the blossom matcher.  Alternatives
-    re-solve ``gc`` with one edge of the first matching forbidden."""
+# Which levels of the reference ladder take a Dirac cycle when 2r < n and
+# n > 2: every such level, handing the cycle's odd edges on as the next
+# level's first matching ("pairs"); every such level, each building its own
+# ("every"); or the ladder's first level alone ("first").  Every other level
+# takes the blossom matcher.
+DIRAC_POLICIES = ("pairs", "every", "first")
+
+
+def _reference_candidates(gc: Graph, r: int, backtrack: int, dirac: bool,
+                          cycle_below=None):
+    """A level's candidates on an earlier route: (matching, the Dirac cycle
+    it came from or None) pairs.  Given the level below's cycle, the first
+    matching is that cycle's odd edges; otherwise, with ``dirac`` and
+    2r < n and n > 2, it is the even edges of a cycle of the level's own,
+    and else the blossom matcher's.  Alternatives re-solve ``gc`` with one
+    edge of the first matching forbidden."""
     cycle = None
     if cycle_below is not None:
         first = extension.cycle_to_matching(cycle_below[1:] + cycle_below[:1])
-    elif 2 * r < gc.n and gc.n > 2:
+    elif dirac and 2 * r < gc.n and gc.n > 2:
         cycle = extension.dirac_cycle(gc)
         first = extension.cycle_to_matching(cycle)
     else:
@@ -575,18 +584,20 @@ def _dirac_pair_candidates(gc: Graph, r: int, backtrack: int, cycle_below=None):
         yield alt, None
 
 
-def extend_to_dirac_pairs(g: Graph, target_r: int, backtrack: int = 0):
-    """``extension.extend_to`` on its earlier route, where each Dirac cycle's
-    odd edges were the next level's first matching.  Patched in for
-    ``extension.extend_to``, it reproduces the extension traces recorded on
-    that route; the blossom levels above its Dirac levels run far more
-    phases than on the product's route."""
+def extend_to_reference(g: Graph, target_r: int, backtrack: int = 0, *, dirac: str):
+    """``extension.extend_to`` on an earlier route, named by one of
+    ``DIRAC_POLICIES``.  Patched in for ``extension.extend_to``, it
+    reproduces the extension traces recorded on that route.  The blossom
+    levels above the Dirac levels of "pairs" run far more phases than on
+    the product's route."""
+    if dirac not in DIRAC_POLICIES:
+        raise ValueError(f"unknown Dirac policy {dirac!r}")
     r = extension.require_regular(g)
     if r == target_r:
         return extension.ExtensionTrace(r, target_r, (), g)
     deepest = None
     gc = complement(g)
-    stack = [(g, gc, r, (), _dirac_pair_candidates(gc, r, backtrack))]
+    stack = [(g, gc, r, (), _reference_candidates(gc, r, backtrack, True))]
     while stack:
         cur, cur_c, cur_r, steps, candidates = stack[-1]
         try:
@@ -600,8 +611,9 @@ def extend_to_dirac_pairs(g: Graph, target_r: int, backtrack: int = 0):
         nxt, nxt_c = extension._step(cur, cur_c, m)
         if cur_r + 1 == target_r:
             return extension.ExtensionTrace(r, target_r, steps + (m,), nxt)
-        frame = (nxt, nxt_c, cur_r + 1, steps + (m,),
-                 _dirac_pair_candidates(nxt_c, cur_r + 1, backtrack, cycle))
+        frame = (nxt, nxt_c, cur_r + 1, steps + (m,), _reference_candidates(
+            nxt_c, cur_r + 1, backtrack, dirac != "first",
+            cycle if dirac == "pairs" else None))
         if backtrack > 0:
             stack.append(frame)
         else:

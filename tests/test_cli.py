@@ -159,8 +159,8 @@ class TestExtendCommand:
         assert code == 1
 
     def test_strategy_flag_is_usage_error(self, capsys, monkeypatch):
-        # the ladder picks each level's matcher from (n, r); no option
-        # chooses it
+        # every level of the ladder takes the blossom matcher; no option
+        # chooses another
         code, out, err = run_cli(capsys, ["extend", "--strategy", "dirac"],
                                  [format_graph6(cycle_graph(6))], monkeypatch)
         assert code == 2 and out == [] and "--strategy" in err
@@ -350,8 +350,22 @@ class TestVerifyCommand:
         summary = json_lines(out)[-1]
         assert summary["failed"] == 0 and summary["checked"] == 17
 
-    # (2, 0) is in T1's region: its extension is K_2, found by the blossom
-    # matcher since a Hamiltonian cycle needs n >= 3
+    def test_t1_builds_one_dirac_cycle_per_instance(self, capsys, monkeypatch):
+        # T1 is checked by the paper's route: each instance's complement
+        # gets a Hamiltonian cycle, whose even edges are its perfect matching
+        from regext import extension
+
+        cycles = []
+        dirac_cycle = extension.dirac_cycle
+        monkeypatch.setattr(extension, "dirac_cycle",
+                            lambda gc: cycles.append(gc) or dirac_cycle(gc))
+        code, out, _ = run_cli(capsys, ["verify", "--rule", "T1", "--json"])
+        summary = json_lines(out)[-1]
+        assert code == 0 and summary["failed"] == 0
+        assert summary["checked"] == len(cycles) == len(set(cycles)) > 17
+
+    # (2, 0) is in T1's region: its extension is K_2, found by the ladder
+    # since a Hamiltonian cycle needs n >= 3
     def test_t1_smallest_orders(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--rule", "T1",
                                         "--n-range", "2..4", "--json"])
@@ -446,9 +460,11 @@ class TestVerifyCommand:
         assert code == 2 and out == [] and "--jobs" in err
 
     def test_counterexample_names_instance_and_certificate(self, capsys, monkeypatch):
-        from regext import cli
+        from regext import cli, extension
 
-        monkeypatch.setattr(cli, "extend_once", lambda g: TutteViolator(frozenset(), 1))
+        # T1's check takes the even edges of a Dirac cycle; an empty set is
+        # no perfect matching
+        monkeypatch.setattr(extension, "cycle_to_matching", lambda order: frozenset())
         code, out, _ = run_cli(capsys, ["verify", "--rule", "T1", "--n-range", "4",
                                         "--json"])
         lines = json_lines(out)
@@ -456,9 +472,17 @@ class TestVerifyCommand:
         # T1's region at n = 4 is 2r < 4
         graphs = [format_graph6(g) for r in (0, 1) for g in enumerate_regular(4, r)]
         assert [line["counterexample"] for line in lines[1:-1]] == [
-            {"graph6": g6, "certificate": {"type": "tutte-violator", "s": [],
-                                           "odd_count": 1}}
+            {"graph6": g6, "certificate": {"type": "invalid-matching"}}
             for g6 in graphs]
+        # T2's check takes the ladder's step and reports its violator; T2's
+        # region at n = 18 is r = 0
+        monkeypatch.setattr(cli, "extend_once", lambda g: TutteViolator(frozenset(), 1))
+        code, out, _ = run_cli(capsys, ["verify", "--rule", "T2", "--n-range", "18",
+                                        "--samples", "1", "--json"])
+        lines = json_lines(out)
+        assert code == 1 and [line["counterexample"] for line in lines[1:-1]] == [
+            {"graph6": format_graph6(build(18, [])),
+             "certificate": {"type": "tutte-violator", "s": [], "odd_count": 1}}]
 
     @pytest.mark.parametrize("rule,extra", [
         ("T2", ["--n-range", "4..40"]),

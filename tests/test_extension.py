@@ -36,7 +36,7 @@ from families import (
     complete_graph,
     cycle_graph,
 )
-from oracles import OddCycle, complement_bipartite_check, extend_to_dirac_pairs
+from oracles import OddCycle, complement_bipartite_check, extend_to_reference
 
 
 class TestDiracCycle:
@@ -100,11 +100,11 @@ class TestCycleToMatching:
 
 class TestExtendOnce:
     def test_c6_dirac(self):
-        # 2r < n: the matching is every other edge of the complement's
-        # Dirac cycle
+        # 2r < n, where T1 promises a matching; the step takes the blossom
+        # matcher's
         g2, m = extend_once(cycle_graph(6))
         assert require_regular(g2) == 3
-        assert m == cycle_to_matching(dirac_cycle(complement(cycle_graph(6))))
+        assert m == perfect_matching(complement(cycle_graph(6)))
         assert is_valid_matching(complement(cycle_graph(6)), m, perfect=True)
 
     def test_k33_violator(self):
@@ -121,24 +121,9 @@ class TestExtendOnce:
         assert is_valid_matching(complement(g), m, perfect=True)
 
     def test_empty_two_vertex_graph(self):
-        # 2r < n, but no Hamiltonian cycle exists at n = 2; the matcher finds K_2
+        # 2r < n, and the matcher finds K_2
         g2, m = extend_once(build(2, []))
         assert g2 == complete_graph(2) and m == frozenset({(0, 1)})
-
-    def test_matcher_chosen_from_n_and_r(self, small_regular_corpus, monkeypatch):
-        # a Dirac cycle exactly when 2r < n and n > 2, blossom otherwise
-        from regext import extension
-
-        cycles = []
-        monkeypatch.setattr(extension, "dirac_cycle",
-                            lambda gc: cycles.append(gc) or dirac_cycle(gc))
-        for (n, r), graphs in small_regular_corpus.items():
-            if n % 2 or r > n - 2:
-                continue
-            for g in graphs:
-                cycles.clear()
-                extend_once(g)
-                assert len(cycles) == (2 * r < n and n > 2), (n, r)
 
     def test_odd_n_rejected(self):
         with pytest.raises(GraphError):
@@ -238,8 +223,7 @@ class TestExtendTo:
 
 
 def _extend_to_recursive(g, target_r, backtrack):
-    """Depth-first extension written recursively: the reference order.  Only
-    the level at the input's degree is the ladder's first."""
+    """Depth-first extension written recursively: the reference order."""
     r = require_regular(g)
     deepest = [None]
 
@@ -247,7 +231,7 @@ def _extend_to_recursive(g, target_r, backtrack):
         if cur_r == target_r:
             return ExtensionTrace(r, target_r, steps, cur)
         saw = False
-        for m in _matching_candidates(complement(cur), cur_r, backtrack, cur_r == r):
+        for m in _matching_candidates(complement(cur), cur_r, backtrack):
             saw = True
             done = descend(_apply(cur, [m]), cur_r + 1, steps + (m,))
             if done is not None:
@@ -293,8 +277,7 @@ class TestIterativeExtendTo:
         # one complement per climb: each level's complement is the one below
         # minus the matching just added, built by the step with the next
         # graph and no add_matching; with backtracking the dead end at r=6
-        # and its rescue are two levels on different graphs.  Only the level
-        # of the input's complement is the ladder's first
+        # and its rescue are two levels on different graphs
         from regext import extension
 
         g = parse_graph6("GJiu]o")
@@ -304,14 +287,12 @@ class TestIterativeExtendTo:
         monkeypatch.setattr(extension, "complement", lambda g: calls.append(g) or fn(g))
         monkeypatch.setattr(extension, "add_matching", lambda *a: added.append(a))
         monkeypatch.setattr(extension, "_matching_candidates",
-                            lambda gc, r, backtrack, first_level=False:
-                            searched.append((gc, first_level))
-                            or search(gc, r, backtrack, first_level))
+                            lambda gc, r, backtrack:
+                            searched.append(gc) or search(gc, r, backtrack))
         assert extend_to(g, 7, backtrack=backtrack) == expected
         assert calls == [g] and added == []
         assert len(searched) == len(set(searched)) == levels
-        assert searched[0] == (complement(g), True)
-        assert not any(first_level for _, first_level in searched[1:])
+        assert searched[0] == complement(g)
 
     def test_backtrack_zero_keeps_one_level(self, monkeypatch):
         # without alternatives no level is resumed: when a step starts, the
@@ -335,38 +316,59 @@ class TestIterativeExtendTo:
 
 
 class TestDiracFirstLevel:
-    """The ladder's first level takes a Dirac cycle when 2r < n; the blossom
-    matcher answers every level above it."""
+    """The ladder's first level, like every level above it, takes the
+    blossom matcher; only T1's check builds a Dirac cycle."""
 
     @pytest.mark.parametrize("backtrack", [0, 1])
-    def test_one_cycle_per_climb(self, monkeypatch, small_regular_corpus, backtrack):
-        # cubic climbs to 3n/4 cross many levels with 2r < n, yet build one
-        # cycle, the first level's; climbs from 2r >= n build none
+    def test_no_cycle_on_the_ladder(self, monkeypatch, small_regular_corpus, backtrack):
+        # cubic climbs to 3n/4 cross many levels with 2r < n, and every
+        # small class takes a single step and climbs to n - 1; none builds
+        # a cycle, and every trace and every violator re-checks
         from regext import extension
 
         cycles = []
         monkeypatch.setattr(extension, "dirac_cycle",
-                            lambda gc: cycles.append(dirac_cycle(gc)) or cycles[-1])
+                            lambda gc: cycles.append(gc) or dirac_cycle(gc))
         rng = random.Random(15)
         climbs = [(g, 3 * g.n // 4) for g in (
             random_regular(2 * rng.randrange(8, 33), 3, rng.getrandbits(32))
             for _ in range(12))]
-        climbs += [(g, n - 1) for (n, r), graphs in small_regular_corpus.items()
-                   if n % 2 == 0 and r <= n - 2 for g in graphs]
-        first_levels = 0
+        climbs += [(g, target) for (n, r), graphs in small_regular_corpus.items()
+                   if n % 2 == 0 and r <= n - 2 for g in graphs for target in {r + 1, n - 1}]
+        dirac_region = 0
         for g, target in climbs:
-            cycles.clear()
-            r = require_regular(g)
             res = extend_to(g, target, backtrack=backtrack)
-            assert isinstance(res, ExtensionFailure) or res.verify(g)
-            if 2 * r < g.n:
-                assert len(cycles) == 1, (format_graph6(g), target)
-                if backtrack == 0:  # else a rescue may resume the first level
-                    assert res.steps[0] == cycle_to_matching(cycles[0])
-                first_levels += 1
+            where = (format_graph6(g), target)
+            if isinstance(res, ExtensionTrace):
+                assert res.verify(g), where
             else:
-                assert cycles == [], (format_graph6(g), target)
-        assert first_levels > 12
+                assert res.violator.verify(complement(_apply(g, res.steps))), where
+            dirac_region += 2 * require_regular(g) < g.n
+        assert cycles == []
+        assert dirac_region > 12
+
+    def test_first_level_alternatives_distinct(self, monkeypatch):
+        # the first level's alternatives re-solve the blossom matcher's
+        # matching with one edge forbidden, and each re-solve finds a new one
+        from regext import extension
+
+        g = random_regular(20, 3, 4)
+        gc = complement(g)
+        calls, levels = [], []
+        search, solve = extension._matching_candidates, extension.perfect_matching
+        monkeypatch.setattr(extension, "perfect_matching",
+                            lambda h: calls.append(h) or solve(h))
+
+        def drained(*args, **kwargs):
+            levels.append(list(search(*args, **kwargs)))
+            return iter(levels[-1])
+
+        monkeypatch.setattr(extension, "_matching_candidates", drained)
+        assert isinstance(extend_to(g, 4, backtrack=3), ExtensionTrace)
+        (first,) = levels
+        assert len(first) == len(set(first)) == len(calls) == 4
+        assert all(is_valid_matching(gc, m, perfect=True) for m in first)
+        assert list(search(gc, 3, 3)) == first
 
     def test_blossom_levels_above_run_few_phases(self, bounded_phases):
         # the blossom levels of a long ladder need almost no phases when the
@@ -377,7 +379,7 @@ class TestDiracFirstLevel:
         assert isinstance(tr, ExtensionTrace) and tr.verify(g)
         assert len(bounded_phases) <= 5
         bounded_phases.clear()
-        assert isinstance(extend_to_dirac_pairs(g, 150), ExtensionTrace)
+        assert isinstance(extend_to_reference(g, 150, dirac="pairs"), ExtensionTrace)
         assert len(bounded_phases) >= 40
 
 

@@ -10,17 +10,20 @@ with the greedy-only warm start from ``oracles`` patched in.  The digest of
 the sizes and violators alone was recorded before that pass and holds under
 both starts.  Taking the odd edges of each Dirac cycle as the next level's
 matching changed the extension traces from the level after the first cycle
-on, and so did later taking the blossom matcher at every level above the
-first; both times the extension digests were recorded again.  The values
-from before the first change are asserted with a Dirac cycle forced at
-every level with 2r < n, and those from between the two with that route's
-ladder from ``oracles`` patched in.  The instance digests were recorded
-while verify still collected every instance as graph6 before checking any.
+on, later taking the blossom matcher at every level above the first
+changed them again, and taking it at the first level too changed them a
+third time; each time the extension digests were recorded again.  The
+earlier values are still asserted, each with its route's ladder from
+``oracles`` patched in: a Dirac cycle at every level with 2r < n, cycles
+that serve two levels, and a cycle at the first level alone.  The
+instance digests were recorded while verify still collected every instance
+as graph6 before checking any.
 The inputs come from ``random_regular``, the other samplers and
 ``random.Random``, so this module also pins them across Python versions.
 """
 
 import argparse
+import functools
 import hashlib
 import importlib.util
 import random
@@ -134,23 +137,37 @@ def greedy_start(monkeypatch):
     monkeypatch.setattr(matching, "_match_array", oracles.match_array_greedy)
 
 
+def _reference_ladder(monkeypatch, dirac):
+    monkeypatch.setattr(extension, "extend_to",
+                        functools.partial(oracles.extend_to_reference, dirac=dirac))
+
+
 @pytest.fixture
 def no_spare(monkeypatch):
     """The ladder as it was before a Dirac cycle's odd edges served the next
     level: every level with 2r < n builds a Dirac cycle of its own."""
-    candidates = extension._matching_candidates
-    monkeypatch.setattr(extension, "_matching_candidates",
-                        lambda gc, r, backtrack, first_level=False:
-                        candidates(gc, r, backtrack, first_level=True))
+    _reference_ladder(monkeypatch, "every")
 
 
 @pytest.fixture
 def dirac_pairs(monkeypatch):
     """The ladder as it was while each Dirac cycle served two levels."""
-    monkeypatch.setattr(extension, "extend_to", oracles.extend_to_dirac_pairs)
+    _reference_ladder(monkeypatch, "pairs")
+
+
+@pytest.fixture
+def first_level_dirac(monkeypatch):
+    """The ladder as it was while its first level alone took a Dirac cycle
+    when 2r < n."""
+    _reference_ladder(monkeypatch, "first")
 
 
 def test_extension_traces_pinned():
+    assert _extension_digest() == \
+        "7b9a160c8c625c2c3db34dd5dfc1cdcc77eeab846937a22728748cfd44f35794"
+
+
+def test_extension_traces_pinned_first_level_dirac(first_level_dirac):
     assert _extension_digest() == \
         "b1b8eb46f1c039e82b24df02b63bae05ca29532cf24c1a776f3921acf376fcf5"
 
@@ -172,6 +189,12 @@ def test_matchings_and_violators_pinned(bounded_phases):
 
 
 def test_extension_traces_pinned_greedy_start(greedy_start):
+    assert _extension_digest() == \
+        "d77d8860842a0f9547b539917807db710ea3bf3f852a12ce4cfbc888aab14ea9"
+
+
+def test_extension_traces_pinned_greedy_start_first_level_dirac(greedy_start,
+                                                                 first_level_dirac):
     assert _extension_digest() == \
         "4517bee283835341d0c910d9c561f2f5931629286717027d2bc2a3e25835baf1"
 
