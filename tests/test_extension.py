@@ -125,6 +125,31 @@ class TestExtendOnce:
         g2, m = extend_once(build(2, []))
         assert g2 == complete_graph(2) and m == frozenset({(0, 1)})
 
+    def test_matcher_chosen_from_n_and_r(self, small_regular_corpus, monkeypatch):
+        # the blossom matcher for every (n, r), 2r < n included: one search
+        # of the complement, its answer returned as is, and no Dirac cycle
+        from regext import extension
+
+        cycles, solved = [], []
+        monkeypatch.setattr(extension, "dirac_cycle",
+                            lambda gc: cycles.append(gc) or dirac_cycle(gc))
+        monkeypatch.setattr(extension, "perfect_matching",
+                            lambda gc: solved.append(gc) or perfect_matching(gc))
+        for (n, r), graphs in small_regular_corpus.items():
+            if n % 2 or r > n - 2:
+                continue
+            for g in graphs:
+                solved.clear()
+                res = extend_once(g)
+                gc = complement(g)
+                assert solved == [gc], (n, r)
+                expected = perfect_matching(gc)
+                if isinstance(expected, TutteViolator):
+                    assert res == expected, (n, r)
+                else:
+                    assert res[1] == expected, (n, r)
+        assert cycles == []
+
     def test_odd_n_rejected(self):
         with pytest.raises(GraphError):
             extend_once(cycle_graph(5))
