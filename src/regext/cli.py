@@ -358,7 +358,7 @@ def _check_has_pm(g: Graph) -> dict | None:
 def _check_t4(g: Graph) -> dict | None:
     if not _RULE["T4"].verdict(g, require_regular(g)).applies:
         return {"type": "rule-not-detected"}
-    # the T4 region has 2r >= n, where the ladder runs this same search
+    # the ladder has no rung for K_n (r = n - 1), which T4's cells include
     co = complement(g)
     res = perfect_matching(co)
     if not isinstance(res, TutteViolator) or not res.verify(co):

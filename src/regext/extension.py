@@ -6,7 +6,8 @@ Every extension runs up one ladder, ``extend_to``; ``extend_once`` is its
 single step.  Every level takes the blossom matcher's perfect matching of
 the complement or its Tutte violator.  The step adds the matching to the
 graph and removes it from the complement in the same pass, so a climb over
-many levels builds one complement.  ``dirac_cycle`` is the paper's route
+many levels builds one complement, and ``ExtensionTrace.verify`` replays
+a trace through the same step.  ``dirac_cycle`` is the paper's route
 for T1 (2r < n): the complement then has minimum degree >= n/2, so it has
 a Hamiltonian cycle (Dirac) whose even edges are a perfect matching;
 ``regext verify --rule T1`` checks that construction.
@@ -24,20 +25,8 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Generator
 
-from .graph import (
-    Graph,
-    GraphError,
-    add_matching,
-    complement,
-    is_connected,
-    require_regular,
-)
-from .matching import (
-    Matching,
-    TutteViolator,
-    is_valid_matching,
-    perfect_matching,
-)
+from .graph import Graph, GraphError, complement, is_connected, regularity, require_regular
+from .matching import Matching, TutteViolator, perfect_matching
 from .structure import find_clique, l_vertex_bound, spanning_biclique
 
 log = logging.getLogger("regext.extension")
@@ -152,13 +141,15 @@ def _step(g: Graph, gc: Graph, m: Matching) -> tuple[Graph, Graph]:
     complement of that: gc minus m.
 
     ``bits[v]`` is the bit of v's partner; it is ORed into row v of g and
-    XORed out of row v of gc.  The checks of ``add_matching`` cost O(n):
+    XORed out of row v of gc.  Checking m costs O(n):
     n/2 pairs that leave no vertex without a partner make the partner map a
     fixed-point-free involution, so the pairs are disjoint and cover V.
     Then, g being regular and gc its complement, the new graph is regular
     one degree up exactly when every pair is an edge of gc.
     """
     n = g.n
+    if not n:
+        raise GraphError("the empty graph has no degree to raise")
     bits = [0] * n
     pairs = 0
     try:
@@ -186,15 +177,16 @@ class ExtensionTrace:
     final: Graph
 
     def verify(self, g: Graph) -> bool:
-        cur = g
+        """Replay the steps through ``_step`` from the start_r-regular g."""
+        if regularity(g) != self.start_r:
+            return False
+        cur, cur_c = g, complement(g)
         try:
             for step in self.steps:
-                if not is_valid_matching(complement(cur), step, perfect=True):
-                    return False
-                cur = add_matching(cur, step)
+                cur, cur_c = _step(cur, cur_c, step)
         except GraphError:
             return False
-        return cur == self.final and require_regular(cur) == self.target_r
+        return cur == self.final and regularity(cur) == self.target_r
 
 
 @dataclass(frozen=True)
@@ -207,27 +199,23 @@ class ExtensionFailure:
 
 
 def _matching_candidates(
-    gc: Graph, r: int, backtrack: int
+    gc: Graph, backtrack: int
 ) -> Generator[Matching, None, TutteViolator | None]:
     """Primary matching for one level, then up to ``backtrack`` alternatives.
 
-    ``gc`` is the complement of the level's r-regular graph.  The primary
-    matching is the blossom matcher's, which with its length-3 warm start
-    is cheaper than a Dirac cycle even where 2r < n.  Alternatives re-solve
-    ``gc`` with one edge of the primary matching forbidden, which is enough
-    to escape a greedy dead end.  A level with no matching yields nothing
-    and returns the violator of its one search.
+    ``gc`` is the complement of the level's regular graph, and the primary
+    matching is the blossom matcher's.  Alternatives re-solve ``gc`` with
+    one edge of the primary matching forbidden, which is enough to escape a
+    greedy dead end.  A level with no matching yields nothing and returns
+    the violator of its one search.
     """
     first = perfect_matching(gc)
     if isinstance(first, TutteViolator):
         return first
     yield first
-    if backtrack <= 0:
-        return
     emitted = {first}
-    budget = backtrack
     for u, v in sorted(first):
-        if budget <= 0:
+        if len(emitted) > backtrack:
             return
         pruned = Graph(gc.n, tuple(
             a & ~(1 << v) if i == u else (a & ~(1 << u) if i == v else a)
@@ -237,7 +225,6 @@ def _matching_candidates(
         if isinstance(alt, TutteViolator) or alt in emitted:
             continue
         emitted.add(alt)
-        budget -= 1
         yield alt
 
 
@@ -264,7 +251,7 @@ def extend_to(
     # one frame per level that may be resumed: (graph, its complement,
     # degree, steps so far, candidate matchings); depth-first in candidate
     # order
-    stack = [(g, gc, r, (), _matching_candidates(gc, r, backtrack))]
+    stack = [(g, gc, r, (), _matching_candidates(gc, backtrack))]
     while stack:
         cur, cur_c, cur_r, steps, candidates = stack[-1]
         try:
@@ -281,7 +268,7 @@ def extend_to(
         if cur_r + 1 == target_r:
             return ExtensionTrace(r, target_r, steps + (m,), nxt)
         frame = (nxt, nxt_c, cur_r + 1, steps + (m,),
-                 _matching_candidates(nxt_c, cur_r + 1, backtrack))
+                 _matching_candidates(nxt_c, backtrack))
         if backtrack > 0:
             stack.append(frame)
         else:

@@ -19,6 +19,10 @@ those of the reference loops in ``tests/oracles.py``, which test each case
 with shifts and equalities, so this representation leaves the seeded
 stream unchanged.
 
+The structured samplers behind ``regext verify`` compose sampled parts on
+their rows: a join ORs in the other side's mask, a disjoint union shifts
+the second part's rows, and a clique ORs in its own half.
+
 Everything is driven by a caller-supplied seed and is bit-identical across
 runs and Python versions from 3.10 on.  ``tests/oracles.py`` keeps an
 earlier whole-shuffle sampler as ``random_regular_legacy``.
@@ -268,12 +272,13 @@ def sample_spanning_biclique_regular(
         raise GraphError(f"no spanning-biclique split for n={n}, r={r}")
     a = splits[rng.randrange(len(splits))]
     b = n - a
-    side_a = random_regular(a, r - b, rng.getrandbits(64)) if a > 1 else build(a, [])
-    side_b = random_regular(b, r - a, rng.getrandbits(64)) if b > 1 else build(b, [])
-    edges = [(i, a + j) for i in range(a) for j in range(b)]
-    edges += list(side_a.edges())
-    edges += [(a + u, a + v) for u, v in side_b.edges()]
-    return build(n, edges)
+    side_a = random_regular(a, r - b, rng.getrandbits(64)).adj if a > 1 else (0,)
+    side_b = random_regular(b, r - a, rng.getrandbits(64)).adj if b > 1 else (0,)
+    # the join: each side's rows take the whole other side's mask
+    mask_a = (1 << a) - 1
+    mask_b = mask_a ^ ((1 << n) - 1)
+    return Graph(n, tuple([row | mask_b for row in side_a]
+                          + [row << a | mask_a for row in side_b]))
 
 
 def sample_clique_pair_regular(n: int, r: int, seed: int) -> Graph:
@@ -284,10 +289,11 @@ def sample_clique_pair_regular(n: int, r: int, seed: int) -> Graph:
     half = n // 2
     cross_d = r - half + 1
     cross = random_regular_bipartite(half, cross_d, seed)
-    edges = list(cross.edges())
-    edges += [(i, j) for i in range(half) for j in range(i + 1, half)]
-    edges += [(half + i, half + j) for i in range(half) for j in range(i + 1, half)]
-    return build(n, edges)
+    # each row takes its own half, less its own bit, as a clique
+    low = (1 << half) - 1
+    own = [low] * half + [low << half] * half
+    return Graph(n, tuple([row | (h ^ 1 << v)
+                           for v, (row, h) in enumerate(zip(cross.adj, own))]))
 
 
 def sample_disconnected_regular(n: int, r: int, seed: int) -> Graph:
@@ -303,8 +309,7 @@ def sample_disconnected_regular(n: int, r: int, seed: int) -> Graph:
     n1 = sizes[rng.randrange(len(sizes))]
     g1 = random_regular(n1, r, rng.getrandbits(64))
     g2 = random_regular(n - n1, r, rng.getrandbits(64))
-    edges = list(g1.edges()) + [(u + n1, v + n1) for u, v in g2.edges()]
-    return build(n, edges)
+    return Graph(n, g1.adj + tuple([row << n1 for row in g2.adj]))
 
 
 def _refine(nbr: dict[int, int], part: list[int], queue: list[int]) -> None:

@@ -224,9 +224,9 @@ def _gallai_edmonds_violator(g: Graph, match: list[int]) -> TutteViolator:
 
     D = vertices missed by some maximum matching, which are exactly the
     outer vertices of the Hungarian trees grown from the exposed vertices;
-    S = N(D) - D.  Every component of G[D] is odd, and there are
-    deficiency + |S| of them, so S violates the Tutte condition whenever
-    the matching is not perfect, and does so with equality in Tutte-Berge.
+    S = N(D) - D.  Every component of G[D] is odd, and Tutte-Berge
+    equality makes their count deficiency + |S|, so S violates the Tutte
+    condition whenever the matching is not perfect.
     """
     d_mask = 0
     for v, u in enumerate(match):
@@ -235,8 +235,7 @@ def _gallai_edmonds_violator(g: Graph, match: list[int]) -> TutteViolator:
     s = frozenset(
         v for v in range(g.n) if not d_mask >> v & 1 and g.adj[v] & d_mask
     )
-    odd = components_after_deletion(g, s).odd_count
-    violator = TutteViolator(s, odd)
+    violator = TutteViolator(s, len(s) + match.count(-1))
     if not violator.verify(g):
         raise AssertionError("Gallai-Edmonds violator failed self-check")
     return violator

@@ -9,8 +9,8 @@ refinement, the matcher's greedy-only warm start, which runs the package's
 blossom phases, and the ladder's earlier routes, which run the package's
 step, Dirac cycles and matcher.  Code that only the tests use lives here
 too: the per-bit graph6 encoder, the complement's 2-coloring with odd-cycle
-refutations, and the earlier sampler loops, warm start and ladders that
-pinned outputs were recorded with.
+refutations, the earlier sampler loops, warm start and ladders that pinned
+outputs were recorded with, and the structured samplers' edge-list joins.
 """
 
 from __future__ import annotations
@@ -509,6 +509,54 @@ def random_regular_bipartite_reference(half: int, d: int, seed: int) -> Graph:
             edges[i] = e1
             edges[j] = e2
     return build(2 * half, edges)
+
+
+# -- the structured samplers on edge lists -------------------------------------
+# The product composes these samplers' parts on adjacency rows; these
+# references draw the same parts from the same seeds and join them as edge
+# lists through ``build``.
+
+def sample_spanning_biclique_regular_reference(
+    n: int, r: int, seed: int, odd_parts: bool = False
+) -> Graph:
+    rng = random.Random(seed)
+    splits = generation.biclique_splits(n, r, odd_parts)
+    if not splits:
+        raise GraphError(f"no spanning-biclique split for n={n}, r={r}")
+    a = splits[rng.randrange(len(splits))]
+    b = n - a
+    side_a = (generation.random_regular(a, r - b, rng.getrandbits(64))
+              if a > 1 else build(a, []))
+    side_b = (generation.random_regular(b, r - a, rng.getrandbits(64))
+              if b > 1 else build(b, []))
+    edges = [(i, a + j) for i in range(a) for j in range(b)]
+    edges += list(side_a.edges())
+    edges += [(a + u, a + v) for u, v in side_b.edges()]
+    return build(n, edges)
+
+
+def sample_clique_pair_regular_reference(n: int, r: int, seed: int) -> Graph:
+    if n % 2 or not n // 2 <= r <= n - 1:
+        raise GraphError(f"need even n and n/2 <= r <= n-1, got n={n}, r={r}")
+    half = n // 2
+    cross = generation.random_regular_bipartite(half, r - half + 1, seed)
+    edges = list(cross.edges())
+    edges += [(i, j) for i in range(half) for j in range(i + 1, half)]
+    edges += [(half + i, half + j) for i in range(half) for j in range(i + 1, half)]
+    return build(n, edges)
+
+
+def sample_disconnected_regular_reference(n: int, r: int, seed: int) -> Graph:
+    rng = random.Random(seed)
+    sizes = [n1 for n1 in range(r + 1, n - r)
+             if (n1 * r) % 2 == 0 and ((n - n1) * r) % 2 == 0]
+    if not sizes:
+        raise GraphError(f"cannot split n={n} into two {r}-regular components")
+    n1 = sizes[rng.randrange(len(sizes))]
+    g1 = generation.random_regular(n1, r, rng.getrandbits(64))
+    g2 = generation.random_regular(n - n1, r, rng.getrandbits(64))
+    edges = list(g1.edges()) + [(u + n1, v + n1) for u, v in g2.edges()]
+    return build(n, edges)
 
 
 # -- the matcher's earlier warm start ----------------------------------------

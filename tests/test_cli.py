@@ -13,6 +13,7 @@ from regext import (
     format_graph6,
     is_valid_matching,
     parse_graph6,
+    sample_spanning_biclique_regular,
 )
 from regext.cli import main
 from families import (
@@ -441,6 +442,15 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, ["verify", "--rule", "T4", "--json", *QUICK["T4"]])
         assert code == 0
         assert json_lines(out)[-1]["checked"] == QUICK_CHECKED["T4"]
+
+    def test_t4_check_on_complete_graph(self):
+        # T4's cells include r = n - 1, where every split draws K_n and the
+        # ladder has no rung; the check matches the complement directly
+        from regext import cli
+
+        for seed in range(3):
+            g = sample_spanning_biclique_regular(6, 5, seed, True)
+            assert g == complete_graph(6) and cli._check_t4(g) is None
 
     def test_pool_not_loaded_at_import(self):
         import os

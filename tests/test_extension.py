@@ -240,6 +240,23 @@ class TestExtendTo:
         tr = ExtensionTrace(2, 3, (frozenset(step),), complete_graph(4))
         assert tr.verify(g) is False
 
+    def test_verify_rejects_irregular_start(self):
+        # the path 0-1-2-3 and the perfect matching {02, 13} of its
+        # complement; no trace starts from an irregular graph
+        g = build(4, [(0, 1), (1, 2), (2, 3)])
+        m = frozenset({(0, 2), (1, 3)})
+        assert ExtensionTrace(1, 1, (), g).verify(g) is False
+        assert ExtensionTrace(1, 2, (m,), _apply(g, [m])).verify(g) is False
+
+    def test_verify_checks_start_degree(self):
+        # one step from a 4-regular graph reaches degree 5 whatever start_r
+        # says; a trace claiming three levels for that one step is rejected
+        g = cliques_plus_matching(4)
+        m = perfect_matching(complement(g))
+        assert require_regular(g) == 4
+        assert ExtensionTrace(4, 5, (m,), _apply(g, [m])).verify(g)
+        assert ExtensionTrace(2, 5, (m,), _apply(g, [m])).verify(g) is False
+
     def test_bad_target(self):
         with pytest.raises(GraphError):
             extend_to(cycle_graph(6), 6)
@@ -256,7 +273,7 @@ def _extend_to_recursive(g, target_r, backtrack):
         if cur_r == target_r:
             return ExtensionTrace(r, target_r, steps, cur)
         saw = False
-        for m in _matching_candidates(complement(cur), cur_r, backtrack):
+        for m in _matching_candidates(complement(cur), backtrack):
             saw = True
             done = descend(_apply(cur, [m]), cur_r + 1, steps + (m,))
             if done is not None:
@@ -301,21 +318,22 @@ class TestIterativeExtendTo:
     def test_one_complement_per_level(self, monkeypatch, backtrack, levels):
         # one complement per climb: each level's complement is the one below
         # minus the matching just added, built by the step with the next
-        # graph and no add_matching; with backtracking the dead end at r=6
-        # and its rescue are two levels on different graphs
+        # graph; the module has no add_matching to call.  With backtracking
+        # the dead end at r=6 and its rescue are two levels on different
+        # graphs
         from regext import extension
 
+        assert not hasattr(extension, "add_matching")
         g = parse_graph6("GJiu]o")
         expected = _extend_to_recursive(g, 7, backtrack)
-        calls, added, searched = [], [], []
+        calls, searched = [], []
         fn, search = extension.complement, extension._matching_candidates
         monkeypatch.setattr(extension, "complement", lambda g: calls.append(g) or fn(g))
-        monkeypatch.setattr(extension, "add_matching", lambda *a: added.append(a))
         monkeypatch.setattr(extension, "_matching_candidates",
-                            lambda gc, r, backtrack:
-                            searched.append(gc) or search(gc, r, backtrack))
+                            lambda gc, backtrack:
+                            searched.append(gc) or search(gc, backtrack))
         assert extend_to(g, 7, backtrack=backtrack) == expected
-        assert calls == [g] and added == []
+        assert calls == [g]
         assert len(searched) == len(set(searched)) == levels
         assert searched[0] == complement(g)
 
@@ -393,7 +411,7 @@ class TestDiracFirstLevel:
         (first,) = levels
         assert len(first) == len(set(first)) == len(calls) == 4
         assert all(is_valid_matching(gc, m, perfect=True) for m in first)
-        assert list(search(gc, 3, 3)) == first
+        assert list(search(gc, 3)) == first
 
     def test_blossom_levels_above_run_few_phases(self, bounded_phases):
         # the blossom levels of a long ladder need almost no phases when the
@@ -439,6 +457,14 @@ class TestStep:
         g = cycle_graph(6)
         with pytest.raises(GraphError):
             _step(g, complement(g), pairs)
+
+    def test_empty_graph_has_no_step(self):
+        # no matching raises the empty graph's degree; a trace claiming a
+        # step on it is rejected rather than failing on a missing row
+        g = build(0, [])
+        with pytest.raises(GraphError):
+            _step(g, g, frozenset())
+        assert ExtensionTrace(0, 1, (frozenset(),), g).verify(g) is False
 
 
 def _paper_hypotheses(n, r):

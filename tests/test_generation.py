@@ -314,6 +314,45 @@ class TestSamplers:
         with pytest.raises(GraphError):
             sample_disconnected_regular(20, 17, 0)  # one component max
 
+    # the samplers compose their parts on adjacency rows; the edge-list
+    # joins in the oracles must give the same graph on every feasible cell
+    # with even n <= 40
+    def test_biclique_rows_match_edge_lists(self):
+        single = 0
+        for n in range(2, 41, 2):
+            for r in range(n):
+                for odd in (False, True):
+                    splits = biclique_splits(n, r, odd)
+                    # a one-vertex side: the r = n - 1 cells
+                    single += 1 in splits or n - 1 in splits
+                    for seed in range(3) if splits else ():
+                        assert sample_spanning_biclique_regular(n, r, seed, odd) == \
+                            oracles.sample_spanning_biclique_regular_reference(
+                                n, r, seed, odd), (n, r, odd, seed)
+        assert single > 0
+
+    def test_clique_pair_rows_match_edge_lists(self):
+        for n in range(2, 41, 2):
+            for r in range(n // 2, n):
+                for seed in range(3):
+                    assert sample_clique_pair_regular(n, r, seed) == \
+                        oracles.sample_clique_pair_regular_reference(n, r, seed), (n, r, seed)
+
+    def test_disconnected_rows_match_edge_lists(self):
+        cells = 0
+        for n in range(2, 41, 2):
+            for r in range(n):
+                for seed in range(3):
+                    try:
+                        want = oracles.sample_disconnected_regular_reference(n, r, seed)
+                    except GraphError:
+                        with pytest.raises(GraphError):
+                            sample_disconnected_regular(n, r, seed)
+                        continue
+                    cells += 1
+                    assert sample_disconnected_regular(n, r, seed) == want, (n, r, seed)
+        assert cells > 0
+
 
 def _shuffled(g, rng):
     perm = list(range(g.n))
