@@ -30,9 +30,9 @@ earlier whole-shuffle sampler as ``random_regular_legacy``.
 Enumeration: backtracking edge assignment over vertices in label order.
 Vertices that are indistinguishable so far are grouped into classes and
 only class prefixes are used as neighbor choices, which discards most
-isomorphic duplicates during the search; exact dedup happens through
-canonical forms, and the first graph found in each class is the one
-yielded.  Hard cap n <= 10 - beyond that, import externally generated
+isomorphic duplicates during the search; exact dedup keys on the rows
+of the canonical relabeling, and the first graph found in each class is
+the one yielded.  Hard cap n <= 10 - beyond that, import externally generated
 graph6 corpora through the CLI.
 
 Canonical forms (``canonical_form``, n <= 12) are the graph6 bytes of the
@@ -47,7 +47,7 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from .graph import (Graph, GraphError, _unit_masks, build, complement, format_graph6,
+from .graph import (Graph, GraphError, _unit_masks, complement, format_graph6,
                     is_connected)
 
 ENUMERATION_CAP = 10
@@ -208,11 +208,11 @@ def random_regular_bipartite(half: int, d: int, seed: int) -> Graph:
     left = [v for _ in offsets for v in range(half)]
     right = [half + (v + off) % half for off in offsets for v in range(half)]
     m = len(left)
+    bit = _unit_masks(2 * half)
+    rows = [0] * half
+    for a, b in zip(left, right):
+        rows[a] |= bit[b]
     if m >= 2:
-        bit = _unit_masks(2 * half)
-        rows = [0] * half
-        for a, b in zip(left, right):
-            rows[a] |= bit[b]
         k = m.bit_length()
         getrandbits = rng.getrandbits
         for _ in range(20 * m):
@@ -233,7 +233,14 @@ def random_regular_bipartite(half: int, d: int, seed: int) -> Graph:
             rows[c] ^= flip
             right[i] = d2
             right[j] = b
-    return build(2 * half, zip(left, right))
+    # the right side's rows are the transpose of the left side's
+    cols = [0] * half
+    for a, row in enumerate(rows):
+        while row:
+            y = row & -row
+            cols[y.bit_length() - 1 - half] |= bit[a]
+            row ^= y
+    return Graph(2 * half, tuple(rows + cols))
 
 
 def biclique_splits(n: int, r: int, odd_parts: bool = False) -> list[int]:
@@ -431,6 +438,13 @@ def _orbit_roots(n: int, gens: list[tuple[list[int], int]], prefix: int) -> list
 def canonical_form(g: Graph) -> bytes:
     """Isomorphism-invariant encoding: the graph6 line of a canonical
     relabeling, so two graphs get equal bytes iff they are isomorphic.
+    The relabeling's rows are ``_canonical_rows``'s."""
+    return format_graph6(Graph(g.n, _canonical_rows(g))).encode("ascii")
+
+
+def _canonical_rows(g: Graph) -> tuple[int, ...]:
+    """Adjacency rows of a canonical relabeling: equal for two graphs iff
+    they are isomorphic.
 
     Individualization-refinement search (McKay & Piperno, J. Symbolic
     Comput. 60, 2014).  The root partition groups vertices by triangle
@@ -443,14 +457,14 @@ def canonical_form(g: Graph) -> bytes:
     orbit of the automorphisms found so far that fix its individualized
     vertices.  Both skip only images of subtrees already explored, and the
     tree does not depend on the labelling, so the least rows searched are
-    the least rows of the whole tree.  The bytes are canonical but not the
-    lexicographically least encoding over all relabelings.
+    the least rows of the whole tree.  The rows are canonical but not the
+    least rows over all relabelings.
     """
     if g.n > CANONICAL_CAP:
         raise GraphError(f"n={g.n} exceeds canonical-form limit {CANONICAL_CAP}")
     n = g.n
     if n < 2:
-        return format_graph6(g).encode("ascii")
+        return g.adj
     nbr = {1 << v: a for v, a in enumerate(g.adj)}
     leaves: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     gens: list[tuple[list[int], int]] = []  # (vertex images, fixed-point mask)
@@ -517,7 +531,7 @@ def canonical_form(g: Graph) -> bytes:
         return depth
 
     search(_root_partition(nbr), [], 0)
-    return format_graph6(Graph(n, min(leaves))).encode("ascii")
+    return min(leaves)
 
 
 def _residual_feasible(residual: list[int], start: int, n: int) -> bool:
@@ -549,14 +563,14 @@ def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[
 
     adj = [0] * n
     residual = [r] * n
-    seen: set[bytes] = set()
+    seen: set[tuple[int, ...]] = set()
 
     def assign(v: int) -> Iterator[Graph]:
         if v == n:
             g = Graph(n, tuple(adj))
             if connected_only and not is_connected(g):
                 return
-            key = canonical_form(g)
+            key = _canonical_rows(g)
             if key not in seen:
                 seen.add(key)
                 yield g

@@ -4,6 +4,11 @@ A balloon is a maximal 2-edge-connected subgraph incident to exactly one
 bridge.  Singleton vertices count as (vacuously) 2-edge-connected blocks,
 so an isolated leaf hanging off a bridge is a balloon; odd-regular graphs
 with r >= 3 never produce that case, but the decomposition stays total.
+
+The balloon bound is checked on vertex masks.  The balloon count is taken
+once per graph, with no bridge search when r is even or n < 2r + 4 (an
+r-regular graph with a bridge has r odd and at least r + 2 vertices on
+each side of it); then each set costs one component pass over V - S.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from .graph import (
     _mask_to_set,
     _norm_edge,
     complement,
-    components_after_deletion,
     require_regular,
 )
 
@@ -134,32 +138,65 @@ def balloons(g: Graph) -> BalloonReport:
     return BalloonReport(tuple(bridge_list), blocks, tuple(balloon_blocks))
 
 
+def _balloon_count(g: Graph, r: int) -> int:
+    """b(G) of an r-regular graph with r >= 2: its 2-edge-connected blocks
+    that touch exactly one bridge.
+
+    0 with no search when r is even or n < 2r + 4.  A bridge's side A (one
+    part of its component once the bridge is cut) has degree sum
+    r|A| = 2e(A) + 1, and 2e(A) <= |A|(|A| - 1).  So r and |A| are odd,
+    and |A|(|A| - r - 1) >= -1 forces |A| >= r + 1, hence |A| >= r + 2;
+    both sides together need 2r + 4 vertices.
+    """
+    if r % 2 == 0 or g.n < 2 * r + 4:
+        return 0
+    bridge_list = find_bridges(g)
+    adj = list(g.adj)
+    for u, v in bridge_list:
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+    return sum(
+        1 for mask in _mask_components(adj, g.vertex_mask())
+        if sum((mask >> u & 1) + (mask >> v & 1) for u, v in bridge_list) == 1
+    )
+
+
 def balloon_bound_checker(g: Graph) -> Callable[[Iterable[int]], BalloonBoundCheck]:
     """``check_balloon_bound`` for one graph: its degree and balloon count
-    are computed here once, and each call of the result checks one set."""
+    are computed here once, and each call of the result checks one set by
+    one component pass over the mask of V - s."""
     r = require_regular(g)
     if r < 2:
         raise GraphError(f"balloon bound needs degree >= 2, got r={r}")
-    b = balloons(g).b
-    rhs = Fraction(r, r - 1) * b
-    rhs_alt = Fraction(r - 1, r) * b
+    n = g.n
+    adj = g.adj
+    full = g.vertex_mask()
+    b = _balloon_count(g, r)
+    # lhs <= r b / (r - 1) and lhs <= (r - 1) b / r, cleared of denominators
+    rb, r1b = r * b, (r - 1) * b
+    rhs = Fraction(rb, r - 1)
+    rhs_alt = Fraction(r1b, r)
 
     def check(s: Iterable[int]) -> BalloonBoundCheck:
-        s_set = frozenset(s)
         smask = 0
-        for v in s_set:
-            smask |= 1 << v
-        parts = components_after_deletion(g, s_set)
+        rows = []  # adjacency of each vertex of s, once
+        for v in s:
+            if not 0 <= v < n:
+                raise GraphError(f"deleted vertex {v} out of range for n={n}")
+            if not smask >> v & 1:
+                smask |= 1 << v
+                rows.append(adj[v])
+        odd = 0
         applicable = True
-        for block in parts.blocks:
-            if len(block) % 2 == 0:
-                continue
-            boundary = sum((g.adj[v] & smask).bit_count() for v in block)
-            if boundary != 1 and boundary < r:
-                applicable = False
-                break
-        lhs = Fraction(parts.odd_count - len(s_set))
-        return BalloonBoundCheck(applicable, lhs <= rhs, lhs, rhs, rhs_alt, lhs <= rhs_alt)
+        for comp in _mask_components(adj, full & ~smask):
+            if comp.bit_count() & 1:
+                odd += 1
+                if applicable:
+                    boundary = sum((a & comp).bit_count() for a in rows)
+                    applicable = boundary == 1 or boundary >= r
+        lhs = odd - smask.bit_count()
+        return BalloonBoundCheck(applicable, lhs * (r - 1) <= rb, Fraction(lhs),
+                                 rhs, rhs_alt, lhs * r <= r1b)
 
     return check
 
@@ -168,8 +205,10 @@ def check_balloon_bound(g: Graph, s: Iterable[int]) -> BalloonBoundCheck:
     """Evaluate odd(G-s) - |s| against (r/(r-1)) * b(G) on a regular graph.
 
     Applicable only when every odd component of G-s sends exactly 1 or at
-    least r edges into s.  To check many sets of one graph, call
-    ``balloon_bound_checker`` once instead.
+    least r edges into s.  A repeated vertex of s counts once, and one out
+    of range raises ``GraphError``.  b(G) is 0 without a bridge search when
+    r is even or n < 2r + 4 (see ``_balloon_count``).  To check many sets
+    of one graph, call ``balloon_bound_checker`` once instead.
     """
     return balloon_bound_checker(g)(s)
 

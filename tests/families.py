@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from regext import Graph, build
+import random
+
+from regext import Graph, build, random_regular
 
 
 def empty_graph(n: int) -> Graph:
@@ -62,6 +64,60 @@ def balloon_cubic_pair() -> Graph:
     """
     g = disjoint_union(subdivided_k4(), subdivided_k4())
     return build(10, list(g.edges()) + [(4, 9)])
+
+
+def _hung_piece(k: int, tips: int, rng: random.Random) -> tuple[list[tuple[int, int]], list[int]]:
+    """A random cubic graph on k vertices with ``tips`` disjoint edges each
+    subdivided by a new vertex k, k + 1, ...; returns its edges and tips."""
+    edges = list(random_regular(k, 3, rng.getrandbits(32)).edges())
+    rng.shuffle(edges)
+    cut: list[tuple[int, int]] = []
+    used: set[int] = set()
+    for u, v in edges:
+        if len(cut) < tips and u not in used and v not in used:
+            cut.append((u, v))
+            used |= {u, v}
+    kept = [e for e in edges if e not in cut]
+    for i, (u, v) in enumerate(cut):
+        kept += [(u, k + i), (v, k + i)]
+    return kept, list(range(k, k + tips))
+
+
+def bridged_cubic(n: int, seed: int) -> Graph:
+    """Seeded cubic graph with bridges on even n >= 10, randomly relabelled.
+
+    Pieces are random cubic graphs with subdivided edges, and each
+    subdivision vertex takes one bridge: two end pieces joined by a bridge,
+    or (n >= 16) two end pieces hung off a middle piece or three around a
+    hub vertex.
+    """
+    rng = random.Random(seed)
+    if n < 16 or rng.randrange(3) == 0:
+        k = rng.randrange(4, n - 6 + 1, 2)
+        sizes, tips, hub = [k, n - 2 - k], [1, 1], False
+    else:
+        total = n - 4
+        k1 = rng.randrange(4, total - 8 + 1, 2)
+        k2 = rng.randrange(4, total - k1 - 4 + 1, 2)
+        hub = rng.randrange(2) == 0
+        sizes, tips = [k1, k2, total - k1 - k2], [1, 1, 1] if hub else [1, 2, 1]
+    edges: list[tuple[int, int]] = []
+    ends: list[list[int]] = []
+    base = 0
+    for k, t in zip(sizes, tips):
+        piece, piece_tips = _hung_piece(k, t, rng)
+        edges += [(u + base, v + base) for u, v in piece]
+        ends.append([x + base for x in piece_tips])
+        base += k + t
+    if hub:
+        edges += [(base, e[0]) for e in ends]
+    elif len(ends) == 2:
+        edges.append((ends[0][0], ends[1][0]))
+    else:
+        edges += [(ends[0][0], ends[1][0]), (ends[1][1], ends[2][0])]
+    label = list(range(n))
+    rng.shuffle(label)
+    return build(n, [(label[u], label[v]) for u, v in edges])
 
 
 def cliques_plus_matching(k: int) -> Graph:

@@ -10,16 +10,31 @@ blossom phases, and the ladder's earlier routes, which run the package's
 step, Dirac cycles and matcher.  Code that only the tests use lives here
 too: the per-bit graph6 encoder, the complement's 2-coloring with odd-cycle
 refutations, the earlier sampler loops, warm start and ladders that pinned
-outputs were recorded with, and the structured samplers' edge-list joins.
+outputs were recorded with, the structured samplers' edge-list joins, and
+the balloon-bound check on the package's balloon report and component sets.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations
+from typing import Callable, Iterable
 
-from regext import Graph, GraphError, build, complement, extension, generation, matching
+from regext import (
+    BalloonBoundCheck,
+    Graph,
+    GraphError,
+    balloons,
+    build,
+    complement,
+    components_after_deletion,
+    extension,
+    generation,
+    matching,
+    require_regular,
+)
 
 
 def unionfind_components(g: Graph, deleted=()) -> list[set[int]]:
@@ -509,6 +524,36 @@ def random_regular_bipartite_reference(half: int, d: int, seed: int) -> Graph:
             edges[i] = e1
             edges[j] = e2
     return build(2 * half, edges)
+
+
+def balloon_bound_checker_reference(g: Graph) -> Callable[[Iterable[int]], BalloonBoundCheck]:
+    """``check_balloon_bound`` for one graph: its degree and balloon count
+    are computed here once, and each call of the result checks one set."""
+    r = require_regular(g)
+    if r < 2:
+        raise GraphError(f"balloon bound needs degree >= 2, got r={r}")
+    b = balloons(g).b
+    rhs = Fraction(r, r - 1) * b
+    rhs_alt = Fraction(r - 1, r) * b
+
+    def check(s: Iterable[int]) -> BalloonBoundCheck:
+        s_set = frozenset(s)
+        smask = 0
+        for v in s_set:
+            smask |= 1 << v
+        parts = components_after_deletion(g, s_set)
+        applicable = True
+        for block in parts.blocks:
+            if len(block) % 2 == 0:
+                continue
+            boundary = sum((g.adj[v] & smask).bit_count() for v in block)
+            if boundary != 1 and boundary < r:
+                applicable = False
+                break
+        lhs = Fraction(parts.odd_count - len(s_set))
+        return BalloonBoundCheck(applicable, lhs <= rhs, lhs, rhs, rhs_alt, lhs <= rhs_alt)
+
+    return check
 
 
 # -- the structured samplers on edge lists -------------------------------------

@@ -396,12 +396,13 @@ class TestVerifyCommand:
 
     def test_balloons_once_per_graph(self, capsys, monkeypatch):
         # the degree and balloon count belong to the graph: one balloon
-        # decomposition per checked graph, not one per vertex set
+        # count per checked graph, not one per vertex set
         from regext import structure
 
         graphs = []
-        balloons = structure.balloons
-        monkeypatch.setattr(structure, "balloons", lambda g: graphs.append(g) or balloons(g))
+        count = structure._balloon_count
+        monkeypatch.setattr(structure, "_balloon_count",
+                            lambda g, r: graphs.append(g) or count(g, r))
         code, out, _ = run_cli(capsys, ["verify", "--rule", "L0-balloon", "--json",
                                         *QUICK["L0-balloon"]])
         summary = json_lines(out)[-1]

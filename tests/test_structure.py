@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +18,12 @@ from regext import (
     components_after_deletion,
     find_bridges,
     find_clique,
+    random_regular,
     spanning_biclique,
 )
 from families import (
     balloon_cubic_pair,
+    bridged_cubic,
     cliques_plus_matching,
     complete_bipartite,
     complete_graph,
@@ -30,7 +33,8 @@ from families import (
 )
 
 import oracles
-from oracles import OddCycle, complement_bipartite_check
+from oracles import OddCycle, balloon_bound_checker_reference, complement_bipartite_check
+from regext.structure import _balloon_count, balloon_bound_checker
 
 
 class TestBridgesAndBalloons:
@@ -165,9 +169,12 @@ class TestBalloonBound:
         with pytest.raises(GraphError):
             check_balloon_bound(build(2, [(0, 1)]), ())
 
-    def test_never_violated_on_odd_regular_corpus(self, small_regular_corpus):
-        from itertools import combinations
+    @pytest.mark.parametrize("v", [-1, 10])
+    def test_out_of_range_vertex(self, v):
+        with pytest.raises(GraphError, match=f"deleted vertex {v} out of range for n=10"):
+            check_balloon_bound(balloon_cubic_pair(), [0, v])
 
+    def test_never_violated_on_odd_regular_corpus(self, small_regular_corpus):
         checked = 0
         for (n, r), graphs in small_regular_corpus.items():
             if r % 2 == 0 or r < 3 or n > 8:
@@ -180,6 +187,61 @@ class TestBalloonBound:
                             assert chk.holds
                             checked += 1
         assert checked > 50
+
+
+class TestBalloonBoundOracle:
+    """The mask check against the report-based reference in ``oracles``."""
+
+    def test_every_odd_class_small_sets(self, small_regular_corpus):
+        checked = 0
+        for (n, r), graphs in small_regular_corpus.items():
+            if r % 2 == 0 or r < 3:
+                continue
+            for g in graphs:
+                check = balloon_bound_checker(g)
+                want = balloon_bound_checker_reference(g)
+                for k in range(4):
+                    for s in combinations(range(n), k):
+                        assert check(s) == want(s), (g, s)
+                        checked += 1
+        assert checked > 15000
+
+    def test_bridged_cubic_random_sets(self):
+        rng = random.Random(5)
+        graphs = [balloon_cubic_pair()] + [bridged_cubic(n, seed)
+                                           for n in range(10, 31, 2) for seed in range(4)]
+        for g in graphs:
+            assert balloons(g).b >= 2
+            check = balloon_bound_checker(g)
+            want = balloon_bound_checker_reference(g)
+            for _ in range(40):
+                size = rng.randrange(g.n + 1)
+                # rng.choices repeats vertices; each counts once
+                s = (rng.choices(range(g.n), k=size) if rng.randrange(2)
+                     else rng.sample(range(g.n), size))
+                assert check(s) == want(s) == check_balloon_bound(g, s), (g, s)
+
+    def test_parity_bound_against_networkx(self, small_regular_corpus):
+        # no bridge when r is even or n < 2r + 4
+        nx = pytest.importorskip("networkx")
+        graphs = [g for gs in small_regular_corpus.values() for g in gs]
+        graphs += [random_regular(n, r, seed) for n in range(12, 31, 2)
+                   for r in range(2, n) for seed in range(2)
+                   if r % 2 == 0 or n < 2 * r + 4]
+        checked = 0
+        for g in graphs:
+            r = g.degree(0)
+            if r < 2 or (r % 2 == 1 and g.n >= 2 * r + 4):
+                continue
+            assert not nx.has_bridges(nx.Graph(list(g.edges()))), g
+            assert _balloon_count(g, r) == balloons(g).b == 0
+            checked += 1
+        assert checked > 400
+        # and it is tight: n = 10 = 2 * 3 + 4 has a cubic graph with a bridge
+        g = balloon_cubic_pair()
+        assert g.n == 2 * 3 + 4
+        assert nx.has_bridges(nx.Graph(list(g.edges())))
+        assert _balloon_count(g, 3) == balloons(g).b == 2
 
 
 class TestClique:
