@@ -2,9 +2,10 @@
 
 Library surface: immutable bitset graphs with graph6 I/O, blossom matching
 with Tutte certificates, edge-connectivity and biclique structure,
-constructive Hamiltonian-cycle extension, the table of extension rules and
-the classifier that reads it, and seeded generation / exhaustive
-enumeration of small regular graphs.
+extension by the blossom matcher's perfect matchings of the complement,
+T1's Dirac cycle, the table of extension rules and the classifier that
+reads it, and seeded generation / exhaustive enumeration of small regular
+graphs.
 """
 
 from .graph import (

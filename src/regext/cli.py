@@ -77,10 +77,8 @@ def _edges_json(edges) -> list[list[int]]:
     return [list(e) for e in sorted(edges)]
 
 
-def certificate_json(obj) -> object:
+def certificate_json(obj) -> dict:
     """Stable JSON form for every certificate the library produces."""
-    if obj is None:
-        return None
     if isinstance(obj, TutteViolator):
         return {"type": "tutte-violator", "s": sorted(obj.s),
                 "odd_count": obj.odd_count}
@@ -116,7 +114,7 @@ class Reporter:
             self._emit({"kind": "header", "command": command, "options": options})
 
     def _emit(self, obj: dict) -> None:
-        print(json.dumps(obj, separators=(", ", ": ")))
+        print(json.dumps(obj))
 
     def result(self, ok: bool, human: str, payload: dict) -> None:
         if ok:

@@ -9,8 +9,9 @@ graph and removes it from the complement in the same pass, so a climb over
 many levels builds one complement, and ``ExtensionTrace.verify`` replays
 a trace through the same step.  ``dirac_cycle`` is the paper's route
 for T1 (2r < n): the complement then has minimum degree >= n/2, so it has
-a Hamiltonian cycle (Dirac) whose even edges are a perfect matching;
-``regext verify --rule T1`` checks that construction.
+a Hamiltonian cycle (Dirac), built by closing gaps in a cyclic order,
+whose even edges are a perfect matching; ``regext verify --rule T1``
+checks that construction.
 
 ``RULES`` holds one ``Rule`` record per sufficient or impossibility
 condition this package verifies: its arithmetic hypothesis on (n, r), the
@@ -55,12 +56,17 @@ def validate_cycle(g: Graph, order: tuple[int, ...]) -> None:
 def dirac_cycle(g: Graph) -> tuple[int, ...]:
     """Hamiltonian cycle of a graph with minimum degree >= n/2.
 
-    Constructive rotation-extension: grow a maximal path, close it through
-    a crossing chord (which the degree condition guarantees), and absorb an
-    outside vertex whenever the cycle is not yet spanning.  The path is also
-    kept as a vertex mask, so each extension takes the lowest set bit of an
-    endpoint's neighbours off the path.  Every choice is the first in
-    ascending label order, so the output is deterministic.
+    Gap closing (Palmer's constructive proof of Ore's theorem): start from
+    the cyclic order 0, 1, ..., n-1 and call a consecutive pair that is not
+    an edge a gap.  Rotate the first gap to the ends, x = order[0] and
+    y = order[-1].  The neighbours of x give positions j (x ~ order[j+1])
+    and those of y positions j (y ~ order[j]), deg(x) + deg(y) >= n of them
+    among the n - 1 positions 0..n-2, so some j in 1..n-3 has both.
+    Reversing order[j+1:] makes both chord pairs consecutive and keeps
+    every other pair, so each step closes the gap (y, x) and opens none.
+    There are at most n gaps; one left after n + 1 steps means a broken
+    step and raises AssertionError.  Every choice is the first in order, so
+    the output is deterministic.
     """
     n = g.n
     if n < 3:
@@ -72,60 +78,19 @@ def dirac_cycle(g: Graph) -> tuple[int, ...]:
                 f"deg({v})={a.bit_count()} < n/2={n / 2}", vertex=v
             )
 
-    path = [0]
-    on = 1
-
-    while True:
-        # extend at the tail, then at the head, until neither end can grow
-        grew = True
-        while grew:
-            grew = False
-            free = adj[path[-1]] & ~on
-            if free:
-                b = free & -free
-                path.append(b.bit_length() - 1)
-                on |= b
-                grew = True
-            free = adj[path[0]] & ~on
-            if free:
-                b = free & -free
-                path.insert(0, b.bit_length() - 1)
-                on |= b
-                grew = True
-        head, tail = path[0], path[-1]
-        adj_head, adj_tail = adj[head], adj[tail]
-        if adj_head >> tail & 1:
-            cycle = path
-        else:
-            # maximal path: both endpoints' neighborhoods sit on the path, so
-            # deg(head) + deg(tail) >= n > len(path) - 1 forces a position i
-            # with head ~ path[i+1] and tail ~ path[i]
-            idx = None
-            for i in range(len(path) - 1):
-                if adj_head >> path[i + 1] & 1 and adj_tail >> path[i] & 1:
-                    idx = i
-                    break
-            if idx is None:
-                raise AssertionError("rotation chord missing despite degree bound")
-            cycle = path[: idx + 1] + path[idx + 1:][::-1]
-        if len(cycle) == n:
-            validate_cycle(g, tuple(cycle))
-            return tuple(cycle)
-        # absorb the lowest outside vertex adjacent to the cycle, entering
-        # at its first neighbour in cycle order, and go again
-        off = ((1 << n) - 1) & ~on
-        while off:
-            b = off & -off
-            if adj[b.bit_length() - 1] & on:
-                break
-            off ^= b
-        if not off:
-            raise AssertionError("graph disconnected despite degree bound")
-        u = b.bit_length() - 1
-        adj_u = adj[u]
-        j = next(j for j, c in enumerate(cycle) if adj_u >> c & 1)
-        path = [u] + cycle[j:] + cycle[:j]
-        on |= b
+    order = list(range(n))
+    for _ in range(n + 1):
+        gap = next((i for i in range(n)
+                    if not adj[order[i]] >> order[(i + 1) % n] & 1), None)
+        if gap is None:
+            validate_cycle(g, tuple(order))
+            return tuple(order)
+        order = order[gap + 1:] + order[:gap + 1]
+        adj_x, adj_y = adj[order[0]], adj[order[-1]]
+        j = next(j for j in range(1, n - 2)
+                 if adj_x >> order[j + 1] & 1 and adj_y >> order[j] & 1)
+        order[j + 1:] = reversed(order[j + 1:])
+    raise AssertionError("gap left after n + 1 closing steps")
 
 
 def cycle_to_matching(order: tuple[int, ...]) -> Matching:

@@ -121,21 +121,27 @@ def find_bridges(g: Graph) -> list[Edge]:
     return sorted(out)
 
 
-def balloons(g: Graph) -> BalloonReport:
-    """Bridges, 2-edge-connected blocks, and the blocks of bridge-degree 1."""
+def _balloon_pass(g: Graph) -> tuple[list[Edge], list[int], list[int]]:
+    """Bridges, 2-edge-connected block masks and balloon masks: one bridge
+    search, then one component pass over the rows with the bridges cut."""
     bridge_list = find_bridges(g)
     adj = list(g.adj)
     for u, v in bridge_list:
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
     block_masks = _mask_components(adj, g.vertex_mask())
-    blocks = tuple(_mask_to_set(m) for m in block_masks)
-    balloon_blocks = []
-    for mask, block in zip(block_masks, blocks):
-        incident = sum(1 for u, v in bridge_list if mask >> u & 1 or mask >> v & 1)
-        if incident == 1:
-            balloon_blocks.append(block)
-    return BalloonReport(tuple(bridge_list), blocks, tuple(balloon_blocks))
+    balloon_masks = [
+        mask for mask in block_masks
+        if sum((mask >> u & 1) + (mask >> v & 1) for u, v in bridge_list) == 1
+    ]
+    return bridge_list, block_masks, balloon_masks
+
+
+def balloons(g: Graph) -> BalloonReport:
+    """Bridges, 2-edge-connected blocks, and the blocks of bridge-degree 1."""
+    bridge_list, block_masks, balloon_masks = _balloon_pass(g)
+    return BalloonReport(tuple(bridge_list), tuple(map(_mask_to_set, block_masks)),
+                         tuple(map(_mask_to_set, balloon_masks)))
 
 
 def _balloon_count(g: Graph, r: int) -> int:
@@ -150,15 +156,7 @@ def _balloon_count(g: Graph, r: int) -> int:
     """
     if r % 2 == 0 or g.n < 2 * r + 4:
         return 0
-    bridge_list = find_bridges(g)
-    adj = list(g.adj)
-    for u, v in bridge_list:
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-    return sum(
-        1 for mask in _mask_components(adj, g.vertex_mask())
-        if sum((mask >> u & 1) + (mask >> v & 1) for u, v in bridge_list) == 1
-    )
+    return len(_balloon_pass(g)[2])
 
 
 def balloon_bound_checker(g: Graph) -> Callable[[Iterable[int]], BalloonBoundCheck]:

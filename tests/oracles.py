@@ -7,11 +7,12 @@ unpruned canonical search, which checks the pruning of
 ``generation.canonical_form`` and so reuses its root partition and
 refinement, the matcher's greedy-only warm start, which runs the package's
 blossom phases, and the ladder's earlier routes, which run the package's
-step, Dirac cycles and matcher.  Code that only the tests use lives here
-too: the per-bit graph6 encoder, the complement's 2-coloring with odd-cycle
-refutations, the earlier sampler loops, warm start and ladders that pinned
-outputs were recorded with, the structured samplers' edge-list joins, and
-the balloon-bound check on the package's balloon report and component sets.
+step and matcher.  Code that only the tests use lives here too: the
+rotation-extension Dirac cycle, the per-bit graph6 encoder, the
+complement's 2-coloring with odd-cycle refutations, the earlier sampler
+loops, warm start and ladders that pinned outputs were recorded with, the
+structured samplers' edge-list joins, and the balloon-bound check on the
+package's balloon report and component sets.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Callable, Iterable
 
 from regext import (
     BalloonBoundCheck,
+    DiracPreconditionError,
     Graph,
     GraphError,
     balloons,
@@ -34,6 +36,7 @@ from regext import (
     generation,
     matching,
     require_regular,
+    validate_cycle,
 )
 
 
@@ -633,6 +636,85 @@ def match_array_greedy(g: Graph) -> list[int]:
 
 # -- the ladder's earlier routes ---------------------------------------------
 
+def dirac_cycle_rotation(g: Graph) -> tuple[int, ...]:
+    """``extension.dirac_cycle`` before gap closing: a Hamiltonian cycle of
+    a graph with minimum degree >= n/2.  The reference ladders build their
+    Dirac levels with it, so they reproduce the traces pinned on it.
+
+    Constructive rotation-extension: grow a maximal path, close it through
+    a crossing chord (which the degree condition guarantees), and absorb an
+    outside vertex whenever the cycle is not yet spanning.  The path is also
+    kept as a vertex mask, so each extension takes the lowest set bit of an
+    endpoint's neighbours off the path.  Every choice is the first in
+    ascending label order, so the output is deterministic.
+    """
+    n = g.n
+    if n < 3:
+        raise DiracPreconditionError(f"need n >= 3, got n={n}")
+    adj = g.adj
+    for v, a in enumerate(adj):
+        if 2 * a.bit_count() < n:
+            raise DiracPreconditionError(
+                f"deg({v})={a.bit_count()} < n/2={n / 2}", vertex=v
+            )
+
+    path = [0]
+    on = 1
+
+    while True:
+        # extend at the tail, then at the head, until neither end can grow
+        grew = True
+        while grew:
+            grew = False
+            free = adj[path[-1]] & ~on
+            if free:
+                b = free & -free
+                path.append(b.bit_length() - 1)
+                on |= b
+                grew = True
+            free = adj[path[0]] & ~on
+            if free:
+                b = free & -free
+                path.insert(0, b.bit_length() - 1)
+                on |= b
+                grew = True
+        head, tail = path[0], path[-1]
+        adj_head, adj_tail = adj[head], adj[tail]
+        if adj_head >> tail & 1:
+            cycle = path
+        else:
+            # maximal path: both endpoints' neighborhoods sit on the path, so
+            # deg(head) + deg(tail) >= n > len(path) - 1 forces a position i
+            # with head ~ path[i+1] and tail ~ path[i]
+            idx = None
+            for i in range(len(path) - 1):
+                if adj_head >> path[i + 1] & 1 and adj_tail >> path[i] & 1:
+                    idx = i
+                    break
+            if idx is None:
+                raise AssertionError("rotation chord missing despite degree bound")
+            cycle = path[: idx + 1] + path[idx + 1:][::-1]
+        if len(cycle) == n:
+            validate_cycle(g, tuple(cycle))
+            return tuple(cycle)
+        # absorb the lowest outside vertex adjacent to the cycle, entering
+        # at its first neighbour in cycle order, and go again
+        off = ((1 << n) - 1) & ~on
+        while off:
+            b = off & -off
+            if adj[b.bit_length() - 1] & on:
+                break
+            off ^= b
+        if not off:
+            raise AssertionError("graph disconnected despite degree bound")
+        u = b.bit_length() - 1
+        adj_u = adj[u]
+        j = next(j for j, c in enumerate(cycle) if adj_u >> c & 1)
+        path = [u] + cycle[j:] + cycle[:j]
+        on |= b
+
+
+
 # Which levels of the reference ladder take a Dirac cycle when 2r < n and
 # n > 2: every such level, handing the cycle's odd edges on as the next
 # level's first matching ("pairs"); every such level, each building its own
@@ -653,7 +735,7 @@ def _reference_candidates(gc: Graph, r: int, backtrack: int, dirac: bool,
     if cycle_below is not None:
         first = extension.cycle_to_matching(cycle_below[1:] + cycle_below[:1])
     elif dirac and 2 * r < gc.n and gc.n > 2:
-        cycle = extension.dirac_cycle(gc)
+        cycle = dirac_cycle_rotation(gc)
         first = extension.cycle_to_matching(cycle)
     else:
         first = matching.perfect_matching(gc)

@@ -36,6 +36,7 @@ from families import (
     complete_graph,
     cycle_graph,
 )
+import oracles
 from oracles import OddCycle, complement_bipartite_check, extend_to_reference
 
 
@@ -78,11 +79,55 @@ class TestDiracCycle:
                 deg[v] -= 1
         return build(n, edges)
 
+    @staticmethod
+    def _agrees_with_rotation(g) -> bool:
+        """dirac_cycle and the rotation-extension reference both give a
+        Hamiltonian cycle of g, or both refuse g with the same message and
+        witness vertex; True when g has the cycle."""
+        try:
+            want = oracles.dirac_cycle_rotation(g)
+        except DiracPreconditionError as refused:
+            with pytest.raises(DiracPreconditionError) as exc:
+                dirac_cycle(g)
+            assert (str(exc.value), exc.value.vertex) == (str(refused), refused.vertex)
+            return False
+        validate_cycle(g, want)
+        validate_cycle(g, dirac_cycle(g))
+        return True
+
     def test_never_fails_on_200_random_dense_graphs(self):
+        # the deletion leaves every edge with an endpoint at the least
+        # degree >= n/2, so deleting one more edge goes below the threshold,
+        # with a witness anywhere in the graph
         rng = random.Random(2024)
         for _ in range(200):
             g = self._random_min_degree_graph(rng, 64)
-            validate_cycle(g, dirac_cycle(g))
+            assert self._agrees_with_rotation(g)
+            edges = sorted(g.edges())
+            drop = edges[rng.randrange(len(edges))]
+            assert not self._agrees_with_rotation(build(g.n, set(edges) - {drop}))
+
+    def test_t1_complements_agree_with_rotation(self, small_regular_corpus):
+        # T1's region, 2r < n with n even: the graph is below the threshold
+        # and its complement above it
+        assert not self._agrees_with_rotation(complete_graph(2))
+        checked = 0
+        for (n, r), graphs in small_regular_corpus.items():
+            if n % 2 or 2 * r >= n:
+                continue
+            for g in graphs:
+                assert not self._agrees_with_rotation(g)
+                assert self._agrees_with_rotation(complement(g)), format_graph6(g)
+                checked += 1
+        assert checked == 105
+
+    def test_random_regular_complements_agree_with_rotation(self):
+        sizes = [(n, r) for n in (12, 24, 50, 100) for r in (3, 4, n // 2 - 1)]
+        sizes += [(n, r) for n in (200, 400) for r in (3, 4, 5)]
+        for n, r in sizes:
+            for seed in range(3):
+                g = random_regular(n, r, seed)
+                assert self._agrees_with_rotation(complement(g)), (n, r, seed)
 
 
 class TestCycleToMatching:

@@ -101,6 +101,34 @@ class TestBridgesAndBalloons:
             with_bridges += bool(got)
         assert with_bridges >= 200
 
+    def test_balloons_match_networkx(self):
+        # bridges, then the components once they are cut, then the
+        # components that touch exactly one bridge
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(17)
+        graphs = [bridged_cubic(n, seed) for n in range(10, 41, 2) for seed in range(3)]
+        for _ in range(300):
+            n = rng.randrange(1, 31)
+            p = rng.choice((0.05, 0.1, 0.2))
+            graphs.append(build(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                    if rng.random() < p]))
+        with_balloons = 0
+        for g in graphs:
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            bridges = sorted((min(u, v), max(u, v)) for u, v in nx.bridges(h))
+            h.remove_edges_from(bridges)
+            blocks = [frozenset(c) for c in nx.connected_components(h)]
+            expected = [blk for blk in blocks
+                        if sum((u in blk) != (v in blk) for u, v in bridges) == 1]
+            rep = balloons(g)
+            assert list(rep.bridges) == bridges, g
+            assert sorted(rep.blocks, key=min) == sorted(blocks, key=min), g
+            assert sorted(rep.balloons, key=min) == sorted(expected, key=min), g
+            with_balloons += rep.b > 0
+        assert with_balloons >= 200
+
     def test_connected_cubic_balloons_have_five_vertices(self, small_regular_corpus):
         # minimum balloon size in a cubic graph is r + 2 = 5
         for (n, r), graphs in small_regular_corpus.items():
