@@ -11,6 +11,9 @@ bounds and n-2.
 
 Usage:
     python scripts/extension_census.py [--max-n 10]
+
+--max-n above the enumeration cap (``generation.ENUMERATION_CAP``) is an
+argument error, exit status 2, before any row is printed.
 """
 
 import argparse
@@ -18,6 +21,7 @@ import sys
 from collections import Counter
 
 from regext import TutteViolator, classify, enumerate_regular, extend_once
+from regext.generation import ENUMERATION_CAP
 from regext.extension import (
     CONCLUSION_EXTENDABLE,
     CONCLUSION_EXTENDABLE_ANY,
@@ -50,10 +54,12 @@ def census_cell(n: int, r: int) -> Counter:
     return tally
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-n", type=int, default=10)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    if args.max_n > ENUMERATION_CAP:
+        ap.error(f"--max-n {args.max_n} is above the enumeration cap n = {ENUMERATION_CAP}")
 
     header = (f"{'n':>3} {'r':>3} {'graphs':>7} {'extended':>9} {'stuck':>6} "
               f"{'impossible':>11} {'unexplained':>12}")

@@ -29,11 +29,16 @@ earlier whole-shuffle sampler as ``random_regular_legacy``.
 
 Enumeration: backtracking edge assignment over vertices in label order.
 Vertices that are indistinguishable so far are grouped into classes and
-only class prefixes are used as neighbor choices, which discards most
-isomorphic duplicates during the search; exact dedup keys on the rows
-of the canonical relabeling, and the first graph found in each class is
-the one yielded.  Hard cap n <= 10 - beyond that, import externally generated
-graph6 corpora through the CLI.
+only class prefixes are used as neighbor choices.  A search node whose
+partial graph is isomorphic to one met earlier at the same depth is
+pruned (isomorph rejection, as in McKay, J. Algorithms 26, 1998, and
+Meringer, JGT 30, 1999), tested at the middle depths on a cheap invariant
+first; exact dedup of the complete graphs keys on the rows of the
+canonical relabeling, and the first graph found in each class is the one
+yielded.  The pruning leaves that stream unchanged (``enumerate_regular``
+gives the argument, and ``tests/oracles.py`` keeps the search without
+it).  Hard cap n <= 10 - beyond that, import externally generated graph6
+corpora through the CLI.
 
 Canonical forms (``canonical_form``, n <= 12) are the graph6 bytes of the
 least relabeled adjacency among the leaves of an individualization-
@@ -393,17 +398,26 @@ def _refine(nbr: dict[int, int], part: list[int], queue: list[int]) -> None:
             cells += len(frags) - 1
 
 
-def _root_partition(nbr: dict[int, int]) -> list[int]:
-    """The equitable refinement of the cells of equal triangle count (twice
-    the count, as each triangle at v is seen from both of its other corners)."""
-    cells: dict[int, int] = {}
-    for b, a in nbr.items():
+def _triangle_counts(adj: tuple[int, ...]) -> list[int]:
+    """Twice the triangle count at each vertex of the rows ``adj``: each
+    triangle at v is seen from both of its other corners."""
+    counts = []
+    for a in adj:
         x = a
         tri = 0
         while x:
             y = x & -x
             x ^= y
-            tri += (nbr[y] & a).bit_count()
+            tri += (adj[y.bit_length() - 1] & a).bit_count()
+        counts.append(tri)
+    return counts
+
+
+def _root_partition(nbr: dict[int, int]) -> list[int]:
+    """The equitable refinement of the cells of equal triangle count;
+    ``nbr`` lists the vertices' bits in label order."""
+    cells: dict[int, int] = {}
+    for b, tri in zip(nbr, _triangle_counts(tuple(nbr.values()))):
         cells[tri] = cells.get(tri, 0) | b
     part = [0] * len(nbr)
     queue = []
@@ -545,10 +559,48 @@ def _residual_feasible(residual: list[int], start: int, n: int) -> bool:
     return total % 2 == 0
 
 
+# isomorph rejection is tested on entry to assign(v) for _REJECT_FIRST <= v
+# <= n - _REJECT_LAST_GAP.  Depths 0 and 1 hold a node or two each; deeper
+# nodes are many and their subtrees small, so canonical searches there cost
+# more than they cut.  On the enumerate benchmark (n <= 10; 2 cores, Python
+# 3.11), ending the window at n - 5 gave 285 classes/s, at n - 4 261,
+# testing every depth 218, and the search without rejection 139.
+_REJECT_FIRST = 2
+_REJECT_LAST_GAP = 5
+
+
 def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[Graph]:
     """All r-regular graphs on n vertices up to isomorphism, exactly once.
 
     Deterministic stream; raises beyond the n <= 10 cap.
+
+    The search adds every edge of vertex v in ``assign(v)``, choosing v's
+    later neighbours as prefixes of classes of twins (unsaturated vertices
+    with equal rows), and a leaf is yielded when its canonical rows are
+    new.  On entry to ``assign(v)`` for 2 <= v <= n - 5, a node whose
+    partial graph P is isomorphic to the partial graph of a node met
+    earlier at depth v is pruned.  The yielded stream is the one without
+    pruning, because:
+
+    - At ``assign(v)`` vertices 0..v-1 have residual 0, so the graphs the
+      subtree can reach are the r-regular supergraphs of P, a set that up
+      to isomorphism depends only on P's isomorphism class.
+    - Two nodes at the same depth are never ancestor and descendant, so
+      the earlier isomorphic node's subtree has already finished.
+    - Twin prefixes and ``_residual_feasible`` keep every subtree complete
+      up to isomorphism: each twin swap is an automorphism of P fixing
+      0..v, and only nodes with no completion are cut.  The leaf dedup
+      relies on the same fact at the root.
+    - By induction in depth-first order, every leaf below a pruned node
+      is isomorphic to a graph yielded earlier, so the leaf dedup would
+      have dropped it.  The classes, their representatives and their
+      order all stay the same, for ``connected_only`` too, since
+      connectivity is an isomorphism invariant.
+
+    Nodes are bucketed by the sorted (degree, triangle count) pairs of
+    P's vertices.  The first node in a bucket is new at no canonical
+    search; the bucket's stored rows and each later node get canonical
+    rows only once a second node lands in it.
     """
     if n > ENUMERATION_CAP:
         raise GraphError(f"enumeration capped at n={ENUMERATION_CAP}")
@@ -564,6 +616,29 @@ def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[
     adj = [0] * n
     residual = [r] * n
     seen: set[tuple[int, ...]] = set()
+    last_reject = n - _REJECT_LAST_GAP
+    # (depth, invariant) -> the first partial graph's rows, then the set of
+    # canonical rows of every partial graph met in the bucket.  Keyed by
+    # depth too: assign(v) with v saturated hands its own partial graph on
+    # to assign(v + 1), its child.
+    met: dict[tuple, tuple[int, ...] | set[tuple[int, ...]]] = {}
+
+    def repeated(v: int) -> bool:
+        """Whether the partial graph at assign(v) is isomorphic to one
+        met at depth v before; records it if not."""
+        rows = tuple(adj)
+        key = (v, tuple(sorted(zip(map(int.bit_count, rows), _triangle_counts(rows)))))
+        bucket = met.get(key)
+        if bucket is None:
+            met[key] = rows
+            return False
+        if type(bucket) is tuple:
+            bucket = met[key] = {_canonical_rows(Graph(n, bucket))}
+        form = _canonical_rows(Graph(n, rows))
+        if form in bucket:
+            return True
+        bucket.add(form)
+        return False
 
     def assign(v: int) -> Iterator[Graph]:
         if v == n:
@@ -574,6 +649,8 @@ def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[
             if key not in seen:
                 seen.add(key)
                 yield g
+            return
+        if _REJECT_FIRST <= v <= last_reject and repeated(v):
             return
         need = residual[v]
         if need == 0:

@@ -6,8 +6,9 @@ isomorphism checks try raw vertex permutations.  The exceptions are the
 unpruned canonical search, which checks the pruning of
 ``generation.canonical_form`` and so reuses its root partition and
 refinement, the matcher's greedy-only warm start, which runs the package's
-blossom phases, and the ladder's earlier routes, which run the package's
-step and matcher.  Code that only the tests use lives here too: the
+blossom phases, the ladder's earlier routes, which run the package's
+step and matcher, and the enumerator without isomorph rejection, which
+runs the package's feasibility test and canonical rows.  Code that only the tests use lives here too: the
 rotation-extension Dirac cycle, the per-bit graph6 encoder, the
 complement's 2-coloring with odd-cycle refutations, the earlier sampler
 loops, warm start and ladders that pinned outputs were recorded with, the
@@ -21,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from regext import (
     BalloonBoundCheck,
@@ -34,6 +35,7 @@ from regext import (
     components_after_deletion,
     extension,
     generation,
+    is_connected,
     matching,
     require_regular,
     validate_cycle,
@@ -221,6 +223,76 @@ def count_labeled_regular(n: int, r: int) -> int:
         return total
 
     return count(0)
+
+
+def enumerate_regular_reference(n: int, r: int, connected_only: bool = False) -> Iterator[Graph]:
+    """``generation.enumerate_regular`` without isomorph rejection of
+    partial graphs: the same twin-prefix backtracking, every leaf it
+    reaches deduped on ``generation._canonical_rows``.  The product prunes
+    partial graphs isomorphic to earlier ones at the same depth, and must
+    yield this stream exactly."""
+    _check_degree_args(n, r)
+    if 2 * r > n - 1:
+        for g in enumerate_regular_reference(n, n - 1 - r):
+            gc = complement(g)
+            if not connected_only or is_connected(gc):
+                yield gc
+        return
+
+    adj = [0] * n
+    residual = [r] * n
+    seen: set[tuple[int, ...]] = set()
+    feasible = generation._residual_feasible
+
+    def assign(v: int) -> Iterator[Graph]:
+        if v == n:
+            g = Graph(n, tuple(adj))
+            if connected_only and not is_connected(g):
+                return
+            key = generation._canonical_rows(g)
+            if key not in seen:
+                seen.add(key)
+                yield g
+            return
+        need = residual[v]
+        if need == 0:
+            if feasible(residual, v + 1, n):
+                yield from assign(v + 1)
+            return
+        classes: dict[int, list[int]] = {}
+        for u in range(v + 1, n):
+            if residual[u] > 0:
+                classes.setdefault(adj[u], []).append(u)
+        groups = [members for _, members in sorted(classes.items())]
+
+        def place(gi: int, left: int) -> Iterator[Graph]:
+            if left == 0:
+                if feasible(residual, v + 1, n):
+                    yield from assign(v + 1)
+                return
+            if gi == len(groups):
+                return
+            avail = sum(len(groups[i]) for i in range(gi, len(groups)))
+            if avail < left:
+                return
+            members = groups[gi]
+            for take in range(min(len(members), left), -1, -1):
+                chosen = members[:take]
+                for u in chosen:
+                    adj[v] |= 1 << u
+                    adj[u] |= 1 << v
+                    residual[u] -= 1
+                    residual[v] -= 1
+                yield from place(gi + 1, left - take)
+                for u in chosen:
+                    adj[v] &= ~(1 << u)
+                    adj[u] &= ~(1 << v)
+                    residual[u] += 1
+                    residual[v] += 1
+
+        yield from place(0, need)
+
+    yield from assign(0)
 
 
 def is_bridge_by_deletion(g: Graph, u: int, v: int) -> bool:

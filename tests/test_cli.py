@@ -27,15 +27,15 @@ from families import (
 )
 
 
-def _verify_claims_quick() -> dict:
-    path = Path(__file__).resolve().parent.parent / "scripts" / "verify_claims.py"
-    spec = importlib.util.spec_from_file_location("verify_claims", path)
+def _load_script(name: str):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.QUICK
+    return module
 
 
-QUICK = _verify_claims_quick()
+QUICK = _load_script("verify_claims").QUICK
 
 # `checked` of every QUICK row, pinned from verify as it stood before the
 # rule table; every row has zero counterexamples and no skipped cells
@@ -574,3 +574,25 @@ def test_negative_count_is_usage_error(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, argv, [format_graph6(cycle_graph(6))], monkeypatch)
     assert code == 2 and out == []
     assert err.count("\n") == 1 and err.startswith("error: --")
+
+
+class TestCensusScript:
+    census = _load_script("extension_census")
+
+    @pytest.mark.parametrize("max_n", ["11", "12"])
+    def test_order_above_cap_is_usage_error(self, capsys, max_n):
+        # rejected before the first row, not with a GraphError once the
+        # rows reach the cap
+        with pytest.raises(SystemExit) as exc:
+            self.census.main(["--max-n", max_n])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err.splitlines()[-1].endswith(
+            f"error: --max-n {max_n} is above the enumeration cap n = 10")
+
+    def test_rows_below_cap_match_recorded_table(self, capsys):
+        assert self.census.main(["--max-n", "6"]) == 0
+        rows = capsys.readouterr().out.splitlines()[:-2]
+        golden = Path(__file__).resolve().parent / "golden" / "census-10.txt"
+        assert rows == golden.read_text().splitlines()[:len(rows)]
+        assert len(rows) == 12

@@ -597,6 +597,41 @@ class TestEnumeration:
         digest = hashlib.sha256(lines.encode()).hexdigest()
         assert digest == "30a5451249eae6ba6159bbf32fe3cf3d3280ff78c2a83c6376479c39a2b8f137"
 
+    def test_matches_reference_search(self):
+        # isomorph rejection of partial graphs must leave the stream of the
+        # plain generate-then-dedup search: the same graphs in the same
+        # order on every cell, with and without the connectivity filter
+        cells = [(n, r) for n in range(1, 11) for r in range(n) if (n * r) % 2 == 0]
+        graphs = 0
+        for connected_only in (False, True):
+            for n, r in cells:
+                got = list(enumerate_regular(n, r, connected_only))
+                assert got == list(oracles.enumerate_regular_reference(n, r, connected_only)), (n, r)
+                graphs += len(got)
+        assert (2 * len(cells), graphs) == (90, 472)
+
+    def test_rejection_cuts_canonical_searches(self, monkeypatch):
+        # the plain search makes 5356 canonical searches over these cells,
+        # one per labelled graph reached; the stream tests would pass with
+        # the rejection switched off, this one would not
+        calls = []
+        rows = generation._canonical_rows
+        monkeypatch.setattr(generation, "_canonical_rows",
+                            lambda g: calls.append(g) or rows(g))
+        for n in range(1, 11):
+            for r in range(n):
+                if (n * r) % 2 == 0:
+                    list(enumerate_regular(n, r))
+        assert len(calls) < 3000
+
+    def test_past_the_cap(self, monkeypatch):
+        # the known class counts at (11, 4) and (12, 3), within reach once
+        # partial graphs are deduped; the cap itself stays at 10
+        monkeypatch.setattr(generation, "ENUMERATION_CAP", 12)
+        for n, r, count in [(11, 4, 266), (12, 3, 94)]:
+            forms = {canonical_form(g) for g in enumerate_regular(n, r)}
+            assert len(forms) == count
+
     def test_deterministic_stream(self):
         first = [g for g in enumerate_regular(8, 4)]
         second = [g for g in enumerate_regular(8, 4)]
