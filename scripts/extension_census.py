@@ -13,7 +13,9 @@ Usage:
     python scripts/extension_census.py [--max-n 10]
 
 --max-n above the enumeration cap (``generation.ENUMERATION_CAP``) is an
-argument error, exit status 2, before any row is printed.
+argument error, exit status 2, before any row is printed.  A reader that
+closes stdout early (``| head``) ends the run quietly with exit status 141,
+as for ``regext``.
 """
 
 import argparse
@@ -21,6 +23,7 @@ import sys
 from collections import Counter
 
 from regext import TutteViolator, classify, enumerate_regular, extend_once
+from regext.cli import until_stdout_closes
 from regext.generation import ENUMERATION_CAP
 from regext.extension import (
     CONCLUSION_EXTENDABLE,
@@ -83,4 +86,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(until_stdout_closes(main))

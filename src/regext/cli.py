@@ -6,8 +6,11 @@ one summary object).  Exit codes: 0 all good, 1 any semantic failure
 (non-extendable input, counterexample, violator where success was required,
 non-regular input to a command that needs regularity), 2 usage, parse or
 unreadable-input errors; a negative --backtrack, --count or --samples is a
-usage error, and so is a verify range the rule does not read.  All
-randomness flows from --seed, so reports are byte-identical across runs.
+usage error, and so is a verify range the rule does not read.  A reader
+that closes stdout early (``regext gen ... | head -1``) ends the run
+quietly with exit code 141, the shell's code for a writer stopped by
+SIGPIPE.  All randomness flows from --seed, so reports are byte-identical
+across runs.
 
 ``extend``, ``check``, ``match`` and ``analyze`` each answer one graph and
 leave reading and reporting to ``_each_graph``: a line that is not graph6
@@ -39,7 +42,6 @@ from typing import Callable, Iterator, TextIO
 
 from . import extension, generation, structure
 from .extension import (
-    CLIQUE_SEARCH_LIMIT,
     RULES,
     ExtensionTrace,
     TheoremVerdict,
@@ -69,8 +71,9 @@ class _StderrHandler(logging.Handler):
 
 _LOG_HANDLER = _StderrHandler()
 
-# the cap under its CLI name, which perfbench's certify checker reads
-CLIQUE_CLI_LIMIT = CLIQUE_SEARCH_LIMIT
+# ``analyze`` computes the clique number, an exponential search, only up to
+# this order (perfbench's certify checker reads it)
+CLIQUE_CLI_LIMIT = 40
 
 
 def _edges_json(edges) -> list[list[int]]:
@@ -98,8 +101,6 @@ def verdict_json(v: TheoremVerdict) -> dict:
     out = {"rule": v.rule, "applies": v.applies, "conclusion": v.conclusion}
     if v.evidence is not None:
         out["witness"] = certificate_json(v.evidence)
-    if v.note:
-        out["note"] = v.note
     return out
 
 
@@ -544,7 +545,32 @@ def cmd_verify(args) -> int:
                              "skipped": len(notices)})
 
 
+# exit code of a run whose stdout reader went away: 128 + SIGPIPE, as a
+# shell reports a writer the signal ended
+EXIT_STDOUT_CLOSED = 141
+
+
+def until_stdout_closes(run: Callable[[], int]) -> int:
+    """``run()``'s exit code, or ``EXIT_STDOUT_CLOSED`` once a write to
+    stdout finds its reader gone.  stdout is then pointed at the null
+    device, so neither a traceback nor the interpreter's last flush
+    reports the closed pipe."""
+    try:
+        code = run()
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_STDOUT_CLOSED
+
+
 def main(argv: list[str] | None = None) -> int:
+    return until_stdout_closes(lambda: _main(argv))
+
+
+def _main(argv: list[str] | None) -> int:
     # the regext logger alone, at the level REGEXT_LOG names on this call;
     # the embedding program's root logger is left as it is
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}

@@ -17,7 +17,13 @@ checks that construction.
 condition this package verifies: its arithmetic hypothesis on (n, r), the
 finder for its structural hypothesis, and its conclusion.  ``classify``
 evaluates every record as an independent verdict with attached witnesses;
-``regext verify`` draws its instances from the same records.
+``regext verify`` draws its instances from the same records.  Every
+finder is polynomial.  T5's (2r >= n and G contains K_{n/2}) is
+``structure.half_clique``: for such r that clique exists exactly when the
+d-regular complement, d = n - 1 - r, is bipartite with sides of n/2.  That
+also proves T5's conclusion: by König's theorem a d-regular bipartite
+graph has a perfect matching, and removing it leaves a (d - 1)-regular
+bipartite graph, so every level of the ladder up to n - 1 has one.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Callable, Generator
 
 from .graph import Graph, GraphError, complement, is_connected, regularity, require_regular
 from .matching import Matching, TutteViolator, perfect_matching
-from .structure import find_clique, l_vertex_bound, spanning_biclique
+from .structure import half_clique, l_vertex_bound, spanning_biclique
 
 log = logging.getLogger("regext.extension")
 
@@ -260,10 +266,6 @@ CONCLUSION_EXTENDABLE_ANY = "extendable-to-any-r'"
 CONCLUSION_NOT_EXTENDABLE = "not-extendable"
 CONCLUSION_HAS_PM = "has-perfect-matching"
 
-# the T5 witness is an exponential clique search; above this order it is
-# skipped with a note (``regext analyze`` uses the same cap)
-CLIQUE_SEARCH_LIMIT = 40
-
 
 @dataclass(frozen=True)
 class TheoremVerdict:
@@ -271,7 +273,6 @@ class TheoremVerdict:
     applies: bool
     conclusion: str
     evidence: object = None
-    note: str | None = None
 
     @property
     def short_rule(self) -> str:
@@ -285,17 +286,14 @@ class Rule:
 
     ``holds(n, r)`` is the arithmetic hypothesis.  ``witness(g)``, when the
     rule has a structural hypothesis, returns a certificate for it or None;
-    it runs only where ``holds`` does.  ``search_limit`` caps the order at
-    which an exponential witness search (T5's clique search) runs; above it
-    the verdict is negative and carries a note.  ``show_witness`` False
-    keeps the certificate out of the verdict.
+    it runs only where ``holds`` does.  ``show_witness`` False keeps the
+    certificate out of the verdict.
     """
 
     name: str
     conclusion: str
     holds: Callable[[int, int], bool]
     witness: Callable[[Graph], object] | None = None
-    search_limit: int | None = None
     show_witness: bool = True
 
     @property
@@ -306,9 +304,6 @@ class Rule:
         holds = self.holds(g.n, r)
         if not holds or self.witness is None:
             return TheoremVerdict(self.name, holds, self.conclusion)
-        if self.search_limit is not None and g.n > self.search_limit:
-            return TheoremVerdict(self.name, False, self.conclusion,
-                                  note=f"clique search skipped (n > {self.search_limit})")
         found = self.witness(g)
         return TheoremVerdict(self.name, found is not None, self.conclusion,
                               evidence=found if self.show_witness else None)
@@ -333,7 +328,7 @@ RULES = (
          witness=lambda g: spanning_biclique(g, require_odd_parts=True)),
     Rule("T5-Clique", CONCLUSION_EXTENDABLE_ANY,
          lambda n, r: n % 2 == 0 and 2 * r >= n and n >= 2,
-         witness=lambda g: find_clique(g, g.n // 2), search_limit=CLIQUE_SEARCH_LIMIT),
+         witness=lambda g: half_clique(g)),
     Rule("L-Matching", CONCLUSION_HAS_PM,
          lambda n, r: r > 15 and r % 2 == 1 and n % 2 == 0 and n < l_vertex_bound(r)),
     Rule("C-Disconnected", CONCLUSION_HAS_PM,
@@ -347,8 +342,8 @@ def classify(g: Graph) -> list[TheoremVerdict]:
 
     Each verdict is independent; ``applies`` is True only when every
     hypothesis of the rule was verified on (n, r, G).  Structural
-    hypotheses attach their witness.  The clique search behind the
-    T5 rule is skipped (with a note) above ``CLIQUE_SEARCH_LIMIT``.
+    hypotheses attach their witness.  Every witness finder is polynomial,
+    so every rule answers at every order.
     """
     r = require_regular(g)
     return [rule.verdict(g, r) for rule in RULES]

@@ -1,5 +1,11 @@
 """Edge-connectivity structure, cliques, and spanning bicliques.
 
+Both complete-subgraph witnesses read g through its complement:
+``spanning_biclique`` through the complement's components and
+``half_clique`` (T5's clique of n/2 in a regular g) through its
+2-colouring, each in one linear pass.  The clique branch and bound serves
+only ``clique_number``; ``find_clique`` is kept as the tests' oracle.
+
 A balloon is a maximal 2-edge-connected subgraph incident to exactly one
 bridge.  Singleton vertices count as (vacuously) 2-edge-connected blocks,
 so an isolated leaf hanging off a bridge is a balloon; odd-regular graphs
@@ -262,7 +268,9 @@ def find_clique(g: Graph, k: int) -> frozenset[int] | None:
     """A clique of exactly k vertices, or None.
 
     Exact branch and bound with a greedy-coloring bound; meant for n up to
-    about 40.  Adversarial dense inputs beyond that may be slow.
+    about 40.  Adversarial dense inputs beyond that may be slow.  No
+    product path calls it: it is the independent oracle the tests check
+    T5's witness, ``half_clique``, against.
     """
     if k < 1:
         raise GraphError(f"clique size must be positive, got {k}")
@@ -298,6 +306,49 @@ def spanning_biclique(g: Graph, require_odd_parts: bool = False) -> BicliqueWitn
         if a is None or (g.n - a.bit_count()) % 2 == 0:
             return None
     return BicliqueWitness(_mask_to_set(a), _mask_to_set(g.vertex_mask() ^ a))
+
+
+def half_clique(g: Graph) -> frozenset[int] | None:
+    """A clique of n/2 vertices of a regular g, read off a 2-colouring of
+    its complement gc; None when gc has an odd cycle.
+
+    gc is d-regular, d = n - 1 - r.  A clique I of n/2 in g is independent
+    in gc, so its d·n/2 edge ends are all the edge ends of V - I, and V - I
+    is independent too: gc is bipartite with sides of n/2.  Conversely,
+    for d >= 1 every component of a regular bipartite graph is balanced,
+    so either side of any 2-colouring is such a clique.  At d = 0, g = K_n
+    and the lowest n/2 vertices do.  The side returned holds the lowest
+    vertex of each component of gc, found by one layer-by-layer pass on
+    vertex masks.  For even n a returned set is always a clique of n/2,
+    whatever g is; only the converse needs g regular, which ``classify``
+    guarantees.
+    """
+    n = g.n
+    gc = complement(g).adj
+    if not any(gc):
+        return frozenset(range(n // 2))
+    full = g.vertex_mask()
+    side = 0
+    rest = full
+    while rest:
+        layer = rest & -rest
+        even = True
+        while layer:
+            rest &= ~layer
+            if even:
+                side |= layer
+            reach = 0
+            while layer:
+                b = layer & -layer
+                layer ^= b
+                reach |= gc[b.bit_length() - 1]
+            layer = reach & rest
+            even = not even
+    other = full ^ side
+    if 2 * side.bit_count() != n or any(
+            a & (side if side >> v & 1 else other) for v, a in enumerate(gc)):
+        return None
+    return _mask_to_set(side)
 
 
 def l_vertex_bound(r):

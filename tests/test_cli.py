@@ -15,7 +15,7 @@ from regext import (
     parse_graph6,
     sample_spanning_biclique_regular,
 )
-from regext.cli import main
+from regext.cli import EXIT_STDOUT_CLOSED, main
 from families import (
     complete_bipartite,
     complete_graph,
@@ -55,6 +55,28 @@ def run_cli(capsys, argv, stdin_lines=None, monkeypatch=None):
         code = exc.code
     out = capsys.readouterr()
     return code, out.out.splitlines(), out.err
+
+
+def run_into_closed_pipe(args, unbuffered=""):
+    """Exit code and stderr of ``python args`` writing to a pipe whose read
+    end is closed before the child starts, so its first write to stdout
+    fails; ``unbuffered`` "1" makes that write the first ``print``."""
+    import os
+    import subprocess
+    import sys
+
+    import regext
+
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(regext.__file__))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, *args], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr
 
 
 def json_lines(lines):
@@ -336,6 +358,14 @@ class TestGenCommand:
         assert code in (0, 1)
         assert len(out2) == 3  # two results plus summary
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_ends_quietly(self, unbuffered):
+        # `regext gen ... | head -1`: no traceback once the reader is gone,
+        # whether the failed write is the final flush or a print in cmd_gen
+        code, err = run_into_closed_pipe(
+            ["-m", "regext.cli", "gen", "--n", "10", "--r", "3", "--enumerate"], unbuffered)
+        assert (code, err) == (EXIT_STDOUT_CLOSED, b"")
+
 
 class TestVerifyCommand:
     def test_ineq_rule(self, capsys):
@@ -436,10 +466,10 @@ class TestVerifyCommand:
         # confirming T4 must not run the other rules' witness searches
         from regext import extension
 
-        def no_clique(g, k):
-            raise AssertionError("T4 check ran a clique search")
+        def no_clique(g):
+            raise AssertionError("T4 check ran T5's clique witness")
 
-        monkeypatch.setattr(extension, "find_clique", no_clique)
+        monkeypatch.setattr(extension, "half_clique", no_clique)
         code, out, _ = run_cli(capsys, ["verify", "--rule", "T4", "--json", *QUICK["T4"]])
         assert code == 0
         assert json_lines(out)[-1]["checked"] == QUICK_CHECKED["T4"]
@@ -589,6 +619,12 @@ class TestCensusScript:
         assert exc.value.code == 2 and out.out == ""
         assert out.err.splitlines()[-1].endswith(
             f"error: --max-n {max_n} is above the enumeration cap n = 10")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_ends_quietly(self, unbuffered):
+        code, err = run_into_closed_pipe(
+            [str(Path(self.census.__file__)), "--max-n", "6"], unbuffered)
+        assert (code, err) == (EXIT_STDOUT_CLOSED, b"")
 
     def test_rows_below_cap_match_recorded_table(self, capsys):
         assert self.census.main(["--max-n", "6"]) == 0

@@ -20,13 +20,16 @@ from regext import (
     dirac_cycle,
     extend_once,
     extend_to,
+    find_clique,
     format_graph6,
     is_valid_matching,
     parse_graph6,
     perfect_matching,
     random_regular,
+    random_regular_bipartite,
     regularity,
     require_regular,
+    sample_clique_pair_regular,
     validate_cycle,
 )
 from regext.extension import _matching_candidates, _step
@@ -592,10 +595,45 @@ class TestClassify:
         assert verdicts["T2-EvenEven"].applies  # 2 < 20 - 16
 
     def test_clique_limit_note(self):
-        g = cliques_plus_matching(21)  # n = 42 > CLIQUE_SEARCH_LIMIT
-        verdicts = {v.rule: v for v in classify(g)}
-        t5 = verdicts["T5-Clique"]
-        assert not t5.applies and "skipped" in t5.note
+        # K_21 at n = 42: T5 answers with no cap on n, so with no note
+        g = sample_clique_pair_regular(42, 22, 1)
+        t5 = {v.rule: v for v in classify(g)}["T5-Clique"]
+        assert t5.applies and len(t5.evidence) == 21
+        assert all(g.has_edge(u, v) for u in t5.evidence for v in t5.evidence if u < v)
+        assert not hasattr(t5, "note")
+
+    @staticmethod
+    def _t5_agrees_with_find_clique(g):
+        t5 = {v.rule: v for v in classify(g)}["T5-Clique"]
+        assert t5.applies == (find_clique(g, g.n // 2) is not None), g
+        if t5.applies:
+            c = t5.evidence
+            assert len(c) * 2 == g.n
+            assert all(g.has_edge(u, v) for u in c for v in c if u < v)
+        return t5.applies
+
+    def test_t5_agrees_with_find_clique_on_every_class(self, small_regular_corpus):
+        applied = [self._t5_agrees_with_find_clique(g)
+                   for (n, r), graphs in small_regular_corpus.items()
+                   if n % 2 == 0 and 2 * r >= n for g in graphs]
+        assert (len(applied), sum(applied)) == (105, 17)
+
+    def test_t5_agrees_with_find_clique_on_seeded_draws(self):
+        for n in range(4, 41, 2):
+            for r in sorted({n // 2, (3 * n) // 4, n - 2}):
+                assert self._t5_agrees_with_find_clique(sample_clique_pair_regular(n, r, n))
+                self._t5_agrees_with_find_clique(random_regular(n, r, n))
+
+    def test_t5_on_bipartite_complements_to_200(self):
+        # the complement of a d-regular bipartite graph on 2 * half vertices
+        # has r = n - 1 - d >= n/2 for d < half and holds both sides as cliques
+        for half in (2, 7, 20, 21, 50, 99, 100):
+            for d in sorted({1, half // 2, half - 1}):
+                g = complement(random_regular_bipartite(half, d, half + d))
+                t5 = {v.rule: v for v in classify(g)}["T5-Clique"]
+                c = t5.evidence
+                assert t5.applies and len(c) == half, (half, d)
+                assert all(g.has_edge(u, v) for u in c for v in c if u < v)
 
     def test_soundness_on_corpus(self, small_regular_corpus):
         # no graph may be both provably extendable and provably not; every

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from regext import find_clique, parse_graph6
 from regext.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -44,6 +45,25 @@ def test_cli_output_matches_golden(name):
     expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     assert code == expected_codes[name]
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="ascii")
+
+
+def test_t5_witnesses_are_half_cliques():
+    # every T5 witness recorded in check.out is a clique of n/2, and T5
+    # applies exactly where the exhaustive clique search finds one
+    results = [json.loads(line) for line in (GOLDEN / "check.out").read_text().splitlines()]
+    results = [obj for obj in results if obj["kind"] == "result" and "verdicts" in obj]
+    applied = 0
+    for obj in results:
+        g = parse_graph6(obj["graph6"])
+        t5 = next(v for v in obj["verdicts"] if v["rule"] == "T5-Clique")
+        if t5["applies"]:
+            c = t5["witness"]["vertices"]
+            assert len(c) * 2 == g.n, obj["line"]
+            assert all(g.has_edge(u, v) for u in c for v in c if u < v), obj["line"]
+            applied += 1
+        assert t5["applies"] == (g.n % 2 == 0 and 2 * g.degree(0) >= g.n
+                                 and find_clique(g, g.n // 2) is not None), obj["line"]
+    assert (len(results), applied) == (48, 11)
 
 
 if __name__ == "__main__":

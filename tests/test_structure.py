@@ -34,7 +34,7 @@ from families import (
 
 import oracles
 from oracles import OddCycle, balloon_bound_checker_reference, complement_bipartite_check
-from regext.structure import _balloon_count, balloon_bound_checker
+from regext.structure import _balloon_count, balloon_bound_checker, half_clique
 
 
 class TestBridgesAndBalloons:
@@ -388,6 +388,47 @@ class TestComplementBipartite:
                     for part in (a, b):
                         assert not any(gc.has_edge(u, v)
                                        for u in part for v in part if u < v)
+
+
+class TestHalfClique:
+    """T5's witness against the BFS 2-colouring of ``tests/oracles.py``;
+    ``test_extension.py`` checks T5 against ``find_clique``."""
+
+    def test_complete_graphs(self):
+        # d = 0: any n/2 vertices; on K_2 the same answer as find_clique
+        assert half_clique(complete_graph(2)) == find_clique(complete_graph(2), 1) == {0}
+        assert half_clique(complete_graph(8)) == {0, 1, 2, 3}
+
+    def test_two_k4s_plus_matching(self):
+        assert half_clique(cliques_plus_matching(4)) == {0, 1, 2, 3}
+        assert half_clique(cycle_graph(6)) is None
+
+    def test_side_of_each_lowest_vertex(self, small_regular_corpus):
+        # for d >= 1 the witness is the oracle colouring's side of each
+        # component's root, and None exactly on an odd cycle
+        for graphs in small_regular_corpus.values():
+            for g in graphs:
+                if g.n % 2 or g.degree(0) == g.n - 1:
+                    continue
+                res = complement_bipartite_check(g)
+                expected = None if isinstance(res, OddCycle) else res[0]
+                assert half_clique(g) == expected, g
+
+    def test_any_answer_is_a_clique(self):
+        # sound on irregular graphs too: an answer is always a clique of n/2
+        rng = random.Random(22)
+        found = 0
+        for _ in range(400):
+            n = rng.randrange(2, 13, 2)
+            p = rng.choice((0.5, 0.7, 0.9))
+            g = build(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+            c = half_clique(g)
+            if c is not None:
+                assert len(c) * 2 == n, g
+                assert all(g.has_edge(u, v) for u in c for v in c if u < v), g
+                found += 1
+        assert found > 20
 
 
 class TestInequalities:
