@@ -45,13 +45,14 @@ def census_cell(n: int, r: int) -> Counter:
             tally["no-room"] += 1
             continue
         extended = not isinstance(extend_once(g), TutteViolator)
+        # no rule may conclude the opposite of what the step found
+        assert not (impossible if extended else sufficient), "soundness breach"
         if extended:
             tally["extended"] += 1
             if not sufficient:
                 tally["unexplained"] += 1
         else:
             tally["stuck"] += 1
-            assert impossible or not sufficient, "soundness breach"
             if impossible:
                 tally["explained-impossible"] += 1
     return tally

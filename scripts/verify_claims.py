@@ -5,7 +5,9 @@ Every guarantee the toolkit implements is confirmed constructively on
 generated instances: sufficient conditions by actually extending or
 matching, the impossibility condition by exhibiting Tutte violators, the
 balloon bound and the two arithmetic lemmas on grids.  Expected output is
-zero counterexamples on every row.
+zero counterexamples on every row.  A reader that closes stdout early
+(``| head -1``) ends the run quietly with exit status 141, as for
+``regext``.
 
 Usage:
     python scripts/verify_claims.py [--quick] [--seed N]
@@ -18,7 +20,7 @@ import sys
 import time
 from contextlib import redirect_stdout
 
-from regext.cli import main as cli_main
+from regext.cli import main as cli_main, until_stdout_closes
 
 FULL = {
     "T1": ["--n-range", "4..10"],
@@ -81,4 +83,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(until_stdout_closes(main))

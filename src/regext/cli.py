@@ -20,9 +20,12 @@ costs only its own result, with its error on stderr and exit code 2.
 the blossom matcher at every level, so it has no matcher option.  ``check``
 prints one verdict per record of ``extension.RULES``.  ``verify``
 takes its (n, r) cells from the same records' ``holds`` and keeps, per
-rule, only a plan (``_PLANS``): default range, sampler, seed formula and
-the check that confirms the conclusion; it draws and checks one instance
-at a time.
+rule, only a plan (``_PLANS``): a sampler, a default range and a seed
+formula.  It draws and checks one instance at a time, and confirms every
+theorem rule the same way (``_confirm``): the record must detect the rule
+on the drawn graph, and its conclusion must come with a certificate.
+T1, which has no structural hypothesis, takes its matching from the
+paper's Dirac cycle.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from .extension import (
     ExtensionTrace,
     TheoremVerdict,
     classify,
-    extend_once,
     extend_to,
 )
 from .graph import Graph, Graph6Error, GraphError, format_graph6, parse_graph6, regularity
@@ -327,49 +329,43 @@ def _span(range_str: str | None, default: tuple[int, int]) -> tuple[int, int]:
         raise SystemExit(2)
 
 
-def _certify_matching(g: Graph, m) -> dict | None:
-    """None when ``m`` is a perfect matching of g, else the certificate."""
+def _confirm(rule: extension.Rule, g: Graph) -> dict | None:
+    """None when ``rule`` applies to g and its conclusion holds, else the
+    failure's certificate.
+
+    Detection runs the rule's own witness finder, so a finder that misses
+    gives ``rule-not-detected``.  Each conclusion then takes one polynomial
+    search: a perfect matching of the complement (extendable) or of g
+    (has-perfect-matching); a Tutte violator of the complement that
+    verifies (not-extendable, whose cells include K_n, which has no ladder
+    rung); a ladder to n - 1 whose trace replays (extendable to any r').
+    """
+    if not rule.verdict(g, require_regular(g)).applies:
+        return {"type": "rule-not-detected"}
+    if rule.conclusion == extension.CONCLUSION_EXTENDABLE_ANY:
+        res = extend_to(g, g.n - 1)
+        ok = isinstance(res, ExtensionTrace) and res.verify(g)
+        return None if ok else {"type": "full-extension-failed"}
+    h = g if rule.conclusion == extension.CONCLUSION_HAS_PM else complement(g)
+    m = perfect_matching(h)
+    if rule.conclusion == extension.CONCLUSION_NOT_EXTENDABLE:
+        ok = isinstance(m, TutteViolator) and m.verify(h)
+        return None if ok else {"type": "extension-succeeded"}
     if isinstance(m, TutteViolator):
         return certificate_json(m)
-    return None if is_valid_matching(g, m, perfect=True) else {"type": "invalid-matching"}
-
-
-def _check_extends(g: Graph) -> dict | None:
-    res = extend_once(g)
-    return _certify_matching(complement(g), res if isinstance(res, TutteViolator) else res[1])
+    return None if is_valid_matching(h, m, perfect=True) else {"type": "invalid-matching"}
 
 
 def _check_dirac(g: Graph) -> dict | None:
     # T1 by the paper's route: with 2r < n the complement has minimum degree
     # >= n/2, so it has a Hamiltonian cycle (Dirac) whose even edges are a
     # perfect matching.  A cycle needs n >= 3; the one smaller order in T1's
-    # region, (2, 0), extends to K_2 through the ladder
+    # region, (2, 0), is confirmed as the other rules are
     if g.n < 3:
-        return _check_extends(g)
+        return _confirm(_RULE["T1"], g)
     gc = complement(g)
-    return _certify_matching(gc, extension.cycle_to_matching(extension.dirac_cycle(gc)))
-
-
-def _check_has_pm(g: Graph) -> dict | None:
-    return _certify_matching(g, perfect_matching(g))
-
-
-def _check_t4(g: Graph) -> dict | None:
-    if not _RULE["T4"].verdict(g, require_regular(g)).applies:
-        return {"type": "rule-not-detected"}
-    # the ladder has no rung for K_n (r = n - 1), which T4's cells include
-    co = complement(g)
-    res = perfect_matching(co)
-    if not isinstance(res, TutteViolator) or not res.verify(co):
-        return {"type": "extension-succeeded"}
-    return None
-
-
-def _check_t5(g: Graph) -> dict | None:
-    res = extend_to(g, g.n - 1, backtrack=0)
-    if not isinstance(res, ExtensionTrace) or not res.verify(g):
-        return {"type": "full-extension-failed"}
-    return None
+    m = extension.cycle_to_matching(extension.dirac_cycle(gc))
+    return None if is_valid_matching(gc, m, perfect=True) else {"type": "invalid-matching"}
 
 
 def _check_balloon(g: Graph) -> dict | None:
@@ -416,10 +412,15 @@ class _Plan:
     count: Callable[[int], int] = lambda samples: samples
 
 
-def _biclique_plan(rule: str, check, odd_parts: bool, n_range: tuple[int, int]) -> _Plan:
-    return _Plan(
-        _RULE[rule].holds, check,
-        lambda n, r, s: generation.sample_spanning_biclique_regular(n, r, s, odd_parts),
+def _rule_plan(rule: str, sample, n_range, **kw) -> _Plan:
+    """The plan whose region and check both come from ``rule``'s record."""
+    record = _RULE[rule]
+    return _Plan(record.holds, lambda g: _confirm(record, g), sample, n_range, **kw)
+
+
+def _biclique_plan(rule: str, odd_parts: bool, n_range: tuple[int, int]) -> _Plan:
+    return _rule_plan(
+        rule, lambda n, r, s: generation.sample_spanning_biclique_regular(n, r, s, odd_parts),
         n_range, spread=True,
         feasible=lambda n, r: bool(generation.biclique_splits(n, r, odd_parts)))
 
@@ -429,22 +430,20 @@ _RULE = {rule.short: rule for rule in RULES}
 _PLANS = {
     "T1": _Plan(_RULE["T1"].holds, _check_dirac, generation.random_regular, (4, 10),
                 seed=lambda s, n, r, i: s + 1000 * n + 10 * r + i, exhaustive=True),
-    "T2": _Plan(_RULE["T2"].holds, _check_extends, generation.random_regular,
-                (4, 60), spread=True),
+    "T2": _rule_plan("T2", generation.random_regular, (4, 60), spread=True),
     # a spanning biclique forces r >= n/2, so the T3 region is empty below
     # n = 34
-    "T3": _biclique_plan("T3", _check_extends, False, (34, 70)),
-    "T4": _biclique_plan("T4", _check_t4, True, (6, 40)),
-    "T5": _Plan(_RULE["T5"].holds, _check_t5, generation.sample_clique_pair_regular,
-                (4, 24), spread=True),
-    "L": _Plan(_RULE["L"].holds, _check_has_pm, generation.random_regular,
-               lambda r: (r + 1, 4 * r), r_range=(17, 17),
-               seed=lambda s, n, r, i: s + 7919 * n + i, feasible=lambda n, r: r < n),
+    "T3": _biclique_plan("T3", False, (34, 70)),
+    "T4": _biclique_plan("T4", True, (6, 40)),
+    "T5": _rule_plan("T5", generation.sample_clique_pair_regular, (4, 24), spread=True),
+    "L": _rule_plan("L", generation.random_regular, lambda r: (r + 1, 4 * r),
+                    r_range=(17, 17), seed=lambda s, n, r, i: s + 7919 * n + i,
+                    feasible=lambda n, r: r < n),
     # two r-regular components need n >= 2r + 2; cells the sampler cannot
     # split are reported
-    "C": _Plan(_RULE["C"].holds, _check_has_pm, generation.sample_disconnected_regular,
-               lambda r: (2 * r + 2, 4 * r), r_range=(17, 17),
-               seed=lambda s, n, r, i: s + 7919 * n + i if i else s + n),
+    "C": _rule_plan("C", generation.sample_disconnected_regular,
+                    lambda r: (2 * r + 2, 4 * r), r_range=(17, 17),
+                    seed=lambda s, n, r, i: s + 7919 * n + i if i else s + n),
     # the odd-component balloon bound, for odd r >= 3
     "L0-balloon": _Plan(lambda n, r: r % 2 == 1 and r >= 3, _check_balloon,
                         generation.random_regular, (4, 14),

@@ -32,13 +32,13 @@ Vertices that are indistinguishable so far are grouped into classes and
 only class prefixes are used as neighbor choices.  A search node whose
 partial graph is isomorphic to one met earlier at the same depth is
 pruned (isomorph rejection, as in McKay, J. Algorithms 26, 1998, and
-Meringer, JGT 30, 1999), tested at the middle depths on a cheap invariant
-first; exact dedup of the complete graphs keys on the rows of the
-canonical relabeling, and the first graph found in each class is the one
-yielded.  The pruning leaves that stream unchanged (``enumerate_regular``
-gives the argument, and ``tests/oracles.py`` keeps the search without
-it).  Hard cap n <= 10 - beyond that, import externally generated graph6
-corpora through the CLI.
+Meringer, JGT 30, 1999), tested on a cheap invariant first.  The same
+rule, applied to the complete graphs at the leaves, is the exact dedup:
+the first graph found in each class is the one yielded.  The rejection
+leaves the stream of plain generate-then-dedup unchanged
+(``enumerate_regular`` gives the argument, and ``tests/oracles.py`` keeps
+the search without it).  Hard cap n <= 10 - beyond that, import
+externally generated graph6 corpora through the CLI.
 
 Canonical forms (``canonical_form``, n <= 12) are the graph6 bytes of the
 least relabeled adjacency among the leaves of an individualization-
@@ -559,13 +559,12 @@ def _residual_feasible(residual: list[int], start: int, n: int) -> bool:
     return total % 2 == 0
 
 
-# isomorph rejection is tested on entry to assign(v) for _REJECT_FIRST <= v
-# <= n - _REJECT_LAST_GAP.  Depths 0 and 1 hold a node or two each; deeper
-# nodes are many and their subtrees small, so canonical searches there cost
-# more than they cut.  On the enumerate benchmark (n <= 10; 2 cores, Python
-# 3.11), ending the window at n - 5 gave 285 classes/s, at n - 4 261,
-# testing every depth 218, and the search without rejection 139.
-_REJECT_FIRST = 2
+# isomorph rejection is tested on entry to assign(v) for v <= n -
+# _REJECT_LAST_GAP, and at every leaf.  Deeper nodes are many and their
+# subtrees small, so canonical searches there cost more than they cut.  On
+# the enumerate benchmark (n <= 10; 2 cores, Python 3.11), ending the
+# window at n - 5 gave 285 classes/s, at n - 4 261, testing every depth
+# 218, and the search without rejection 139.
 _REJECT_LAST_GAP = 5
 
 
@@ -576,11 +575,13 @@ def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[
 
     The search adds every edge of vertex v in ``assign(v)``, choosing v's
     later neighbours as prefixes of classes of twins (unsaturated vertices
-    with equal rows), and a leaf is yielded when its canonical rows are
-    new.  On entry to ``assign(v)`` for 2 <= v <= n - 5, a node whose
+    with equal rows).  One isomorph-rejection rule prunes the search and
+    dedups its leaves: on entry to ``assign(v)`` for v <= n - 5, and at
+    every leaf (depth n, after the ``connected_only`` filter), a node whose
     partial graph P is isomorphic to the partial graph of a node met
-    earlier at depth v is pruned.  The yielded stream is the one without
-    pruning, because:
+    earlier at the same depth is dropped.  At a leaf P is the whole graph,
+    so each class is yielded once, by the first graph found in it.  The
+    yielded stream is the one of plain generate-then-dedup, because:
 
     - At ``assign(v)`` vertices 0..v-1 have residual 0, so the graphs the
       subtree can reach are the r-regular supergraphs of P, a set that up
@@ -589,10 +590,10 @@ def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[
       the earlier isomorphic node's subtree has already finished.
     - Twin prefixes and ``_residual_feasible`` keep every subtree complete
       up to isomorphism: each twin swap is an automorphism of P fixing
-      0..v, and only nodes with no completion are cut.  The leaf dedup
-      relies on the same fact at the root.
+      0..v, and only nodes with no completion are cut.  The same fact at
+      the root makes the search reach every class.
     - By induction in depth-first order, every leaf below a pruned node
-      is isomorphic to a graph yielded earlier, so the leaf dedup would
+      is isomorphic to a graph yielded earlier, so the leaf test would
       have dropped it.  The classes, their representatives and their
       order all stay the same, for ``connected_only`` too, since
       connectivity is an isomorphism invariant.
@@ -600,7 +601,8 @@ def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[
     Nodes are bucketed by the sorted (degree, triangle count) pairs of
     P's vertices.  The first node in a bucket is new at no canonical
     search; the bucket's stored rows and each later node get canonical
-    rows only once a second node lands in it.
+    rows only once a second node lands in it.  Depths 0 and 1 hold one
+    node each, so testing them costs no canonical search.
     """
     if n > ENUMERATION_CAP:
         raise GraphError(f"enumeration capped at n={ENUMERATION_CAP}")
@@ -615,7 +617,6 @@ def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[
 
     adj = [0] * n
     residual = [r] * n
-    seen: set[tuple[int, ...]] = set()
     last_reject = n - _REJECT_LAST_GAP
     # (depth, invariant) -> the first partial graph's rows, then the set of
     # canonical rows of every partial graph met in the bucket.  Keyed by
@@ -643,14 +644,10 @@ def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[
     def assign(v: int) -> Iterator[Graph]:
         if v == n:
             g = Graph(n, tuple(adj))
-            if connected_only and not is_connected(g):
-                return
-            key = _canonical_rows(g)
-            if key not in seen:
-                seen.add(key)
+            if (not connected_only or is_connected(g)) and not repeated(n):
                 yield g
             return
-        if _REJECT_FIRST <= v <= last_reject and repeated(v):
+        if v <= last_reject and repeated(v):
             return
         need = residual[v]
         if need == 0:

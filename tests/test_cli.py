@@ -481,7 +481,26 @@ class TestVerifyCommand:
 
         for seed in range(3):
             g = sample_spanning_biclique_regular(6, 5, seed, True)
-            assert g == complete_graph(6) and cli._check_t4(g) is None
+            assert g == complete_graph(6) and cli._confirm(cli._RULE["T4"], g) is None
+
+    @pytest.mark.parametrize("rule,finder,broken", [
+        ("T3", "spanning_biclique", None),
+        ("T5", "half_clique", None),
+        ("C", "is_connected", True),
+    ])
+    def test_broken_witness_finder_is_caught(self, capsys, monkeypatch, rule, finder, broken):
+        # each drawn instance carries the rule's structure by construction,
+        # so a finder that misses it makes every instance a counterexample,
+        # though the conclusion still holds
+        from regext import extension
+
+        monkeypatch.setattr(extension, finder, lambda *args, **kwargs: broken)
+        code, out, _ = run_cli(capsys, ["verify", "--rule", rule, "--json", *QUICK[rule]])
+        lines = json_lines(out)
+        assert code == 1
+        assert lines[-1]["failed"] == lines[-1]["checked"] == QUICK_CHECKED[rule]
+        assert {line["counterexample"]["certificate"]["type"] for line in lines[1:-1]} == \
+            {"rule-not-detected"}
 
     def test_pool_not_loaded_at_import(self):
         import os
@@ -515,9 +534,9 @@ class TestVerifyCommand:
         assert [line["counterexample"] for line in lines[1:-1]] == [
             {"graph6": g6, "certificate": {"type": "invalid-matching"}}
             for g6 in graphs]
-        # T2's check takes the ladder's step and reports its violator; T2's
+        # T2's check matches the complement and reports its violator; T2's
         # region at n = 18 is r = 0
-        monkeypatch.setattr(cli, "extend_once", lambda g: TutteViolator(frozenset(), 1))
+        monkeypatch.setattr(cli, "perfect_matching", lambda g: TutteViolator(frozenset(), 1))
         code, out, _ = run_cli(capsys, ["verify", "--rule", "T2", "--n-range", "18",
                                         "--samples", "1", "--json"])
         lines = json_lines(out)
@@ -606,6 +625,13 @@ def test_negative_count_is_usage_error(capsys, monkeypatch, argv):
     assert err.count("\n") == 1 and err.startswith("error: --")
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_verify_claims_closed_stdout_ends_quietly(unbuffered):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "verify_claims.py"
+    code, err = run_into_closed_pipe([str(script), "--quick"], unbuffered)
+    assert (code, err) == (EXIT_STDOUT_CLOSED, b"")
+
+
 class TestCensusScript:
     census = _load_script("extension_census")
 
@@ -625,6 +651,22 @@ class TestCensusScript:
         code, err = run_into_closed_pipe(
             [str(Path(self.census.__file__)), "--max-n", "6"], unbuffered)
         assert (code, err) == (EXIT_STDOUT_CLOSED, b"")
+
+    @pytest.mark.parametrize("n,r,forced", [
+        # 2K_2 extends, yet T4 is made to apply
+        (4, 1, "T4"),
+        # K_{3,3} is stuck and T4 applies to it; T1 is made to apply too
+        (6, 3, "T1"),
+    ])
+    def test_soundness_breach_raises(self, monkeypatch, n, r, forced):
+        from regext.extension import RULES, TheoremVerdict
+
+        rule = next(rule for rule in RULES if rule.short == forced)
+        classify = self.census.classify
+        monkeypatch.setattr(self.census, "classify", lambda g: [
+            *classify(g), TheoremVerdict(rule.name, True, rule.conclusion)])
+        with pytest.raises(AssertionError, match="soundness breach"):
+            self.census.census_cell(n, r)
 
     def test_rows_below_cap_match_recorded_table(self, capsys):
         assert self.census.main(["--max-n", "6"]) == 0
