@@ -40,17 +40,20 @@ leaves the stream of plain generate-then-dedup unchanged
 the search without it).  Hard cap n <= 10 - beyond that, import
 externally generated graph6 corpora through the CLI.
 
+Both canonical forms and the rejection rest on one individualization-
+refinement search with automorphism pruning (``_leaf_rows``; McKay &
+Piperno, J. Symbolic Comput. 60, 2014), whose leaves' relabeled adjacency
+rows are equal sets for isomorphic graphs and disjoint sets otherwise.
 Canonical forms (``canonical_form``, n <= 12) are the graph6 bytes of the
-least relabeled adjacency among the leaves of an individualization-
-refinement search with automorphism pruning (McKay & Piperno, J. Symbolic
-Comput. 60, 2014): canonical, but not the lexicographically least
-encoding over all relabelings.
+least of those rows: canonical, but not the lexicographically least
+encoding over all relabelings.  The rejection keeps the leaf rows of the
+partial graphs met so far, so a repeat is proved at its first leaf.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator
+from typing import Iterator, KeysView
 
 from .graph import (Graph, GraphError, _unit_masks, complement, format_graph6,
                     is_connected)
@@ -413,19 +416,20 @@ def _triangle_counts(adj: tuple[int, ...]) -> list[int]:
     return counts
 
 
-def _root_partition(nbr: dict[int, int]) -> list[int]:
+def _root_partition(nbr: dict[int, int], tri: list[int]) -> list[int]:
     """The equitable refinement of the cells of equal triangle count;
-    ``nbr`` lists the vertices' bits in label order."""
+    ``nbr`` lists the vertices' bits in label order, and ``tri[v]`` is
+    ``_triangle_counts``'s entry for vertex v."""
     cells: dict[int, int] = {}
-    for b, tri in zip(nbr, _triangle_counts(tuple(nbr.values()))):
-        cells[tri] = cells.get(tri, 0) | b
+    for b, t in zip(nbr, tri):
+        cells[t] = cells.get(t, 0) | b
     part = [0] * len(nbr)
     queue = []
     s = 0
-    for tri in sorted(cells):
-        part[s] = cells[tri]
+    for t in sorted(cells):
+        part[s] = cells[t]
         queue.append(s)
-        s += cells[tri].bit_count()
+        s += cells[t].bit_count()
     _refine(nbr, part, queue)
     return part
 
@@ -449,6 +453,22 @@ def _orbit_roots(n: int, gens: list[tuple[list[int], int]], prefix: int) -> list
     return root
 
 
+def _relabeled_rows(nbr: dict[int, int], part: list[int]) -> tuple[int, ...]:
+    """The adjacency rows of the relabeling that a discrete partition
+    gives: the vertex in cell s becomes vertex s."""
+    pos = {b: s for s, b in enumerate(part)}
+    rows = []
+    for b in part:
+        x = nbr[b]
+        row = 0
+        while x:
+            y = x & -x
+            row |= 1 << pos[y]
+            x ^= y
+        rows.append(row)
+    return tuple(rows)
+
+
 def canonical_form(g: Graph) -> bytes:
     """Isomorphism-invariant encoding: the graph6 line of a canonical
     relabeling, so two graphs get equal bytes iff they are isomorphic.
@@ -457,44 +477,47 @@ def canonical_form(g: Graph) -> bytes:
 
 
 def _canonical_rows(g: Graph) -> tuple[int, ...]:
-    """Adjacency rows of a canonical relabeling: equal for two graphs iff
-    they are isomorphic.
+    """Adjacency rows of a canonical relabeling, equal for two graphs iff
+    they are isomorphic: the least rows among ``_leaf_rows``'s.  They are
+    canonical but not the least rows over all relabelings."""
+    return min(_leaf_rows(g))
+
+
+def _leaf_rows(g: Graph, known: set[tuple[int, ...]] | None = None,
+               tri: list[int] | None = None) -> KeysView[tuple[int, ...]] | None:
+    """The relabeled adjacency rows of every leaf of g's search tree, or
+    None if a leaf's rows are in ``known``; ``tri`` is
+    ``_triangle_counts(g.adj)`` when the caller has it.
 
     Individualization-refinement search (McKay & Piperno, J. Symbolic
     Comput. 60, 2014).  The root partition groups vertices by triangle
     count; every node refines its partition to an equitable one and
     branches on the vertices of its first non-singleton cell, and a
-    discrete partition (a leaf) is a relabeling.  The answer is the least
-    relabeled adjacency (the rows as a tuple) among the leaves searched.
-    Two leaves with equal rows give an automorphism: the search returns to
-    the node where their paths split, and a node explores one child per
-    orbit of the automorphisms found so far that fix its individualized
-    vertices.  Both skip only images of subtrees already explored, and the
-    tree does not depend on the labelling, so the least rows searched are
-    the least rows of the whole tree.  The rows are canonical but not the
-    least rows over all relabelings.
+    discrete partition (a leaf) is a relabeling, whose rows (as a tuple)
+    are the leaf's certificate.  Two leaves with equal rows give an
+    automorphism: the search returns to the node where their paths split,
+    and a node explores one child per orbit of the automorphisms found so
+    far that fix its individualized vertices.  Both skip only images of
+    subtrees already explored, and an image of a leaf has the same rows, so
+    the rows of the leaves explored are the rows of every leaf of the tree.
+    The tree does not depend on the labelling, so two isomorphic graphs
+    have equal sets of leaf rows, and two others disjoint ones: a leaf's
+    rows are a graph isomorphic to g.  Hence the search can stop at the
+    first leaf whose rows are in ``known``, the union of the leaf rows of
+    earlier graphs, and g is then isomorphic to one of them.
     """
     if g.n > CANONICAL_CAP:
         raise GraphError(f"n={g.n} exceeds canonical-form limit {CANONICAL_CAP}")
     n = g.n
-    if n < 2:
-        return g.adj
     nbr = {1 << v: a for v, a in enumerate(g.adj)}
     leaves: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     gens: list[tuple[list[int], int]] = []  # (vertex images, fixed-point mask)
 
     def leaf(part: list[int], path: list[int]) -> int:
-        pos = {b: s for s, b in enumerate(part)}
-        rows = []
-        for b in part:
-            x = nbr[b]
-            row = 0
-            while x:
-                y = x & -x
-                row |= 1 << pos[y]
-                x ^= y
-            rows.append(row)
-        seen = leaves.setdefault(tuple(rows), (part, path))
+        rows = _relabeled_rows(nbr, part)
+        if known is not None and rows in known:
+            return -1  # back past the root
+        seen = leaves.setdefault(rows, (part, path))
         if seen[1] is path:
             return len(path)
         # the earlier leaf's s-th vertex maps to this leaf's s-th vertex
@@ -544,8 +567,11 @@ def _canonical_rows(g: Graph) -> tuple[int, ...]:
             done.append(v)
         return depth
 
-    search(_root_partition(nbr), [], 0)
-    return min(leaves)
+    if tri is None:
+        tri = _triangle_counts(g.adj)
+    if search(_root_partition(nbr, tri), [], 0) < 0:
+        return None
+    return leaves.keys()
 
 
 def _residual_feasible(residual: list[int], start: int, n: int) -> bool:
@@ -599,10 +625,20 @@ def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[
       connectivity is an isomorphism invariant.
 
     Nodes are bucketed by the sorted (degree, triangle count) pairs of
-    P's vertices.  The first node in a bucket is new at no canonical
-    search; the bucket's stored rows and each later node get canonical
-    rows only once a second node lands in it.  Depths 0 and 1 hold one
-    node each, so testing them costs no canonical search.
+    P's vertices.  The first node in a bucket is new at no search; its
+    rows and triangle counts are stored, and searched only once a second
+    node lands in the bucket.  From then on the bucket holds the union of
+    the leaf rows (``_leaf_rows``) of its partial graphs.  Each later node
+    is searched with that union as ``known``: its search stops at its first
+    leaf if that leaf's rows are in the union, and the node is a repeat;
+    otherwise all its leaf rows join the union.  This is exact: orbit
+    pruning and the jump back skip only images of subtrees already
+    explored, so the explored leaves' rows are those of the whole tree,
+    and the tree does not depend on the labelling, so isomorphic graphs
+    have equal leaf-row sets and other graphs disjoint ones (``_leaf_rows``
+    has the argument).  The first leaf thus decides, as a comparison of
+    canonical rows would.  Depths 0 and 1 hold one node each, so testing
+    them costs no search.
     """
     if n > ENUMERATION_CAP:
         raise GraphError(f"enumeration capped at n={ENUMERATION_CAP}")
@@ -618,27 +654,28 @@ def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[
     adj = [0] * n
     residual = [r] * n
     last_reject = n - _REJECT_LAST_GAP
-    # (depth, invariant) -> the first partial graph's rows, then the set of
-    # canonical rows of every partial graph met in the bucket.  Keyed by
-    # depth too: assign(v) with v saturated hands its own partial graph on
-    # to assign(v + 1), its child.
-    met: dict[tuple, tuple[int, ...] | set[tuple[int, ...]]] = {}
+    # (depth, invariant) -> the first partial graph's rows and triangle
+    # counts, then the union of the leaf rows of every partial graph met in
+    # the bucket.  Keyed by depth too: assign(v) with v saturated hands its
+    # own partial graph on to assign(v + 1), its child.
+    met: dict[tuple, tuple[tuple[int, ...], list[int]] | set[tuple[int, ...]]] = {}
 
     def repeated(v: int) -> bool:
         """Whether the partial graph at assign(v) is isomorphic to one
         met at depth v before; records it if not."""
         rows = tuple(adj)
-        key = (v, tuple(sorted(zip(map(int.bit_count, rows), _triangle_counts(rows)))))
+        tri = _triangle_counts(rows)
+        key = (v, tuple(sorted(zip(map(int.bit_count, rows), tri))))
         bucket = met.get(key)
         if bucket is None:
-            met[key] = rows
+            met[key] = (rows, tri)
             return False
         if type(bucket) is tuple:
-            bucket = met[key] = {_canonical_rows(Graph(n, bucket))}
-        form = _canonical_rows(Graph(n, rows))
-        if form in bucket:
+            bucket = met[key] = set(_leaf_rows(Graph(n, bucket[0]), tri=bucket[1]))
+        leaves = _leaf_rows(Graph(n, rows), bucket, tri)
+        if leaves is None:
             return True
-        bucket.add(form)
+        bucket.update(leaves)
         return False
 
     def assign(v: int) -> Iterator[Graph]:

@@ -165,25 +165,21 @@ def automorphism_count(g: Graph) -> int:
     return total
 
 
-def canonical_form_unpruned(g: Graph) -> bytes:
-    """``generation.canonical_form`` without orbit pruning or the jump back:
-    the same root partition and refinement, every leaf of the tree visited
-    and the least relabeled adjacency kept.  Up to n! leaves, so for n <= 8."""
+def leaf_rows_unpruned(g: Graph) -> set[tuple[int, ...]]:
+    """The rows of every leaf of ``generation._leaf_rows``'s search tree,
+    without orbit pruning or the jump back: the same root partition and
+    refinement, every leaf visited.  Up to n! leaves, so for n <= 8 and
+    for graphs whose refinement splits early."""
     n = g.n
-    if n < 2:
-        return format_graph6_per_bit(g).encode("ascii")
     nbr = {1 << v: a for v, a in enumerate(g.adj)}
-    best = None
+    found = set()
 
     def visit(part: list[int]) -> None:
-        nonlocal best
         t = next((s for s, m in enumerate(part) if m & (m - 1)), None)
         if t is None:
             order = [m.bit_length() - 1 for m in part]
             pos = {v: s for s, v in enumerate(order)}
-            rows = tuple(sum(1 << pos[u] for u in neighbors(g, v)) for v in order)
-            if best is None or rows < best:
-                best = rows
+            found.add(tuple(sum(1 << pos[u] for u in neighbors(g, v)) for v in order))
             return
         for v in range(n):
             if part[t] >> v & 1:
@@ -193,8 +189,14 @@ def canonical_form_unpruned(g: Graph) -> bytes:
                 generation._refine(nbr, child, [t])
                 visit(child)
 
-    visit(generation._root_partition(nbr))
-    return format_graph6_per_bit(Graph(n, best)).encode("ascii")
+    visit(generation._root_partition(nbr, generation._triangle_counts(g.adj)))
+    return found
+
+
+def canonical_form_unpruned(g: Graph) -> bytes:
+    """``generation.canonical_form`` without orbit pruning or the jump back:
+    the least relabeled adjacency over every leaf of the tree."""
+    return format_graph6_per_bit(Graph(g.n, min(leaf_rows_unpruned(g)))).encode("ascii")
 
 
 def count_labeled_regular(n: int, r: int) -> int:

@@ -472,6 +472,52 @@ class TestCanonicalForm:
                     for h in (g, _shuffled(g, rng)):
                         assert canonical_form(h) == oracles.canonical_form_unpruned(h), h
 
+    def test_leaf_rows_agree_with_unpruned_search(self, monkeypatch):
+        # the explored leaves must carry the rows of every leaf of the tree.
+        # Every regular class below n = 9 has equal rows at all its leaves,
+        # so the partial graphs the enumerator tests at n <= 10, some with
+        # up to four leaf rows, are what show a wrong cut
+        rng = random.Random(24)
+        graphs = [g for n in range(1, 9) for r in range(n) if n * r % 2 == 0
+                  for g in enumerate_regular(n, r)]
+        leaf_rows = generation._leaf_rows
+        partial = {}
+        monkeypatch.setattr(generation, "_leaf_rows", lambda g, *args, **kw: (
+            partial.setdefault(g.adj, g), leaf_rows(g, *args, **kw))[1])
+        for n in range(1, 11):
+            for r in range(n):
+                if n * r % 2 == 0:
+                    list(enumerate_regular(n, r))
+        graphs += partial.values()
+        several = 0
+        for g in graphs:
+            # the leaf rows do not depend on the labelling
+            want = oracles.leaf_rows_unpruned(g)
+            for h in (g, _shuffled(g, rng)):
+                assert set(leaf_rows(h)) == want, h
+            several += len(want) > 1
+        assert several >= 20
+
+    def test_leaf_rows_report_repeats(self):
+        # a graph's first leaf is in the union of earlier graphs' leaf rows
+        # exactly when it is isomorphic to one of them
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(25)
+        graphs = [h for r in (3, 4) for g in enumerate_regular(8, r)
+                  for h in (g, _shuffled(g, rng))]
+        rng.shuffle(graphs)
+        known: set = set()
+        repeats = 0
+        for i, h in enumerate(graphs):
+            rows = generation._leaf_rows(h, known)
+            repeat = any(nx.is_isomorphic(_nx(g), _nx(h)) for g in graphs[:i])
+            assert (rows is None) == repeat, h
+            if rows is None:
+                repeats += 1
+            else:
+                known.update(rows)
+        assert repeats == 12
+
     @pytest.mark.parametrize("g", [
         empty_graph(11), empty_graph(12), complete_graph(11), complete_graph(12),
         complete_bipartite(5, 6), complete_bipartite(6, 6),
@@ -615,14 +661,27 @@ class TestEnumeration:
         # one per labelled graph reached; the stream tests would pass with
         # the rejection switched off, this one would not
         calls = []
-        rows = generation._canonical_rows
-        monkeypatch.setattr(generation, "_canonical_rows",
-                            lambda g: calls.append(g) or rows(g))
+        leaf_rows = generation._leaf_rows
+        monkeypatch.setattr(generation, "_leaf_rows",
+                            lambda g, *args, **kw: calls.append(g) or leaf_rows(g, *args, **kw))
         for n in range(1, 11):
             for r in range(n):
                 if (n * r) % 2 == 0:
                     list(enumerate_regular(n, r))
         assert len(calls) < 3000
+
+    def test_repeats_stop_at_their_first_leaf(self, monkeypatch):
+        # a repeated partial graph costs one descent: these cells build
+        # 3363 leaves, and 5897 if every search ran to its end
+        leaves = []
+        relabeled = generation._relabeled_rows
+        monkeypatch.setattr(generation, "_relabeled_rows",
+                            lambda *args: leaves.append(1) or relabeled(*args))
+        for n in range(1, 11):
+            for r in range(n):
+                if (n * r) % 2 == 0:
+                    list(enumerate_regular(n, r))
+        assert len(leaves) < 4000
 
     def test_past_the_cap(self, monkeypatch):
         # the known class counts at (11, 4) and (12, 3), within reach once
