@@ -376,10 +376,9 @@ def _check_balloon(g: Graph) -> dict | None:
             size = rng.randrange(4, g.n) if g.n > 4 else 0
             yield tuple(sorted(rng.sample(range(g.n), size))) if size else ()
 
-    check = structure.balloon_bound_checker(g)
     small = (s for k in range(4) for s in combinations(range(g.n), k))
     for s in chain(small, sampled_sets()):
-        chk = check(s)
+        chk = structure.check_balloon_bound(g, s)
         if chk.applicable and not chk.holds:
             return {"type": "balloon-bound", "s": list(s),
                     "lhs": str(chk.lhs), "rhs": str(chk.rhs)}

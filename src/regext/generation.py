@@ -53,6 +53,7 @@ partial graphs met so far, so a repeat is proved at its first leaf.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import Iterator, KeysView
 
 from .graph import (Graph, GraphError, _unit_masks, complement, format_graph6,
@@ -696,16 +697,16 @@ def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[
             if residual[u] > 0:
                 classes.setdefault(adj[u], []).append(u)
         groups = [members for _, members in sorted(classes.items())]
+        # avail[gi]: members in groups gi, gi + 1, ...; 0 past the last
+        # group, so place stops there too
+        avail = list(accumulate(map(len, reversed(groups)), initial=0))[::-1]
 
         def place(gi: int, left: int) -> Iterator[Graph]:
             if left == 0:
                 if _residual_feasible(residual, v + 1, n):
                     yield from assign(v + 1)
                 return
-            if gi == len(groups):
-                return
-            avail = sum(len(groups[i]) for i in range(gi, len(groups)))
-            if avail < left:
+            if avail[gi] < left:
                 return
             members = groups[gi]
             for take in range(min(len(members), left), -1, -1):

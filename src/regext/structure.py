@@ -11,16 +11,20 @@ bridge.  Singleton vertices count as (vacuously) 2-edge-connected blocks,
 so an isolated leaf hanging off a bridge is a balloon; odd-regular graphs
 with r >= 3 never produce that case, but the decomposition stays total.
 
-The balloon bound is checked on vertex masks.  The balloon count is taken
-once per graph, with no bridge search when r is even or n < 2r + 4 (an
-r-regular graph with a bridge has r odd and at least r + 2 vertices on
-each side of it); then each set costs one component pass over V - S.
+The balloon bound is checked on vertex masks.  The degree test and the
+balloon count are taken once per graph, with no bridge search when r is
+even or n < 2r + 4 (an r-regular graph with a bridge has r odd and at
+least r + 2 vertices on each side of it); then each set costs one
+component pass over V - S.  Consecutive ``check_balloon_bound`` calls on
+one graph share that per-graph work: ``balloon_bound_checker`` keeps the
+checker of the last graph it built, and of no other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from .graph import (
@@ -165,10 +169,15 @@ def _balloon_count(g: Graph, r: int) -> int:
     return len(_balloon_pass(g)[2])
 
 
+@lru_cache(maxsize=1)
 def balloon_bound_checker(g: Graph) -> Callable[[Iterable[int]], BalloonBoundCheck]:
     """``check_balloon_bound`` for one graph: its degree and balloon count
     are computed here once, and each call of the result checks one set by
-    one component pass over the mask of V - s."""
+    one component pass over the mask of V - s.
+
+    The checker of the last graph is kept, so a run of calls on one graph,
+    or on equal ``Graph`` values, builds it once; a graph that fails the
+    degree test raises on every call."""
     r = require_regular(g)
     if r < 2:
         raise GraphError(f"balloon bound needs degree >= 2, got r={r}")
@@ -211,8 +220,8 @@ def check_balloon_bound(g: Graph, s: Iterable[int]) -> BalloonBoundCheck:
     Applicable only when every odd component of G-s sends exactly 1 or at
     least r edges into s.  A repeated vertex of s counts once, and one out
     of range raises ``GraphError``.  b(G) is 0 without a bridge search when
-    r is even or n < 2r + 4 (see ``_balloon_count``).  To check many sets
-    of one graph, call ``balloon_bound_checker`` once instead.
+    r is even or n < 2r + 4 (see ``_balloon_count``).  Consecutive calls
+    on one graph take its degree and balloon count once.
     """
     return balloon_bound_checker(g)(s)
 

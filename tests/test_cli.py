@@ -429,6 +429,7 @@ class TestVerifyCommand:
         # count per checked graph, not one per vertex set
         from regext import structure
 
+        structure.balloon_bound_checker.cache_clear()
         graphs = []
         count = structure._balloon_count
         monkeypatch.setattr(structure, "_balloon_count",

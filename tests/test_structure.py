@@ -16,8 +16,11 @@ from regext import (
     clique_number,
     complement,
     components_after_deletion,
+    enumerate_regular,
     find_bridges,
     find_clique,
+    format_graph6,
+    parse_graph6,
     random_regular,
     spanning_biclique,
 )
@@ -34,6 +37,7 @@ from families import (
 
 import oracles
 from oracles import OddCycle, balloon_bound_checker_reference, complement_bipartite_check
+from regext import structure
 from regext.structure import _balloon_count, balloon_bound_checker, half_clique
 
 
@@ -248,6 +252,45 @@ class TestBalloonBoundOracle:
                 s = (rng.choices(range(g.n), k=size) if rng.randrange(2)
                      else rng.sample(range(g.n), size))
                 assert check(s) == want(s) == check_balloon_bound(g, s), (g, s)
+
+    def test_shared_checker_switches_graphs(self):
+        # A needs the bridge search (n = 2r + 4), B does not, and A2 is a
+        # distinct object equal to A; one checker is kept at a time
+        balloon_bound_checker.cache_clear()
+        a = next(g for g in enumerate_regular(10, 3) if balloons(g).b)
+        b = next(enumerate_regular(8, 3))
+        a2 = parse_graph6(format_graph6(a))
+        assert a2 is not a and a2 == a
+        checked = 0
+        for g in (a, b, a2):
+            want = balloon_bound_checker_reference(g)
+            for k in range(4):
+                for s in combinations(range(g.n), k):
+                    assert check_balloon_bound(g, s) == want(s), (g, s)
+                    checked += 1
+        assert checked == 176 + 93 + 176
+        # A2's checker serves A: equal graphs share it
+        assert check_balloon_bound(a, ()) == balloon_bound_checker_reference(a)(())
+        info = balloon_bound_checker.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, checked - 3 + 1, 1)
+        # a cached graph does not let a bad one through
+        with pytest.raises(GraphError):
+            check_balloon_bound(star_graph(3), ())
+        with pytest.raises(GraphError):
+            check_balloon_bound(build(2, [(0, 1)]), ())
+
+    def test_one_bridge_search_per_graph(self, monkeypatch):
+        balloon_bound_checker.cache_clear()
+        g = balloon_cubic_pair()
+        sets = [s for k in range(4) for s in combinations(range(g.n), k)]
+        want = balloon_bound_checker_reference(g)
+        expected = [want(s) for s in sets]
+        calls = []
+        bridges = structure.find_bridges
+        monkeypatch.setattr(structure, "find_bridges",
+                            lambda h: calls.append(h) or bridges(h))
+        assert [check_balloon_bound(g, s) for s in sets] == expected
+        assert (len(sets), len(calls)) == (176, 1)
 
     def test_parity_bound_against_networkx(self, small_regular_corpus):
         # no bridge when r is even or n < 2r + 4
