@@ -329,19 +329,36 @@ def _span(range_str: str | None, default: tuple[int, int]) -> tuple[int, int]:
         raise SystemExit(2)
 
 
+def _witness_holds(rule: extension.Rule, g: Graph, witness: object) -> bool:
+    """Whether a detected witness is what its rule needs: a spanning
+    biclique (T3), with both parts odd (T4), or a clique on n/2 vertices
+    (T5).  Rules that show no witness have nothing to check."""
+    if isinstance(witness, structure.BicliqueWitness):
+        odd = len(witness.part_a) % 2 == len(witness.part_b) % 2 == 1
+        return witness.verify(g) and (odd or rule.short != "T4")
+    if isinstance(witness, frozenset):
+        return 2 * len(witness) == g.n and all(
+            g.has_edge(u, v) for u, v in combinations(witness, 2))
+    return True
+
+
 def _confirm(rule: extension.Rule, g: Graph) -> dict | None:
     """None when ``rule`` applies to g and its conclusion holds, else the
     failure's certificate.
 
     Detection runs the rule's own witness finder, so a finder that misses
-    gives ``rule-not-detected``.  Each conclusion then takes one polynomial
+    gives ``rule-not-detected``, and one whose witness does not hold on g
+    gives ``invalid-witness``.  Each conclusion then takes one polynomial
     search: a perfect matching of the complement (extendable) or of g
     (has-perfect-matching); a Tutte violator of the complement that
     verifies (not-extendable, whose cells include K_n, which has no ladder
     rung); a ladder to n - 1 whose trace replays (extendable to any r').
     """
-    if not rule.verdict(g, require_regular(g)).applies:
+    verdict = rule.verdict(g, require_regular(g))
+    if not verdict.applies:
         return {"type": "rule-not-detected"}
+    if not _witness_holds(rule, g, verdict.evidence):
+        return {"type": "invalid-witness", "witness": certificate_json(verdict.evidence)}
     if rule.conclusion == extension.CONCLUSION_EXTENDABLE_ANY:
         res = extend_to(g, g.n - 1)
         ok = isinstance(res, ExtensionTrace) and res.verify(g)

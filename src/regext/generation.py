@@ -207,8 +207,7 @@ def random_regular_bipartite(half: int, d: int, seed: int) -> Graph:
     ``left[i]``, which never changes, and ``right[i]``; ``rows[a]`` is the
     right-side neighbourhood of left vertex a.  A swap with a = c or b = d
     (``d2`` below) would add edge cd or ab again, so the repeated-edge test
-    rejects it.  The draws are ``rng.randrange(m)``'s, inlined as in
-    ``_switching``.
+    rejects it.
     """
     if not 0 <= d <= half:
         raise GraphError(f"need 0 <= d <= half, got d={d}, half={half}")
@@ -221,27 +220,20 @@ def random_regular_bipartite(half: int, d: int, seed: int) -> Graph:
     rows = [0] * half
     for a, b in zip(left, right):
         rows[a] |= bit[b]
-    if m >= 2:
-        k = m.bit_length()
-        getrandbits = rng.getrandbits
-        for _ in range(20 * m):
-            i = getrandbits(k)
-            while i >= m:
-                i = getrandbits(k)
-            j = getrandbits(k)
-            while j >= m:
-                j = getrandbits(k)
-            a = left[i]
-            c = left[j]
-            b = right[i]
-            d2 = right[j]
-            if rows[a] & bit[d2] or rows[c] & bit[b]:
-                continue
-            flip = bit[b] | bit[d2]
-            rows[a] ^= flip
-            rows[c] ^= flip
-            right[i] = d2
-            right[j] = b
+    for _ in range(20 * m):
+        i = rng.randrange(m)
+        j = rng.randrange(m)
+        a = left[i]
+        c = left[j]
+        b = right[i]
+        d2 = right[j]
+        if rows[a] & bit[d2] or rows[c] & bit[b]:
+            continue
+        flip = bit[b] | bit[d2]
+        rows[a] ^= flip
+        rows[c] ^= flip
+        right[i] = d2
+        right[j] = b
     # the right side's rows are the transpose of the left side's
     cols = [0] * half
     for a, row in enumerate(rows):
@@ -336,7 +328,8 @@ def _refine(nbr: dict[int, int], part: list[int], queue: list[int]) -> None:
     and 0 inside a cell; ``nbr`` maps a vertex's bit to its neighbourhood.
     A cell splits by each vertex's number of neighbours in the splitter,
     fragments in ascending count, so the result does not depend on the
-    labelling.
+    labelling.  Counts are taken one vertex at a time, except that a
+    one-vertex splitter parts non-neighbours (``away``) from neighbours.
     """
     n = len(part)
     inq = [False] * n
@@ -348,47 +341,30 @@ def _refine(nbr: dict[int, int], part: list[int], queue: list[int]) -> None:
         s = queue[i]
         i += 1
         inq[s] = False
-        # planes[j] holds bit j of every vertex's count of neighbours in the
-        # splitter: a ripple-carry sum of the splitter's neighbourhoods
         x = part[s]
-        planes = []
-        if not x & (x - 1):
-            planes.append(nbr[x])
-            x = 0
-        while x:
-            b = x & -x
-            x ^= b
-            carry = nbr[b]
-            for j, p in enumerate(planes):
-                planes[j] = p ^ carry
-                carry &= p
-                if not carry:
-                    break
-            else:
-                planes.append(carry)
-        planes.reverse()
+        away = None if x & (x - 1) else ~nbr[x]
         c = 0
         while c < n:
             m = part[c]
-            size = m.bit_count()
-            for p in planes:
-                if m & p and m & ~p:
-                    break
-            else:
-                c += size
+            if not m & (m - 1):
+                c += 1
                 continue
-            # the most significant plane first, its 0 side before its 1 side,
-            # so the fragments come out in ascending count
-            frags = [m]
-            for p in planes:
-                nxt = []
-                for f in frags:
-                    lo = f & ~p
-                    if lo:
-                        nxt.append(lo)
-                    if lo != f:
-                        nxt.append(f & p)
-                frags = nxt
+            if away is not None:
+                lo = m & away
+                frags = [lo, m ^ lo] if lo and lo != m else None
+            else:
+                by_count: dict[int, int] = {}
+                y = m
+                while y:
+                    b = y & -y
+                    y ^= b
+                    k = (nbr[b] & x).bit_count()
+                    by_count[k] = by_count.get(k, 0) | b
+                frags = ([by_count[k] for k in sorted(by_count)]
+                         if len(by_count) > 1 else None)
+            if frags is None:
+                c += m.bit_count()
+                continue
             sizes = [f.bit_count() for f in frags]
             # Hopcroft: a queued cell queues all its fragments, any other
             # cell all but its first largest
@@ -473,15 +449,9 @@ def _relabeled_rows(nbr: dict[int, int], part: list[int]) -> tuple[int, ...]:
 def canonical_form(g: Graph) -> bytes:
     """Isomorphism-invariant encoding: the graph6 line of a canonical
     relabeling, so two graphs get equal bytes iff they are isomorphic.
-    The relabeling's rows are ``_canonical_rows``'s."""
-    return format_graph6(Graph(g.n, _canonical_rows(g))).encode("ascii")
-
-
-def _canonical_rows(g: Graph) -> tuple[int, ...]:
-    """Adjacency rows of a canonical relabeling, equal for two graphs iff
-    they are isomorphic: the least rows among ``_leaf_rows``'s.  They are
-    canonical but not the least rows over all relabelings."""
-    return min(_leaf_rows(g))
+    Its rows are the least among ``_leaf_rows``'s: canonical, but not the
+    least rows over all relabelings."""
+    return format_graph6(Graph(g.n, min(_leaf_rows(g)))).encode("ascii")
 
 
 def _leaf_rows(g: Graph, known: set[tuple[int, ...]] | None = None,

@@ -1,19 +1,21 @@
 """Independent brute-force oracles the library is tested against.
 
 Nothing here shares code paths with the package: components use union-find
-instead of bitset BFS, matching sizes come from exhaustive recursion, and
-isomorphism checks try raw vertex permutations.  The exceptions are the
-unpruned canonical search, which checks the pruning of
+instead of bitset BFS, matching sizes come from exhaustive recursion,
+isomorphism checks try raw vertex permutations, and equitable partitions
+come from a plain fixed point of neighbour counts on vertex sets.  The
+exceptions are the unpruned canonical search, which checks the pruning of
 ``generation.canonical_form`` and so reuses its root partition and
-refinement, the matcher's greedy-only warm start, which runs the package's
-blossom phases, the ladder's earlier routes, which run the package's
-step and matcher, and the enumerator without isomorph rejection, which
-runs the package's feasibility test and canonical rows.  Code that only the tests use lives here too: the
-rotation-extension Dirac cycle, the per-bit graph6 encoder, the
-complement's 2-coloring with odd-cycle refutations, the earlier sampler
-loops, warm start and ladders that pinned outputs were recorded with, the
-structured samplers' edge-list joins, and the balloon-bound check on the
-package's balloon report and component sets.
+refinement (the refinement itself is checked against that fixed point),
+the matcher's greedy-only warm start, which runs the package's blossom
+phases, the ladder's earlier routes, which run the package's step and
+matcher, and the enumerator without isomorph rejection, which runs the
+package's feasibility test and canonical forms.  Code that only the tests
+use lives here too: the rotation-extension Dirac cycle, the per-bit graph6
+encoder, the complement's 2-coloring with odd-cycle refutations, the
+earlier sampler loops, warm start and ladders that pinned outputs were
+recorded with, the structured samplers' edge-list joins, and the
+balloon-bound check on the package's balloon report and component sets.
 """
 
 from __future__ import annotations
@@ -193,6 +195,25 @@ def leaf_rows_unpruned(g: Graph) -> set[tuple[int, ...]]:
     return found
 
 
+def equitable_refinement(g: Graph, cells: Iterable[Iterable[int]]) -> set[frozenset[int]]:
+    """The coarsest equitable partition below ``cells``, as a set of vertex
+    sets: every cell splits by its vertices' neighbour counts in every cell,
+    again and again until no cell splits.  Each split is forced in every
+    equitable partition below ``cells``, so the fixed point is the coarsest."""
+    nb = [set(neighbors(g, v)) for v in range(g.n)]
+    part = [frozenset(c) for c in cells]
+    while True:
+        split = []
+        for c in part:
+            by_counts: dict[tuple[int, ...], set[int]] = {}
+            for v in c:
+                by_counts.setdefault(tuple(len(nb[v] & d) for d in part), set()).add(v)
+            split += map(frozenset, by_counts.values())
+        if len(split) == len(part):
+            return set(part)
+        part = split
+
+
 def canonical_form_unpruned(g: Graph) -> bytes:
     """``generation.canonical_form`` without orbit pruning or the jump back:
     the least relabeled adjacency over every leaf of the tree."""
@@ -230,7 +251,7 @@ def count_labeled_regular(n: int, r: int) -> int:
 def enumerate_regular_reference(n: int, r: int, connected_only: bool = False) -> Iterator[Graph]:
     """``generation.enumerate_regular`` without isomorph rejection of
     partial graphs: the same twin-prefix backtracking, every leaf it
-    reaches deduped on ``generation._canonical_rows``.  The product prunes
+    reaches deduped on ``generation.canonical_form``.  The product prunes
     partial graphs isomorphic to earlier ones at the same depth, and must
     yield this stream exactly."""
     _check_degree_args(n, r)
@@ -243,7 +264,7 @@ def enumerate_regular_reference(n: int, r: int, connected_only: bool = False) ->
 
     adj = [0] * n
     residual = [r] * n
-    seen: set[tuple[int, ...]] = set()
+    seen: set[bytes] = set()
     feasible = generation._residual_feasible
 
     def assign(v: int) -> Iterator[Graph]:
@@ -251,7 +272,7 @@ def enumerate_regular_reference(n: int, r: int, connected_only: bool = False) ->
             g = Graph(n, tuple(adj))
             if connected_only and not is_connected(g):
                 return
-            key = generation._canonical_rows(g)
+            key = generation.canonical_form(g)
             if key not in seen:
                 seen.add(key)
                 yield g

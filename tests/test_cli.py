@@ -503,6 +503,50 @@ class TestVerifyCommand:
         assert {line["counterexample"]["certificate"]["type"] for line in lines[1:-1]} == \
             {"rule-not-detected"}
 
+    @pytest.mark.parametrize("rule,finder,failed", [
+        ("T3", "spanning_biclique", 15),
+        ("T4", "spanning_biclique", 18),
+        ("T5", "half_clique", 11),
+    ])
+    def test_swapped_witness_is_caught(self, capsys, monkeypatch, rule, finder, failed):
+        # a finder that moves one vertex across its witness still detects
+        # the rule, but the witness no longer holds on the graph: the lowest
+        # vertex of one side changes places with the lowest of the other.
+        # Where every split is a witness (K_n, cliques joined completely)
+        # the swapped witness still holds, so not every instance fails
+        from regext import extension, structure
+
+        find = getattr(extension, finder)
+
+        def swapped(g, **kwargs):
+            w = find(g, **kwargs)
+            if isinstance(w, structure.BicliqueWitness):
+                a, b = min(w.part_a), min(w.part_b)
+                return structure.BicliqueWitness(w.part_a - {a} | {b}, w.part_b - {b} | {a})
+            a, b = min(w), min(set(range(g.n)) - w)
+            return w - {a} | {b}
+
+        monkeypatch.setattr(extension, finder, swapped)
+        code, out, _ = run_cli(capsys, ["verify", "--rule", rule, "--json", *QUICK[rule]])
+        lines = json_lines(out)
+        assert code == 1
+        assert (lines[-1]["checked"], lines[-1]["failed"]) == (QUICK_CHECKED[rule], failed)
+        assert {line["counterexample"]["certificate"]["type"] for line in lines[1:-1]} == \
+            {"invalid-witness"}
+
+    def test_even_parts_are_caught_for_t4(self, capsys, monkeypatch):
+        # T4 needs both parts odd: a finder that drops that requirement
+        # returns an even split on two of the quick row's graphs
+        from regext import extension
+
+        find = extension.spanning_biclique
+        monkeypatch.setattr(extension, "spanning_biclique", lambda g, **kwargs: find(g))
+        code, out, _ = run_cli(capsys, ["verify", "--rule", "T4", "--json", *QUICK["T4"]])
+        lines = json_lines(out)
+        assert (code, lines[-1]["failed"]) == (1, 2)
+        assert {line["counterexample"]["certificate"]["type"] for line in lines[1:-1]} == \
+            {"invalid-witness"}
+
     def test_pool_not_loaded_at_import(self):
         import os
         import subprocess

@@ -383,6 +383,79 @@ def _prism(k):
                  + [(i, k + i) for i in range(k)])
 
 
+def _refinements(g, order):
+    """The refinements the canonical search starts from: the root
+    partition, then the root with each vertex of a non-singleton cell
+    individualized, in ``order``.  Yields the cells refined (as vertex
+    sets) and the ordered partition ``_refine`` made of them."""
+    nbr = {1 << v: a for v, a in enumerate(g.adj)}
+    tri = generation._triangle_counts(g.adj)
+    root = generation._root_partition(nbr, tri)
+    yield [{v for v in range(g.n) if tri[v] == t} for t in set(tri)], root
+    for v in order:
+        t = next(s for s in range(g.n) if root[s] >> v & 1)
+        if root[t] == 1 << v:
+            continue
+        child = root[:]
+        child[t] = 1 << v
+        child[t + 1] = root[t] ^ 1 << v
+        before = _cells(child)
+        generation._refine(nbr, child, [t])
+        yield before, child
+
+
+def _cells(part):
+    """The vertex sets of an ordered partition's cells, in order."""
+    return [frozenset(v for v in range(m.bit_length()) if m >> v & 1) for m in part if m]
+
+
+class TestRefinement:
+    @staticmethod
+    def _graphs():
+        rng = random.Random(31)
+        graphs = [g for n in range(1, 9) for r in range(n) if n * r % 2 == 0
+                  for g in enumerate_regular(n, r)]
+        for n in range(9, 13):
+            for r in range(n):
+                if n * r % 2 == 0:
+                    graphs.append(random_regular(n, r, rng.getrandbits(32)))
+        for _ in range(40):
+            n = rng.randrange(2, 13)
+            p = rng.random()
+            graphs.append(build(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                    if rng.random() < p]))
+        return graphs
+
+    def test_coarsest_equitable(self):
+        # the root partition and every child of the root are the coarsest
+        # equitable partitions below the cells they were refined from
+        refined = split = 0
+        for g in self._graphs():
+            for before, part in _refinements(g, range(g.n)):
+                cells = _cells(part)
+                assert set(cells) == oracles.equitable_refinement(g, before), g
+                for a in cells:
+                    for b in cells:
+                        mask = sum(1 << v for v in b)
+                        assert len({(g.adj[v] & mask).bit_count() for v in a}) == 1, (g, a, b)
+                refined += 1
+                split += len(cells) > len(before)
+        assert (refined, split) == (832, 471)
+
+    def test_relabeling_relabels_cells(self):
+        # the ordered partition does not depend on the labelling: relabeling
+        # the graph relabels each cell in place
+        rng = random.Random(32)
+        for g in self._graphs():
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = build(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            for (_, part), (_, image) in zip(_refinements(g, range(g.n)),
+                                             _refinements(h, perm), strict=True):
+                assert [frozenset(perm[v] for v in c) for c in _cells(part)] == \
+                    _cells(image), g
+
+
 class TestCanonicalForm:
     def test_relabeling_invariance(self):
         rng = random.Random(9)
@@ -427,6 +500,24 @@ class TestCanonicalForm:
     def test_cap(self):
         with pytest.raises(GraphError):
             canonical_form(cycle_graph(13))
+
+    def test_pinned_bytes(self, small_regular_corpus, monkeypatch):
+        # the bytes themselves, which every other test compares only with
+        # each other or with a search on the same refinement: every regular
+        # class with n <= 10, seeded samples at n = 11 and 12, and the two
+        # strongly regular graphs with parameters (16, 6, 2, 2)
+        cells = [(n, r) for n in range(1, 11) for r in range(n) if (n * r) % 2 == 0]
+        graphs = [g for cell in cells for g in (
+            small_regular_corpus[cell] if cell in small_regular_corpus
+            else enumerate_regular(*cell))]
+        graphs += [random_regular(n, r, seed) for n in (11, 12) for r in range(n)
+                   if (n * r) % 2 == 0 for seed in range(3)]
+        monkeypatch.setattr(generation, "CANONICAL_CAP", 16)
+        graphs += [shrikhande_graph(), rook_graph(4)]
+        assert len(graphs) == 306
+        lines = b"".join(canonical_form(g) + b"\n" for g in graphs)
+        assert hashlib.sha256(lines).hexdigest() == \
+            "1d3a7e3205d235285c0496207f55d66d1d21e497c372f1fe651900ceac907352"
 
     def test_equal_bytes_iff_isomorphic(self):
         # pairs of three kinds: a graph and a relabeling (isomorphic), two
