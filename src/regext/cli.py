@@ -40,6 +40,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations
 from typing import Callable, Iterator, TextIO
 
@@ -163,6 +164,9 @@ def _read_graphs(path: str | None) -> list[tuple[int, str, Graph | Graph6Error]]
 
     Both are decoded as UTF-8 with undecodable bytes escaped, so a stray
     byte fails its line's graph6 parse instead of the whole read.
+
+    Parsing stays eager: parsing each line as its answer is due would add
+    the parse to the time until every result line, not save any of it.
     """
     out = []
     try:
@@ -595,6 +599,19 @@ def _main(argv: list[str] | None) -> int:
         logger.addHandler(_LOG_HANDLER)
         logger.propagate = False
 
+    args = _parser().parse_args(argv)
+    for flag in ("backtrack", "count", "samples"):
+        value = getattr(args, flag, 0)
+        if value < 0:
+            print(f"error: --{flag} must be >= 0, got {value}", file=sys.stderr)
+            return 2
+    # looked up on each call, so a patched ``cmd_*`` is the one that runs
+    return globals()[f"cmd_{args.command}"](args)
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one argument parser of this process, built on first use."""
     parser = argparse.ArgumentParser(
         prog="regext",
         description="Extend regular graphs by perfect matchings of the complement.")
@@ -613,19 +630,15 @@ def _main(argv: list[str] | None) -> int:
                    help="target degree (default r+1)")
     p.add_argument("--backtrack", type=int, default=0,
                    help="alternative matchings to try per stuck level")
-    p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("check", help="evaluate every extension rule")
     common(p, certificates=False)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("match", help="maximum/perfect matching with certificates")
     common(p)
-    p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("analyze", help="bridges, balloons, components, clique size")
     common(p, certificates=False)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("gen", help="sample or enumerate regular graphs")
     p.add_argument("--n", type=int, required=True)
@@ -636,7 +649,6 @@ def _main(argv: list[str] | None) -> int:
     p.add_argument("--connected", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("verify", help="confirm a rule's guarantee empirically")
     p.add_argument("--rule", required=True, choices=[*_PLANS, "INEQ"])
@@ -648,15 +660,8 @@ def _main(argv: list[str] | None) -> int:
                         "beyond, L0-balloon max(1, samples // 10)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
-    args = parser.parse_args(argv)
-    for flag in ("backtrack", "count", "samples"):
-        value = getattr(args, flag, 0)
-        if value < 0:
-            print(f"error: --{flag} must be >= 0, got {value}", file=sys.stderr)
-            return 2
-    return args.func(args)
+    return parser
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ targets (n up to a few hundred).  All operations are pure functions; a
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator
@@ -203,11 +204,17 @@ def add_matching(g: Graph, matching: Iterable[Edge]) -> Graph:
 
 
 # graph6: McKay's ASCII encoding. Order N(n), then the upper triangle in
-# column-major order packed into 6-bit chunks offset by 63.
+# column-major order packed into 6-bit digits, each written as the byte
+# 63 + digit. A base64 character is also one 6-bit digit, so translating
+# the bytes 63..126 to the base64 alphabet "A".."/" turns a payload into
+# base64 text of the same bit stream, and binascii converts between that
+# text and raw bytes in C.
 
 _G6_HEADER = ">>graph6<<"
-_G6_SIXBITS = [format(x, "06b") for x in range(64)]
-_G6_CHARS = {bits: chr(x + 63) for x, bits in enumerate(_G6_SIXBITS)}
+_G6_DIGITS = bytes(range(63, 127))
+_B64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_B64 = bytes.maketrans(_G6_DIGITS, _B64_DIGITS)
+_FROM_B64 = bytes.maketrans(_B64_DIGITS, _G6_DIGITS)
 
 
 def _g6_order_bytes(n: int) -> bytes:
@@ -221,19 +228,31 @@ def _g6_order_bytes(n: int) -> bytes:
 
 
 def format_graph6(g: Graph) -> str:
-    """Encode as a graph6 line (no trailing newline)."""
+    """Encode as a graph6 line (no trailing newline).
+
+    The upper triangle's bit string becomes raw bytes through one ``int``,
+    then base64 text through ``binascii``, whose characters translate one
+    to one into graph6 bytes; linear in the line's length.
+    """
     # column c holds the bits of the edges vc for v < c, lowest v first:
     # the binary digits of adj[c] below bit c, reversed and padded to c
     bits = "".join([bin(a & ((1 << c) - 1))[:1:-1].ljust(c, "0")
                     for c, a in enumerate(g.adj) if c])
-    bits += "0" * (-len(bits) % 6)
-    body = "".join(map(_G6_CHARS.__getitem__,
-                       [bits[i:i + 6] for i in range(0, len(bits), 6)]))
-    return _g6_order_bytes(g.n).decode("ascii") + body
+    digits = (len(bits) + 5) // 6
+    # whole base64 groups: 24 bits, 3 raw bytes, 4 characters
+    pad = -len(bits) % 24
+    raw = (int(bits or "0", 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
+    body = binascii.b2a_base64(raw, newline=False)[:digits].translate(_FROM_B64)
+    return (_g6_order_bytes(g.n) + body).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line (optional ``>>graph6<<`` header tolerated)."""
+    """Decode one graph6 line (optional ``>>graph6<<`` header tolerated).
+
+    The payload translates to base64 text, which ``binascii`` decodes to
+    the upper triangle's bit string in one call; each vertex's row is then
+    read off with string slices, linear in the line's length.
+    """
     line = text.strip()
     if line.startswith(_G6_HEADER):
         line = line[len(_G6_HEADER):]
@@ -243,9 +262,10 @@ def parse_graph6(text: str) -> Graph:
         data = line.encode("ascii")
     except UnicodeEncodeError as exc:
         raise Graph6Error(f"non-ASCII character in graph6 line: {exc}") from None
-    for byte in data:
-        if not 63 <= byte <= 126:
-            raise Graph6Error(f"byte {byte!r} outside graph6 range 63..126")
+    # deleting every byte in range leaves the bad ones, first one first
+    bad = data.translate(None, _G6_DIGITS)
+    if bad:
+        raise Graph6Error(f"byte {bad[0]!r} outside graph6 range 63..126")
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
             raise Graph6Error("orders above 258047 are not supported")
@@ -264,14 +284,14 @@ def parse_graph6(text: str) -> Graph:
     pad = len(body) * 6 - need
     if pad and (body[-1] - 63) & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits")
-    bits = "".join([_G6_SIXBITS[byte - 63] for byte in body])
-    # cols[c][v] is the bit of the edge vc for v < c, padded to n; the
-    # transpose gives each vertex's neighbours above it
-    cols = []
-    start = 0
-    for c in range(n):
-        cols.append(bits[start:start + c] + "0" * (n - c))
-        start += c
-    adj = [int((cols[v][:v] + "".join(row[v:]))[::-1], 2)
-           for v, row in enumerate(zip(*cols))]
+    b64 = body.translate(_TO_B64) + b"A" * (-len(body) % 4)
+    bits = format(int.from_bytes(binascii.a2b_base64(b64), "big"), "b").zfill(6 * len(b64))
+    # row c of square holds the bit of the edge vc at v < c, padded to n:
+    # row v before the diagonal gives v's neighbours below it, column v
+    # from the diagonal down (a padding zero, then one bit per c > v) the
+    # ones above it
+    square = "".join([bits[c * (c - 1) // 2:c * (c + 1) // 2].ljust(n, "0")
+                      for c in range(n)])
+    adj = [int((square[v * n:v * n + v] + square[v * n + v::n])[::-1], 2)
+           for v in range(n)]
     return Graph(n, tuple(adj))

@@ -352,6 +352,29 @@ def format_graph6_per_bit(g: Graph) -> str:
     return out.decode("ascii")
 
 
+def parse_graph6_per_bit(line: str) -> Graph:
+    """The graph6 decoder that reads the payload one bit at a time, column
+    by column, into the upper triangle; ``regext.parse_graph6`` must give
+    the same graph on every well-formed line without a header."""
+    data = line.encode("ascii")
+    if data[0] == 126:
+        n = (data[1] - 63) << 12 | (data[2] - 63) << 6 | (data[3] - 63)
+        body = data[4:]
+    else:
+        n = data[0] - 63
+        body = data[1:]
+    adj = [0] * n
+    pos = 0
+    for col in range(1, n):
+        for row in range(col):
+            if (body[pos // 6] - 63) >> (5 - pos % 6) & 1:
+                adj[row] |= 1 << col
+                adj[col] |= 1 << row
+            pos += 1
+    assert len(body) == (pos + 5) // 6
+    return Graph(n, tuple(adj))
+
+
 @dataclass(frozen=True)
 class OddCycle:
     """Odd cycle witnessing that a graph is not bipartite."""

@@ -670,6 +670,37 @@ def test_negative_count_is_usage_error(capsys, monkeypatch, argv):
     assert err.count("\n") == 1 and err.startswith("error: --")
 
 
+class TestCachedParser:
+    """One argument parser serves every ``main`` call of a process; nothing
+    of one call's arguments or environment reaches the next."""
+
+    def test_help_twice_same_bytes(self, capsys):
+        outs = []
+        for _ in range(2):
+            code, out, err = run_cli(capsys, ["--help"])
+            assert code == 0 and err == ""
+            outs.append(out)
+        assert outs[0] == outs[1] and outs[0][0].startswith("usage: regext")
+
+    def test_negative_backtrack_after_extend(self, capsys, monkeypatch):
+        lines = [format_graph6(cycle_graph(6))]
+        code, out, _ = run_cli(capsys, ["extend", "--backtrack", "1"], lines, monkeypatch)
+        assert code == 0 and out
+        code, out, err = run_cli(capsys, ["extend", "--backtrack", "-1"], lines, monkeypatch)
+        assert code == 2 and out == []
+        assert err == "error: --backtrack must be >= 0, got -1\n"
+
+    def test_log_level_read_per_call(self, capsys, monkeypatch):
+        # C has no split of n = 10 into two 17-regular components
+        argv = ["verify", "--rule", "C", "--r-range", "17", "--n-range", "10",
+                "--samples", "1"]
+        notice = "regext.cli INFO skipped: n=10, r=17 skipped"
+        for level in ("info", "", "info", "error"):
+            monkeypatch.setenv("REGEXT_LOG", level)
+            _, _, err = run_cli(capsys, argv)
+            assert (notice in err) == (level == "info"), level
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_verify_claims_closed_stdout_ends_quietly(unbuffered):
     script = Path(__file__).resolve().parent.parent / "scripts" / "verify_claims.py"

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -64,16 +65,18 @@ def test_nonzero_padding_rejected():
     assert parse_graph6("Bw").m == 3  # K_3 uses only the top three bits
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 200, 300])
+@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 200, 300, 1000])
 def test_roundtrip_orders(n):
-    # both sides of the one-byte/four-byte order switch at 63, and the large
-    # orders where decoding used to be quadratic
+    # both sides of the one-byte/four-byte order switch at 63, the large
+    # orders where decoding used to be quadratic, and n = 1000, whose
+    # bit strings are far longer than int's default decimal digit limit
     rng = random.Random(n)
     for p in (0.0, 0.1, 0.5, 1.0):
         g = build(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
         line = format_graph6(g)
-        assert line == oracles.format_graph6_per_bit(g)
-        assert parse_graph6(line) == g
+        oracle_line = oracles.format_graph6_per_bit(g)
+        assert line == oracle_line
+        assert parse_graph6(oracle_line) == oracles.parse_graph6_per_bit(oracle_line) == g
 
 
 def _set_low_bit(line):
@@ -87,6 +90,14 @@ def _set_low_bit(line):
     ("C~~", "expected 1 payload bytes for n=4, got 2"),
     (format_graph6(cycle_graph(200))[:-1], "expected 3317 payload bytes for n=200, got 3316"),
     ("~??", "truncated multi-byte order"),
+    # the first bad byte is named, wherever it stands
+    ("Gh~" + chr(127) + "!", "byte 127 outside graph6 range 63..126"),
+    ("Gh~!" + chr(127), "byte 33 outside graph6 range 63..126"),
+    ("~?@c" + "~" * 10 + " ~", "byte 32 outside graph6 range 63..126"),
+    ("C\u00e9", re.escape("non-ASCII character in graph6 line: 'ascii' codec can't encode "
+                         "character '\\xe9' in position 1: ordinal not in range(128)")),
+    ("", "empty graph6 line"),
+    (">>graph6<< ", "empty graph6 line"),
 ])
 def test_error_messages(bad, message):
     with pytest.raises(Graph6Error, match=f"^{message}$"):
@@ -111,6 +122,15 @@ def graphs(draw, max_n=62):
 @settings(max_examples=150)
 def test_roundtrip_identity(g):
     assert parse_graph6(format_graph6(g)) == g
+
+
+@given(graphs(max_n=130))
+@settings(max_examples=100)
+def test_codec_matches_per_bit_oracles(g):
+    # orders on both sides of the one-byte/four-byte switch at 63
+    line = format_graph6(g)
+    assert line == oracles.format_graph6_per_bit(g)
+    assert parse_graph6(line) == oracles.parse_graph6_per_bit(line) == g
 
 
 @given(graphs(max_n=20))

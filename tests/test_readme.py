@@ -36,7 +36,11 @@ def cli_commands() -> list[list[str]]:
     return commands
 
 
-def test_cli_block_parses(monkeypatch):
+def test_cli_block_parses(monkeypatch, capsys):
+    # a call before the patching builds the process's one parser, which
+    # must still dispatch to the patched commands
+    assert cli.main(["gen", "--n", "4", "--r", "2"]) == 0
+    capsys.readouterr()
     ran = []
     for name in dir(cli):
         if name.startswith("cmd_"):
