@@ -3,11 +3,12 @@
 One extension step finds a perfect matching of the complement and adds it,
 turning an r-regular graph into an (r+1)-regular one on the same vertices.
 Every extension runs up one ladder, ``extend_to``; ``extend_once`` is its
-single step.  Every level takes the blossom matcher's perfect matching of
-the complement or its Tutte violator.  The step adds the matching to the
-graph and removes it from the complement in the same pass, so a climb over
-many levels builds one complement, and ``ExtensionTrace.verify`` replays
-a trace through the same step.  ``dirac_cycle`` is the paper's route
+single step.  The ladder carries only the complement's rows.  Every level
+takes the blossom matcher's mate list of the complement: a perfect
+matching, which one O(n) step removes from the rows, or a Tutte violator.
+A climb over many levels builds two complements, of the input graph and of
+the last rows, and ``ExtensionTrace.verify`` replays a trace through the
+same step.  ``dirac_cycle`` is the paper's route
 for T1 (2r < n): the complement then has minimum degree >= n/2, so it has
 a Hamiltonian cycle (Dirac), built by closing gaps in a cyclic order,
 whose even edges are a perfect matching; ``regext verify --rule T1``
@@ -30,10 +31,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Generator
+from typing import Callable, Iterator
 
-from .graph import Graph, GraphError, complement, is_connected, regularity, require_regular
-from .matching import Matching, TutteViolator, perfect_matching
+from . import matching
+from .graph import (Graph, GraphError, _unit_masks, complement, is_connected, regularity,
+                    require_regular)
+from .matching import Matching, TutteViolator
 from .structure import half_clique, l_vertex_bound, spanning_biclique
 
 log = logging.getLogger("regext.extension")
@@ -107,35 +110,45 @@ def cycle_to_matching(order: tuple[int, ...]) -> Matching:
                       for u, v in zip(order[::2], order[1::2])])
 
 
-def _step(g: Graph, gc: Graph, m: Matching) -> tuple[Graph, Graph]:
-    """g plus the perfect matching m of its complement gc, and the
-    complement of that: gc minus m.
+def _step(rows: tuple[int, ...], mates: list[int]) -> tuple[int, ...]:
+    """The complement's rows one level up: ``rows`` minus the perfect
+    matching whose partner map is ``mates``.
 
-    ``bits[v]`` is the bit of v's partner; it is ORed into row v of g and
-    XORed out of row v of gc.  Checking m costs O(n):
-    n/2 pairs that leave no vertex without a partner make the partner map a
-    fixed-point-free involution, so the pairs are disjoint and cover V.
-    Then, g being regular and gc its complement, the new graph is regular
-    one degree up exactly when every pair is an edge of gc.
+    ``rows`` is the d-regular complement of the level's graph, and
+    ``mates[v]`` is v's partner.  Checking the mates costs O(n): a label
+    past n - 1 raises on lookup, and the partner of v's partner must be v
+    for every v, so the map is an involution of 0..n-1 (no -1 for an
+    unmatched vertex, no other negative label, no list of another length)
+    and its pairs cover V.  Each row drops its partner's bit, and the
+    result is (d - 1)-regular exactly when every pair is an edge of the
+    complement; a vertex paired with itself would gain a degree instead.
     """
-    n = g.n
+    n = len(rows)
     if not n:
         raise GraphError("the empty graph has no degree to raise")
-    bits = [0] * n
-    pairs = 0
+    unit = _unit_masks(n)
     try:
-        for u, v in m:
-            bits[u] = 1 << v
-            bits[v] = 1 << u
-            pairs += 1
-    except (IndexError, ValueError):
-        raise GraphError(f"matching pair out of range for n={n}") from None
-    if 2 * pairs != n or 0 in bits:
-        raise GraphError("matching pairs overlap or miss a vertex")
-    rows = tuple([a | b for a, b in zip(g.adj, bits)])
-    if set(map(int.bit_count, rows)) != {g.adj[0].bit_count() + 1}:
+        nxt = tuple([a ^ unit[u] for a, u in zip(rows, mates)])
+        back = [mates[u] for u in mates]
+    except IndexError:
+        raise GraphError(f"partner label out of range for n={n}") from None
+    if back != list(range(n)):
+        raise GraphError("partners do not pair up")
+    if set(map(int.bit_count, nxt)) != {rows[0].bit_count() - 1}:
         raise GraphError("a matching pair is not an edge of the complement")
-    return Graph(n, rows), Graph(n, tuple([a ^ b for a, b in zip(gc.adj, bits)]))
+    return nxt
+
+
+def _mates(m: Matching, n: int) -> list[int]:
+    """The partner map of a set of vertex pairs on 0..n-1; a pair out of
+    range or sharing a vertex with another raises GraphError."""
+    mates = [-1] * n
+    for u, v in m:
+        if not (0 <= u < n and 0 <= v < n) or mates[u] != -1 or mates[v] != -1:
+            raise GraphError(f"matching pair ({u},{v}) out of range or overlapping")
+        mates[u] = v
+        mates[v] = u
+    return mates
 
 
 @dataclass(frozen=True)
@@ -148,16 +161,19 @@ class ExtensionTrace:
     final: Graph
 
     def verify(self, g: Graph) -> bool:
-        """Replay the steps through ``_step`` from the start_r-regular g."""
+        """Replay the steps through ``_step`` from the complement of the
+        start_r-regular g."""
         if regularity(g) != self.start_r:
             return False
-        cur, cur_c = g, complement(g)
+        n = g.n
+        rows = complement(g).adj
         try:
             for step in self.steps:
-                cur, cur_c = _step(cur, cur_c, step)
-        except GraphError:
+                rows = _step(rows, _mates(step, n))
+        except ValueError:  # GraphError, or a step that is not a set of pairs
             return False
-        return cur == self.final and regularity(cur) == self.target_r
+        final = complement(Graph(n, rows))
+        return final == self.final and regularity(final) == self.target_r
 
 
 @dataclass(frozen=True)
@@ -169,33 +185,31 @@ class ExtensionFailure:
     violator: TutteViolator
 
 
-def _matching_candidates(
-    gc: Graph, backtrack: int
-) -> Generator[Matching, None, TutteViolator | None]:
-    """Primary matching for one level, then up to ``backtrack`` alternatives.
+def _alternatives(rows: tuple[int, ...], first: list[int],
+                  backtrack: int) -> Iterator[list[int]]:
+    """Up to ``backtrack`` other perfect matchings of the complement
+    ``rows``, as mate lists.
 
-    ``gc`` is the complement of the level's regular graph, and the primary
-    matching is the blossom matcher's.  Alternatives re-solve ``gc`` with
-    one edge of the primary matching forbidden, which is enough to escape a
-    greedy dead end.  A level with no matching yields nothing and returns
-    the violator of its one search.
+    Each re-solves the complement with one pair of the first matching
+    forbidden, pairs in ascending order, which is enough to escape a greedy
+    dead end; a search that finds no perfect matching, or one already
+    given, is skipped.
     """
-    first = perfect_matching(gc)
-    if isinstance(first, TutteViolator):
-        return first
-    yield first
-    emitted = {first}
-    for u, v in sorted(first):
-        if len(emitted) > backtrack:
-            return
-        pruned = Graph(gc.n, tuple(
-            a & ~(1 << v) if i == u else (a & ~(1 << u) if i == v else a)
-            for i, a in enumerate(gc.adj)
-        ))
-        alt = perfect_matching(pruned)
-        if isinstance(alt, TutteViolator) or alt in emitted:
+    n = len(rows)
+    unit = _unit_masks(n)
+    seen = [first]
+    for u, v in enumerate(first):
+        if v < u:
             continue
-        emitted.add(alt)
+        if len(seen) > backtrack:
+            return
+        pruned = list(rows)
+        pruned[u] ^= unit[v]
+        pruned[v] ^= unit[u]
+        alt = matching._match_array(Graph(n, tuple(pruned)))
+        if -1 in alt or alt in seen:
+            continue
+        seen.append(alt)
         yield alt
 
 
@@ -204,50 +218,57 @@ def extend_to(
 ) -> ExtensionTrace | ExtensionFailure:
     """Extend step by step to ``target_r``, backtracking on stuck levels.
 
-    The complement is built once.  Each level's complement is the one
-    below it minus the matching just added, so every step builds the next
-    graph and its complement together (``_step``).  Only backtracking
-    resumes a lower level; without it the stack holds just the current one.
+    The ladder carries only the complement's rows.  Each level runs one
+    blossom search on them; its mate list either steps to the next rows
+    (``_step``) or, with a vertex left unmatched, gives the level's Tutte
+    violator.  The trace's matchings are read off the mate lists and its
+    final graph is the complement of the last rows.  With backtracking,
+    every level that found a matching keeps a frame, and a stuck level
+    resumes the deepest frame with an alternative left (``_alternatives``,
+    searched only then); without it no frame is kept, and only the current
+    level's rows stay alive.
     """
     r = require_regular(g)
-    if g.n % 2 == 1:
-        raise GraphError(f"extension needs even n, got n={g.n}")
-    if not r <= target_r <= g.n - 1:
-        raise GraphError(f"target degree {target_r} outside {r}..{g.n - 1}")
+    n = g.n
+    if n % 2 == 1:
+        raise GraphError(f"extension needs even n, got n={n}")
+    if not r <= target_r <= n - 1:
+        raise GraphError(f"target degree {target_r} outside {r}..{n - 1}")
 
     if r == target_r:
         return ExtensionTrace(r, target_r, (), g)
     deepest: ExtensionFailure | None = None
-    gc = complement(g)
-    # one frame per level that may be resumed: (graph, its complement,
-    # degree, steps so far, candidate matchings); depth-first in candidate
-    # order
-    stack = [(g, gc, r, (), _matching_candidates(gc, backtrack))]
-    while stack:
-        cur, cur_c, cur_r, steps, candidates = stack[-1]
-        try:
-            m = next(candidates)
-        except StopIteration as done:
-            stack.pop()
-            violator = done.value
-            if violator is not None and (deepest is None or cur_r > deepest.reached_r):
-                deepest = ExtensionFailure(cur_r, steps, violator)
-            if stack:
-                log.debug("backtracking at r=%d", stack[-1][2])
-            continue
-        nxt, nxt_c = _step(cur, cur_c, m)
-        if cur_r + 1 == target_r:
-            return ExtensionTrace(r, target_r, steps + (m,), nxt)
-        frame = (nxt, nxt_c, cur_r + 1, steps + (m,),
-                 _matching_candidates(nxt_c, backtrack))
-        if backtrack > 0:
-            stack.append(frame)
+    rows = complement(g).adj
+    cur_r = r
+    steps: tuple[Matching, ...] = ()
+    # levels that may be resumed: (rows, degree, steps so far, their
+    # alternative matchings); depth-first in alternative order
+    frames = []
+    while True:
+        gc = Graph(n, rows)
+        # looked up at call time, so a matcher patched into the module runs
+        mates = matching._match_array(gc)
+        if -1 not in mates:
+            if backtrack > 0:
+                frames.append((rows, cur_r, steps, _alternatives(rows, mates, backtrack)))
         else:
-            # without alternatives no level is resumed, so the one below
-            # need not keep its graph and complement alive
-            stack[-1] = frame
-    assert deepest is not None
-    return deepest
+            if deepest is None or cur_r > deepest.reached_r:
+                deepest = ExtensionFailure(
+                    cur_r, steps, matching._gallai_edmonds_violator(gc, mates))
+            while frames:
+                rows, cur_r, steps, alternatives = frames[-1]
+                log.debug("backtracking at r=%d", cur_r)
+                mates = next(alternatives, None)
+                if mates is not None:
+                    break
+                frames.pop()
+            else:
+                return deepest
+        rows = _step(rows, mates)
+        steps += (frozenset([(v, u) for v, u in enumerate(mates) if u > v]),)
+        cur_r += 1
+        if cur_r == target_r:
+            return ExtensionTrace(r, target_r, steps, complement(Graph(n, rows)))
 
 
 def extend_once(g: Graph) -> tuple[Graph, Matching] | TutteViolator:

@@ -177,7 +177,9 @@ def balloon_bound_checker(g: Graph) -> Callable[[Iterable[int]], BalloonBoundChe
 
     The checker of the last graph is kept, so a run of calls on one graph,
     or on equal ``Graph`` values, builds it once; a graph that fails the
-    degree test raises on every call."""
+    degree test raises on every call.  A result depends only on whether
+    the bound applies and on odd(G-s) - |s|, so the checker makes one per
+    such pair and returns it again for every later set with the same."""
     r = require_regular(g)
     if r < 2:
         raise GraphError(f"balloon bound needs degree >= 2, got r={r}")
@@ -189,6 +191,7 @@ def balloon_bound_checker(g: Graph) -> Callable[[Iterable[int]], BalloonBoundChe
     rb, r1b = r * b, (r - 1) * b
     rhs = Fraction(rb, r - 1)
     rhs_alt = Fraction(r1b, r)
+    made: dict[tuple[bool, int], BalloonBoundCheck] = {}
 
     def check(s: Iterable[int]) -> BalloonBoundCheck:
         smask = 0
@@ -208,8 +211,12 @@ def balloon_bound_checker(g: Graph) -> Callable[[Iterable[int]], BalloonBoundChe
                     boundary = sum((a & comp).bit_count() for a in rows)
                     applicable = boundary == 1 or boundary >= r
         lhs = odd - smask.bit_count()
-        return BalloonBoundCheck(applicable, lhs * (r - 1) <= rb, Fraction(lhs),
-                                 rhs, rhs_alt, lhs * r <= r1b)
+        key = (applicable, lhs)
+        found = made.get(key)
+        if found is None:
+            found = made[key] = BalloonBoundCheck(
+                applicable, lhs * (r - 1) <= rb, Fraction(lhs), rhs, rhs_alt, lhs * r <= r1b)
+        return found
 
     return check
 

@@ -8,13 +8,14 @@ exceptions are the unpruned canonical search, which checks the pruning of
 ``generation.canonical_form`` and so reuses its root partition and
 refinement (the refinement itself is checked against that fixed point),
 the matcher's greedy-only warm start, which runs the package's blossom
-phases, the ladder's earlier routes, which run the package's step and
+phases, the ladder's earlier routes, which run the package's
 matcher, and the enumerator without isomorph rejection, which runs the
 package's feasibility test and canonical forms.  Code that only the tests
 use lives here too: the rotation-extension Dirac cycle, the per-bit graph6
 encoder, the complement's 2-coloring with odd-cycle refutations, the
 earlier sampler loops, warm start and ladders that pinned outputs were
-recorded with, the structured samplers' edge-list joins, and the
+recorded with, the ladder of regular graphs that the product's ladder on
+the complement's rows must agree with, the structured samplers' edge-list joins, and the
 balloon-bound check on the package's balloon report and component sets.
 """
 
@@ -754,6 +755,109 @@ def match_array_greedy(g: Graph) -> list[int]:
 
 # -- the ladder's earlier routes ---------------------------------------------
 
+def graph_step(g: Graph, gc: Graph, m: matching.Matching) -> tuple[Graph, Graph]:
+    """g plus the perfect matching m of its complement gc, and the
+    complement of that: gc minus m.
+
+    ``bits[v]`` is the bit of v's partner; it is ORed into row v of g and
+    XORed out of row v of gc.  Checking m costs O(n):
+    n/2 pairs that leave no vertex without a partner make the partner map a
+    fixed-point-free involution, so the pairs are disjoint and cover V.
+    Then, g being regular and gc its complement, the new graph is regular
+    one degree up exactly when every pair is an edge of gc.
+    """
+    n = g.n
+    if not n:
+        raise GraphError("the empty graph has no degree to raise")
+    bits = [0] * n
+    pairs = 0
+    try:
+        for u, v in m:
+            bits[u] = 1 << v
+            bits[v] = 1 << u
+            pairs += 1
+    except (IndexError, ValueError):
+        raise GraphError(f"matching pair out of range for n={n}") from None
+    if 2 * pairs != n or 0 in bits:
+        raise GraphError("matching pairs overlap or miss a vertex")
+    rows = tuple([a | b for a, b in zip(g.adj, bits)])
+    if set(map(int.bit_count, rows)) != {g.adj[0].bit_count() + 1}:
+        raise GraphError("a matching pair is not an edge of the complement")
+    return Graph(n, rows), Graph(n, tuple([a ^ b for a, b in zip(gc.adj, bits)]))
+
+
+def matching_candidates(gc: Graph, backtrack: int):
+    """Primary matching for one level, then up to ``backtrack`` alternatives.
+
+    ``gc`` is the complement of the level's regular graph, and the primary
+    matching is the blossom matcher's.  Alternatives re-solve ``gc`` with
+    one edge of the primary matching forbidden, which is enough to escape a
+    greedy dead end.  A level with no matching yields nothing and returns
+    the violator of its one search.
+    """
+    first = matching.perfect_matching(gc)
+    if isinstance(first, matching.TutteViolator):
+        return first
+    yield first
+    emitted = {first}
+    for u, v in sorted(first):
+        if len(emitted) > backtrack:
+            return
+        pruned = Graph(gc.n, tuple(
+            a & ~(1 << v) if i == u else (a & ~(1 << u) if i == v else a)
+            for i, a in enumerate(gc.adj)
+        ))
+        alt = matching.perfect_matching(pruned)
+        if isinstance(alt, matching.TutteViolator) or alt in emitted:
+            continue
+        emitted.add(alt)
+        yield alt
+
+
+def extend_to_graphs(g: Graph, target_r: int, backtrack: int = 0):
+    """``extension.extend_to`` as a ladder of regular graphs: every level
+    builds its graph and complement together (``graph_step``) and takes its
+    candidates from a generator (``matching_candidates``).  The product's
+    ladder carries only the complement's rows and must agree with it."""
+    r = require_regular(g)
+    if g.n % 2 == 1:
+        raise GraphError(f"extension needs even n, got n={g.n}")
+    if not r <= target_r <= g.n - 1:
+        raise GraphError(f"target degree {target_r} outside {r}..{g.n - 1}")
+
+    if r == target_r:
+        return extension.ExtensionTrace(r, target_r, (), g)
+    deepest = None
+    gc = complement(g)
+    # one frame per level that may be resumed: (graph, its complement,
+    # degree, steps so far, candidate matchings); depth-first in candidate
+    # order
+    stack = [(g, gc, r, (), matching_candidates(gc, backtrack))]
+    while stack:
+        cur, cur_c, cur_r, steps, candidates = stack[-1]
+        try:
+            m = next(candidates)
+        except StopIteration as done:
+            stack.pop()
+            violator = done.value
+            if violator is not None and (deepest is None or cur_r > deepest.reached_r):
+                deepest = extension.ExtensionFailure(cur_r, steps, violator)
+            continue
+        nxt, nxt_c = graph_step(cur, cur_c, m)
+        if cur_r + 1 == target_r:
+            return extension.ExtensionTrace(r, target_r, steps + (m,), nxt)
+        frame = (nxt, nxt_c, cur_r + 1, steps + (m,),
+                 matching_candidates(nxt_c, backtrack))
+        if backtrack > 0:
+            stack.append(frame)
+        else:
+            # without alternatives no level is resumed, so the one below
+            # need not keep its graph and complement alive
+            stack[-1] = frame
+    assert deepest is not None
+    return deepest
+
+
 def dirac_cycle_rotation(g: Graph) -> tuple[int, ...]:
     """``extension.dirac_cycle`` before gap closing: a Hamiltonian cycle of
     a graph with minimum degree >= n/2.  The reference ladders build their
@@ -901,7 +1005,7 @@ def extend_to_reference(g: Graph, target_r: int, backtrack: int = 0, *, dirac: s
             if violator is not None and (deepest is None or cur_r > deepest.reached_r):
                 deepest = extension.ExtensionFailure(cur_r, steps, violator)
             continue
-        nxt, nxt_c = extension._step(cur, cur_c, m)
+        nxt, nxt_c = graph_step(cur, cur_c, m)
         if cur_r + 1 == target_r:
             return extension.ExtensionTrace(r, target_r, steps + (m,), nxt)
         frame = (nxt, nxt_c, cur_r + 1, steps + (m,), _reference_candidates(

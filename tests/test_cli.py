@@ -158,18 +158,19 @@ class TestExtendCommand:
 
     def test_one_search_per_stuck_level(self, capsys, monkeypatch):
         # the stuck level's first search also gives the reported violator
-        from regext import extension
+        from regext import extension, matching
 
         calls = []
-        for name in ("complement", "perfect_matching"):
-            fn = getattr(extension, name)
-            monkeypatch.setattr(extension, name,
-                                lambda g, fn=fn, name=name: calls.append(name) or fn(g))
+        for module, name in ((extension, "complement"), (matching, "_match_array"),
+                             (matching, "_gallai_edmonds_violator")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name:
+                                calls.append(name) or fn(*args))
         code, out, _ = run_cli(capsys, ["extend", "--json"],
                                [format_graph6(complete_bipartite(3, 3))], monkeypatch)
         assert code == 1
         assert json_lines(out)[1]["stuck_r"] == 3
-        assert calls == ["complement", "perfect_matching"]
+        assert calls == ["complement", "_match_array", "_gallai_edmonds_violator"]
 
     def test_empty_two_vertex_graph(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, ["extend"], ["A?"], monkeypatch)

@@ -11,6 +11,7 @@ from regext import (
     DiracPreconditionError,
     ExtensionFailure,
     ExtensionTrace,
+    Graph,
     GraphError,
     TutteViolator,
     build,
@@ -32,7 +33,8 @@ from regext import (
     sample_clique_pair_regular,
     validate_cycle,
 )
-from regext.extension import _matching_candidates, _step
+from regext import extension, matching
+from regext.extension import _alternatives, _mates, _step
 from families import (
     cliques_plus_matching,
     complete_bipartite,
@@ -176,13 +178,12 @@ class TestExtendOnce:
     def test_matcher_chosen_from_n_and_r(self, small_regular_corpus, monkeypatch):
         # the blossom matcher for every (n, r), 2r < n included: one search
         # of the complement, its answer returned as is, and no Dirac cycle
-        from regext import extension
-
         cycles, solved = [], []
+        search = matching._match_array
         monkeypatch.setattr(extension, "dirac_cycle",
                             lambda gc: cycles.append(gc) or dirac_cycle(gc))
-        monkeypatch.setattr(extension, "perfect_matching",
-                            lambda gc: solved.append(gc) or perfect_matching(gc))
+        monkeypatch.setattr(matching, "_match_array",
+                            lambda gc: solved.append(gc) or search(gc))
         for (n, r), graphs in small_regular_corpus.items():
             if n % 2 or r > n - 2:
                 continue
@@ -282,6 +283,7 @@ class TestExtendTo:
         {(0, 2)},  # 1 and 3 uncovered
         {(7, 0), (1, 3)},  # endpoint past n - 1
         {(-1, 2), (1, 3)},  # negative endpoint
+        {(0, 2, 1), (1, 3)},  # not a pair
     ])
     def test_verify_rejects_malformed_trace(self, step):
         g = cycle_graph(4)
@@ -321,7 +323,7 @@ def _extend_to_recursive(g, target_r, backtrack):
         if cur_r == target_r:
             return ExtensionTrace(r, target_r, steps, cur)
         saw = False
-        for m in _matching_candidates(complement(cur), backtrack):
+        for m in oracles.matching_candidates(complement(cur), backtrack):
             saw = True
             done = descend(_apply(cur, [m]), cur_r + 1, steps + (m,))
             if done is not None:
@@ -362,42 +364,62 @@ class TestIterativeExtendTo:
         for backtrack in (0, 1, 2):
             assert extend_to(g, 7, backtrack) == _extend_to_recursive(g, 7, backtrack)
 
-    @pytest.mark.parametrize("backtrack,levels", [(0, 2), (1, 3)])
+    def test_same_results_as_graph_ladder(self, small_regular_corpus):
+        # the ladder of regular graphs, each level's candidates from a
+        # generator, gives the same traces and failures on every class,
+        # every target and several backtracking budgets
+        climbs = [(g, n) for (n, r), graphs in small_regular_corpus.items()
+                  if n % 2 == 0 for g in graphs]
+        climbs.append((build(2, []), 2))
+        for g, n in climbs:
+            for target in range(require_regular(g), n):
+                for backtrack in (0, 1, 2, 5):
+                    assert extend_to(g, target, backtrack) == oracles.extend_to_graphs(
+                        g, target, backtrack), (format_graph6(g), target, backtrack)
+
+    @pytest.mark.parametrize("backtrack,levels", [(0, 2), (1, 3), (2, 5)])
     def test_one_complement_per_level(self, monkeypatch, backtrack, levels):
         # one complement per climb: each level's complement is the one below
-        # minus the matching just added, built by the step with the next
-        # graph; the module has no add_matching to call.  With backtracking
-        # the dead end at r=6 and its rescue are two levels on different
-        # graphs
-        from regext import extension
-
+        # minus the matching just added, made by the step from the mate
+        # list; the module has no add_matching to call, and a trace's final
+        # graph is the one other complement, of the last level's.  The
+        # levels' searches run on regular complements, the alternatives' on
+        # complements with one pair forbidden.  With backtracking the dead
+        # end at r=6 and its rescue are two levels on different graphs
         assert not hasattr(extension, "add_matching")
         g = parse_graph6("GJiu]o")
         expected = _extend_to_recursive(g, 7, backtrack)
         calls, searched = [], []
-        fn, search = extension.complement, extension._matching_candidates
+        fn, search = extension.complement, matching._match_array
         monkeypatch.setattr(extension, "complement", lambda g: calls.append(g) or fn(g))
-        monkeypatch.setattr(extension, "_matching_candidates",
-                            lambda gc, backtrack:
-                            searched.append(gc) or search(gc, backtrack))
-        assert extend_to(g, 7, backtrack=backtrack) == expected
-        assert calls == [g]
-        assert len(searched) == len(set(searched)) == levels
+        monkeypatch.setattr(matching, "_match_array",
+                            lambda gc: searched.append(gc) or search(gc))
+        got = extend_to(g, 7, backtrack=backtrack)
+        assert got == expected
+        if isinstance(got, ExtensionTrace):
+            assert calls == [g, complement(got.final)]
+        else:
+            assert calls == [g]
+        levels_searched = [h for h in searched if regularity(h) is not None]
+        assert len(levels_searched) == len(set(levels_searched)) == levels
         assert searched[0] == complement(g)
 
     def test_backtrack_zero_keeps_one_level(self, monkeypatch):
         # without alternatives no level is resumed: when a step starts, the
-        # graphs and complements of every level below the current one are
-        # freed, so a deep climb holds one level, not one per degree
-        from regext import extension
+        # complement rows of every level below the current one are freed,
+        # so a deep climb holds one level, not one per degree.  The rows
+        # come back as a list subclass here only so that they can be
+        # referenced weakly
+        class Rows(list):
+            pass
 
         made = []
         step = extension._step
 
-        def recording_step(g, gc, m):
-            assert all(ref() is None for refs in made[:-1] for ref in refs)
-            nxt = step(g, gc, m)
-            made.append([weakref.ref(h) for h in nxt])
+        def recording_step(rows, mates):
+            assert all(ref() is None for ref in made[:-1])
+            nxt = Rows(step(rows, mates))
+            made.append(weakref.ref(nxt))
             return nxt
 
         monkeypatch.setattr(extension, "_step", recording_step)
@@ -440,26 +462,25 @@ class TestDiracFirstLevel:
 
     def test_first_level_alternatives_distinct(self, monkeypatch):
         # the first level's alternatives re-solve the blossom matcher's
-        # matching with one edge forbidden, and each re-solve finds a new one
-        from regext import extension
-
+        # matching with one edge forbidden, and each re-solve finds a new
+        # one; a climb that is not stuck searches none of them
         g = random_regular(20, 3, 4)
         gc = complement(g)
-        calls, levels = [], []
-        search, solve = extension._matching_candidates, extension.perfect_matching
-        monkeypatch.setattr(extension, "perfect_matching",
-                            lambda h: calls.append(h) or solve(h))
-
-        def drained(*args, **kwargs):
-            levels.append(list(search(*args, **kwargs)))
-            return iter(levels[-1])
-
-        monkeypatch.setattr(extension, "_matching_candidates", drained)
-        assert isinstance(extend_to(g, 4, backtrack=3), ExtensionTrace)
-        (first,) = levels
-        assert len(first) == len(set(first)) == len(calls) == 4
-        assert all(is_valid_matching(gc, m, perfect=True) for m in first)
-        assert list(search(gc, 3)) == first
+        calls = []
+        search = matching._match_array
+        monkeypatch.setattr(matching, "_match_array",
+                            lambda h: calls.append(h) or search(h))
+        tr = extend_to(g, 4, backtrack=3)
+        assert isinstance(tr, ExtensionTrace)
+        assert calls == [gc]
+        first = search(gc)
+        alts = list(_alternatives(gc.adj, first, 3))
+        found = [frozenset((v, u) for v, u in enumerate(m) if u > v)
+                 for m in [first] + alts]
+        assert found[0] == tr.steps[0]
+        assert len(found) == len(set(found)) == len(calls) == 4
+        assert all(is_valid_matching(gc, m, perfect=True) for m in found)
+        assert list(oracles.matching_candidates(gc, 3)) == found
 
     def test_blossom_levels_above_run_few_phases(self, bounded_phases):
         # the blossom levels of a long ladder need almost no phases when the
@@ -476,6 +497,8 @@ class TestDiracFirstLevel:
 
 class TestStep:
     def test_next_graph_and_complement_together(self, small_regular_corpus):
+        # the step from the matcher's mate list gives the complement of the
+        # graph one degree up, and the same as the ladder of regular graphs
         for (n, r), graphs in small_regular_corpus.items():
             if n % 2 or r > n - 2:
                 continue
@@ -484,13 +507,17 @@ class TestStep:
                 m = perfect_matching(gc)
                 if isinstance(m, TutteViolator):
                     continue
-                nxt, nxt_c = _step(g, gc, m)
-                assert nxt == _apply(g, [m]) and nxt_c == complement(nxt)
+                mates = matching._match_array(gc)
+                assert _mates(m, n) == mates
+                nxt_c = _step(gc.adj, mates)
+                nxt = _apply(g, [m])
+                assert nxt_c == complement(nxt).adj
+                assert (nxt, Graph(n, nxt_c)) == oracles.graph_step(g, gc, m)
                 assert regularity(nxt) == r + 1
 
     # the faults add_matching raises on, plus those a perfect matching rules
-    # out: each must still raise although the step checks only partner bits
-    # and degrees
+    # out: each must still raise although the step checks only the partner
+    # map and degrees, and a trace carrying the pairs must not verify
     @pytest.mark.parametrize("pairs", [
         [(0, 1), (2, 3), (4, 5)],  # (0,1) is already an edge of C6
         [(0, 3), (3, 5), (1, 4)],  # overlap at 3, vertex 2 uncovered
@@ -500,18 +527,42 @@ class TestStep:
         [(0, 2), (2, 4), (4, 0), (1, 3), (3, 5), (5, 1)],
         [(0, 0), (1, 4), (2, 5)],  # self-pair
         [(0, 6), (1, 4), (2, 5)],  # out of range
+        [(-1, 2), (0, 3), (1, 4)],  # negative label, which would index slot 5
+        [(0, 3), (3, 0), (1, 4), (2, 5)],  # one pair twice, in both orders
+        [(0, 2), (2, 4), (4, 0), (1, 3), (5, 1)],  # a 3-cycle of partners
     ])
     def test_rejects_bad_matching(self, pairs):
         g = cycle_graph(6)
+        rows = complement(g).adj
         with pytest.raises(GraphError):
-            _step(g, complement(g), pairs)
+            _step(rows, _mates(pairs, 6))
+        tr = ExtensionTrace(2, 3, (frozenset(pairs),), complete_graph(6))
+        assert tr.verify(g) is False
+
+    # partner maps the matcher cannot give: each breaks one of the step's
+    # checks on C6's complement, whose perfect matching [3, 4, 5, 0, 1, 2]
+    # steps
+    @pytest.mark.parametrize("mates", [
+        [3, 4, 5, 0, 1],  # too short
+        [3, 4, -1, 0, 1, 2],  # unmatched vertex
+        [3, 4, 6, 0, 1, 2],  # partner past n - 1
+        [3, 4, 2, 0, 1, 5],  # two fixed points
+        [2, 4, 4, 0, 1, 3],  # 0 -> 2 -> 4 -> 1: no involution
+        [1, 0, 3, 2, 5, 4],  # an involution, but 01, 23 and 45 are edges of C6
+    ])
+    def test_rejects_bad_mates(self, mates):
+        rows = complement(cycle_graph(6)).adj
+        assert _step(rows, [3, 4, 5, 0, 1, 2]) == complement(
+            _apply(cycle_graph(6), [{(0, 3), (1, 4), (2, 5)}])).adj
+        with pytest.raises(GraphError):
+            _step(rows, mates)
 
     def test_empty_graph_has_no_step(self):
         # no matching raises the empty graph's degree; a trace claiming a
         # step on it is rejected rather than failing on a missing row
         g = build(0, [])
         with pytest.raises(GraphError):
-            _step(g, g, frozenset())
+            _step((), [])
         assert ExtensionTrace(0, 1, (frozenset(),), g).verify(g) is False
 
 

@@ -279,6 +279,14 @@ class TestBalloonBoundOracle:
         with pytest.raises(GraphError):
             check_balloon_bound(build(2, [(0, 1)]), ())
 
+    def test_equal_results_are_one_object(self):
+        # a result depends on the graph and on (applicable, lhs) alone, so
+        # the checker hands out one object per distinct result
+        g = balloon_cubic_pair()
+        check = balloon_bound_checker(g)
+        results = [check(s) for k in range(4) for s in combinations(range(g.n), k)]
+        assert len(set(map(id, results))) == len(set(results)) > 1
+
     def test_one_bridge_search_per_graph(self, monkeypatch):
         balloon_bound_checker.cache_clear()
         g = balloon_cubic_pair()
