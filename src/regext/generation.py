@@ -330,12 +330,16 @@ def _refine(nbr: dict[int, int], part: list[int], queue: list[int]) -> None:
     fragments in ascending count, so the result does not depend on the
     labelling.  Counts are taken one vertex at a time, except that a
     one-vertex splitter parts non-neighbours (``away``) from neighbours.
+    A splitter visits only the cells of more than one vertex, in ascending
+    start (``wide``), and the cells it splits leave their own wide
+    fragments there for the next splitter.
     """
     n = len(part)
     inq = [False] * n
     for s in queue:
         inq[s] = True
-    cells = sum(1 for m in part if m)
+    wide = [c for c, m in enumerate(part) if m & (m - 1)]
+    cells = n - sum(part[c].bit_count() - 1 for c in wide)
     i = 0
     while i < len(queue) and cells < n:
         s = queue[i]
@@ -343,12 +347,10 @@ def _refine(nbr: dict[int, int], part: list[int], queue: list[int]) -> None:
         inq[s] = False
         x = part[s]
         away = None if x & (x - 1) else ~nbr[x]
-        c = 0
-        while c < n:
+        visit = wide
+        wide = []
+        for c in visit:
             m = part[c]
-            if not m & (m - 1):
-                c += 1
-                continue
             if away is not None:
                 lo = m & away
                 frags = [lo, m ^ lo] if lo and lo != m else None
@@ -363,7 +365,7 @@ def _refine(nbr: dict[int, int], part: list[int], queue: list[int]) -> None:
                 frags = ([by_count[k] for k in sorted(by_count)]
                          if len(by_count) > 1 else None)
             if frags is None:
-                c += m.bit_count()
+                wide.append(c)
                 continue
             sizes = [f.bit_count() for f in frags]
             # Hopcroft: a queued cell queues all its fragments, any other
@@ -374,6 +376,8 @@ def _refine(nbr: dict[int, int], part: list[int], queue: list[int]) -> None:
                 if idx != drop and not inq[c]:
                     inq[c] = True
                     queue.append(c)
+                if sizes[idx] > 1:
+                    wide.append(c)
                 c += sizes[idx]
             cells += len(frags) - 1
 

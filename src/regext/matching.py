@@ -11,7 +11,8 @@ subsets; no product path calls it and the package does not export it, it
 is the independent oracle the matcher is tested against.
 
 A search starts from a warm start that leaves the blossom phases little to
-do.  Each vertex in turn takes its lowest free neighbour; then one pass over
+do.  Each vertex in turn takes its lowest free neighbour, a vertex being
+free while its entry in the mate list is -1; then one pass over
 the still-free vertices v, in ascending order, looks for a length-3
 augmenting path v-a-b-u: a neighbour a of v (every one is matched), a's
 mate b, and a free neighbour u != v of b.  Rematching v-a and b-u covers
@@ -165,17 +166,19 @@ def _match_array(g: Graph) -> list[int]:
     adj = g.adj
     match = [-1] * n
     # warm start: each vertex takes its lowest free neighbour, which leaves
-    # the free vertices pairwise non-adjacent
+    # the free vertices pairwise non-adjacent; a vertex is free while its
+    # mate is -1, and ``free`` holds the same vertices as a mask
     free = (1 << n) - 1
-    for v in range(n):
-        if free >> v & 1:
-            cand = adj[v] & free
+    unit = _unit_masks(n)
+    for v, row in enumerate(adj):
+        if match[v] < 0:
+            cand = row & free
             if cand:
                 b = cand & -cand
                 u = b.bit_length() - 1
                 match[v] = u
                 match[u] = v
-                free ^= 1 << v | b
+                free ^= unit[v] | b
     # then one pass of length-3 augmenting paths v-a-b-u: every neighbour a
     # of a free v is matched (the pass only shrinks free), and a free
     # neighbour u != v of a's mate b lets v-a and b-u replace a-b.  On the

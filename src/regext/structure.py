@@ -133,16 +133,27 @@ def find_bridges(g: Graph) -> list[Edge]:
 
 def _balloon_pass(g: Graph) -> tuple[list[Edge], list[int], list[int]]:
     """Bridges, 2-edge-connected block masks and balloon masks: one bridge
-    search, then one component pass over the rows with the bridges cut."""
+    search, then one component pass over the rows with the bridges cut.
+
+    A bridge's two ends lie in different blocks, so a block touches
+    exactly one bridge iff it holds exactly one bridge end and no vertex
+    that is the end of two bridges: one pass over the bridges marks the
+    vertices with one end (``ends``) and with two or more (``multi``)."""
     bridge_list = find_bridges(g)
     adj = list(g.adj)
+    ends = multi = 0
     for u, v in bridge_list:
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
+        ub, vb = 1 << u, 1 << v
+        adj[u] &= ~vb
+        adj[v] &= ~ub
+        multi |= ends & (ub | vb)
+        ends |= ub | vb
     block_masks = _mask_components(adj, g.vertex_mask())
+    if not bridge_list:
+        return bridge_list, block_masks, []
     balloon_masks = [
         mask for mask in block_masks
-        if sum((mask >> u & 1) + (mask >> v & 1) for u, v in bridge_list) == 1
+        if not mask & multi and (mask & ends).bit_count() == 1
     ]
     return bridge_list, block_masks, balloon_masks
 
@@ -233,50 +244,58 @@ def check_balloon_bound(g: Graph, s: Iterable[int]) -> BalloonBoundCheck:
     return balloon_bound_checker(g)(s)
 
 
+def _color_order(adj: tuple[int, ...], cand: int) -> list[tuple[int, int]]:
+    """The candidates of ``cand`` by greedy coloring, each with its color.
+
+    Vertices in the same class are pairwise non-adjacent, so a clique among
+    the candidates up to some position of the list uses at most that
+    position's color."""
+    order: list[tuple[int, int]] = []
+    uncolored = cand
+    color = 0
+    while uncolored:
+        color += 1
+        avail = uncolored
+        while avail:
+            bit = avail & -avail
+            v = bit.bit_length() - 1
+            order.append((v, color))
+            uncolored ^= bit
+            avail &= ~adj[v] & uncolored
+    return order
+
+
 def _clique_search(g: Graph, floor: int, stop: int) -> list[int]:
     """Branch and bound for a clique of more than ``floor`` vertices.
 
     Returns the largest clique found, or the first with ``stop`` vertices;
     [] if none beats ``floor``.  A branch is cut once its clique plus the
     color count of its candidates cannot beat the best clique so far.
+    Each node of the search is a stack frame, not a call: its color order,
+    taken from the back (highest color first), and the candidates not yet
+    branched on.  ``chosen`` holds the vertex of every frame below the top.
     """
     adj = g.adj
     best: list[int] = []
     chosen: list[int] = []
-
-    def expand(cand: int) -> bool:
-        nonlocal floor, best
-        # greedy coloring: vertices in the same class are pairwise
-        # non-adjacent, so a clique among the candidates up to some position
-        # of ``order`` uses at most that position's color
-        order: list[tuple[int, int]] = []
-        uncolored = cand
-        color = 0
-        while uncolored:
-            color += 1
-            avail = uncolored
-            while avail:
-                bit = avail & -avail
-                v = bit.bit_length() - 1
-                order.append((v, color))
-                uncolored ^= bit
-                avail &= ~adj[v] & uncolored
-        remaining = cand
-        for v, c in reversed(order):
-            if len(chosen) + c <= floor:
-                return False
-            chosen.append(v)
-            if len(chosen) > floor:
-                floor, best = len(chosen), list(chosen)
-                if floor == stop:
-                    return True
-            if expand(remaining & adj[v]):
-                return True
-            chosen.pop()
-            remaining &= ~(1 << v)
-        return False
-
-    expand(g.vertex_mask())
+    full = g.vertex_mask()
+    stack = [[_color_order(adj, full), full]]
+    while stack:
+        order, remaining = stack[-1]
+        # popped from the back, colors never rise, so one cut ends the node
+        if not order or len(chosen) + order[-1][1] <= floor:
+            stack.pop()
+            if stack:
+                stack[-1][1] &= ~(1 << chosen.pop())
+            continue
+        v = order.pop()[0]
+        chosen.append(v)
+        if len(chosen) > floor:
+            floor, best = len(chosen), list(chosen)
+            if floor == stop:
+                break
+        cand = remaining & adj[v]
+        stack.append([_color_order(adj, cand), cand])
     return best
 
 

@@ -15,8 +15,10 @@ use lives here too: the rotation-extension Dirac cycle, the per-bit graph6
 encoder, the complement's 2-coloring with odd-cycle refutations, the
 earlier sampler loops, warm start and ladders that pinned outputs were
 recorded with, the ladder of regular graphs that the product's ladder on
-the complement's rows must agree with, the structured samplers' edge-list joins, and the
-balloon-bound check on the package's balloon report and component sets.
+the complement's rows must agree with, the structured samplers' edge-list joins, the
+balloon-bound check on the package's balloon report and component sets,
+and the recursive clique search and the refinement that scans every cell,
+which the product's loops must follow step for step.
 """
 
 from __future__ import annotations
@@ -1016,3 +1018,96 @@ def extend_to_reference(g: Graph, target_r: int, backtrack: int = 0, *, dirac: s
         else:
             stack[-1] = frame
     return deepest
+
+
+# -- the structure and refinement loops the product's must agree with -------
+
+def clique_search_recursive(g: Graph, floor: int, stop: int) -> list[int]:
+    """``structure._clique_search`` with one call per search node: the same
+    branch and bound, so the same clique, vertex for vertex in the order
+    chosen.  Its depth grows with the clique, so the tests keep it to
+    small graphs."""
+    adj = g.adj
+    best: list[int] = []
+    chosen: list[int] = []
+
+    def expand(cand: int) -> bool:
+        nonlocal floor, best
+        order: list[tuple[int, int]] = []
+        uncolored = cand
+        color = 0
+        while uncolored:
+            color += 1
+            avail = uncolored
+            while avail:
+                bit = avail & -avail
+                v = bit.bit_length() - 1
+                order.append((v, color))
+                uncolored ^= bit
+                avail &= ~adj[v] & uncolored
+        remaining = cand
+        for v, c in reversed(order):
+            if len(chosen) + c <= floor:
+                return False
+            chosen.append(v)
+            if len(chosen) > floor:
+                floor, best = len(chosen), list(chosen)
+                if floor == stop:
+                    return True
+            if expand(remaining & adj[v]):
+                return True
+            chosen.pop()
+            remaining &= ~(1 << v)
+        return False
+
+    expand(g.vertex_mask())
+    return best
+
+
+def refine_every_cell(nbr: dict[int, int], part: list[int], queue: list[int]) -> None:
+    """``generation._refine`` with every splitter scanning the whole
+    partition, singleton cells included: the same ordered partition and
+    the same queue."""
+    n = len(part)
+    inq = [False] * n
+    for s in queue:
+        inq[s] = True
+    cells = sum(1 for m in part if m)
+    i = 0
+    while i < len(queue) and cells < n:
+        s = queue[i]
+        i += 1
+        inq[s] = False
+        x = part[s]
+        away = None if x & (x - 1) else ~nbr[x]
+        c = 0
+        while c < n:
+            m = part[c]
+            if not m & (m - 1):
+                c += 1
+                continue
+            if away is not None:
+                lo = m & away
+                frags = [lo, m ^ lo] if lo and lo != m else None
+            else:
+                by_count: dict[int, int] = {}
+                y = m
+                while y:
+                    b = y & -y
+                    y ^= b
+                    k = (nbr[b] & x).bit_count()
+                    by_count[k] = by_count.get(k, 0) | b
+                frags = ([by_count[k] for k in sorted(by_count)]
+                         if len(by_count) > 1 else None)
+            if frags is None:
+                c += m.bit_count()
+                continue
+            sizes = [f.bit_count() for f in frags]
+            drop = -1 if inq[c] else sizes.index(max(sizes))
+            for idx, f in enumerate(frags):
+                part[c] = f
+                if idx != drop and not inq[c]:
+                    inq[c] = True
+                    queue.append(c)
+                c += sizes[idx]
+            cells += len(frags) - 1

@@ -442,6 +442,46 @@ class TestRefinement:
                 split += len(cells) > len(before)
         assert (refined, split) == (832, 471)
 
+    def test_same_partition_and_queue_as_every_cell_scan(self):
+        # skipping the singleton cells changes no fragment, no cell order
+        # and no queue entry, from the root and from each child of it
+        rng = random.Random(33)
+        graphs = self._graphs() + [random_regular(n, r, rng.getrandbits(32))
+                                   for n in range(20, 41, 4) for r in (3, 4, 5)]
+        checked = 0
+        for g in graphs:
+            nbr = {1 << v: a for v, a in enumerate(g.adj)}
+            cells = {}
+            for b, t in zip(nbr, generation._triangle_counts(g.adj)):
+                cells[t] = cells.get(t, 0) | b
+            part = [0] * g.n
+            starts = []
+            s = 0
+            for t in sorted(cells):
+                part[s] = cells[t]
+                starts.append(s)
+                s += cells[t].bit_count()
+            inputs = [(part, starts)]
+            root = part[:]
+            generation._refine(nbr, root, starts[:])
+            for t, m in enumerate(root):
+                x = m
+                while m & (m - 1) and x:
+                    b = x & -x
+                    x ^= b
+                    child = root[:]
+                    child[t] = b
+                    child[t + 1] = m ^ b
+                    inputs.append((child, [t]))
+            for part, queue in inputs:
+                got, got_queue = part[:], queue[:]
+                generation._refine(nbr, got, got_queue)
+                want, want_queue = part[:], queue[:]
+                oracles.refine_every_cell(nbr, want, want_queue)
+                assert (got, got_queue) == (want, want_queue), g
+                checked += 1
+        assert checked == 854
+
     def test_relabeling_relabels_cells(self):
         # the ordered partition does not depend on the labelling: relabeling
         # the graph relabels each cell in place

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -132,6 +134,61 @@ class TestBridgesAndBalloons:
             assert sorted(rep.balloons, key=min) == sorted(expected, key=min), g
             with_balloons += rep.b > 0
         assert with_balloons >= 200
+
+    @staticmethod
+    def _by_deletion(g):
+        """Bridges, blocks and balloons from the deletion oracle and
+        union-find components."""
+        bridges = [e for e in g.edges() if oracles.is_bridge_by_deletion(g, *e)]
+        cut = build(g.n, [e for e in g.edges() if e not in bridges])
+        blocks = [frozenset(c) for c in oracles.unionfind_components(cut)]
+        expected = [blk for blk in blocks
+                    if sum((u in blk) + (v in blk) for u, v in bridges) == 1]
+        return bridges, blocks, expected
+
+    def test_trees_and_caterpillars_against_deletion_oracle(self):
+        # every vertex of a tree is a block; a caterpillar whose spine
+        # vertices are cycles has blocks that touch several bridges, some
+        # of them at one vertex
+        rng = random.Random(23)
+        graphs = [build(n, [(rng.randrange(v), v) for v in range(1, n)])
+                  for n in range(1, 41) for _ in range(2)]
+        for spine in range(1, 13):
+            for cycles in (False, True):
+                edges = []
+                heads = []
+                n = 0
+                for _ in range(spine):
+                    size = rng.choice((3, 4, 5)) if cycles and rng.random() < 0.6 else 1
+                    block = list(range(n, n + size))
+                    if size > 1:
+                        edges += [(block[i], block[(i + 1) % size]) for i in range(size)]
+                    heads.append(block)
+                    n += size
+                edges += [(rng.choice(a), rng.choice(b)) for a, b in zip(heads, heads[1:])]
+                for block in heads:
+                    for _ in range(rng.randrange(4)):
+                        edges.append((rng.choice(block), n))
+                        n += 1
+                graphs.append(build(n, edges))
+        several = 0
+        for g in graphs:
+            bridges, blocks, expected = self._by_deletion(g)
+            rep = balloons(g)
+            assert list(rep.bridges) == bridges, g
+            assert sorted(rep.blocks, key=min) == sorted(blocks, key=min), g
+            assert sorted(rep.balloons, key=min) == sorted(expected, key=min), g
+            several += any(len(blk) > 1 and sum((u in blk) + (v in blk) for u, v in bridges) > 1
+                           for blk in blocks)
+        assert several >= 5
+
+    def test_long_path(self):
+        # one pass over the bridges: a scan of every bridge per block took
+        # seconds at a few thousand vertices
+        n = 20000
+        rep = balloons(path_graph(n))
+        assert len(rep.bridges) == n - 1 and len(rep.blocks) == n
+        assert sorted(rep.balloons, key=min) == [frozenset({0}), frozenset({n - 1})]
 
     def test_connected_cubic_balloons_have_five_vertices(self, small_regular_corpus):
         # minimum balloon size in a cubic graph is r + 2 = 5
@@ -380,6 +437,32 @@ class TestCliqueNumber:
             h.add_edges_from(edges)
             _, size = nx.algorithms.clique.max_weight_clique(h, weight=None)
             assert clique_number(build(n, edges)) == size, (n, p)
+
+    def test_same_clique_as_recursive_search(self):
+        # the explicit stack branches in the recursion's order, so both
+        # stop at the same clique, listed in the order its vertices were
+        # chosen
+        rng = random.Random(9)
+        for _ in range(150):
+            n = rng.randrange(30)
+            p = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
+            g = build(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+            for floor, stop in [(0, n)] + [(k - 1, k) for k in range(2, min(n, 8) + 1)]:
+                assert structure._clique_search(g, floor, stop) == \
+                    oracles.clique_search_recursive(g, floor, stop), (g, floor, stop)
+
+    def test_no_recursion(self):
+        # one stack frame per clique vertex would overflow this limit
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 30)
+        try:
+            w = clique_number(complete_graph(150))
+            c = find_clique(cliques_plus_matching(100), 100)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert w == 150
+        assert c in (frozenset(range(100)), frozenset(range(100, 200)))
 
 
 class TestSpanningBiclique:
