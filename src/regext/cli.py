@@ -266,11 +266,12 @@ def cmd_analyze(args) -> int:
     def answer(g, _):
         r = regularity(g)
         rep = structure.balloons(g)
-        comps = components_after_deletion(g)
+        # with no bridge cut, the blocks are the components
+        comps = components_after_deletion(g).blocks if rep.bridges else rep.blocks
         clique_size = structure.clique_number(g) if g.n <= CLIQUE_CLI_LIMIT else None
         fields = {
             "n": g.n, "m": g.m, "r": r, "connected": len(comps) <= 1,
-            "components": [sorted(c) for c in comps.blocks],
+            "components": [sorted(c) for c in comps],
             "bridges": _edges_json(rep.bridges),
             "blocks": [sorted(b) for b in rep.blocks],
             "balloons": [sorted(b) for b in rep.balloons],

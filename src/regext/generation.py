@@ -332,13 +332,17 @@ def _refine(nbr: dict[int, int], part: list[int], queue: list[int]) -> None:
     one-vertex splitter parts non-neighbours (``away``) from neighbours.
     A splitter visits only the cells of more than one vertex, in ascending
     start (``wide``), and the cells it splits leave their own wide
-    fragments there for the next splitter.
+    fragments there for the next splitter.  A partition with no wide cell
+    is discrete, hence equitable, and returns at once with the queue as
+    given.
     """
+    wide = [c for c, m in enumerate(part) if m & (m - 1)]
+    if not wide:
+        return
     n = len(part)
     inq = [False] * n
     for s in queue:
         inq[s] = True
-    wide = [c for c, m in enumerate(part) if m & (m - 1)]
     cells = n - sum(part[c].bit_count() - 1 for c in wide)
     i = 0
     while i < len(queue) and cells < n:

@@ -11,10 +11,13 @@ bridge.  Singleton vertices count as (vacuously) 2-edge-connected blocks,
 so an isolated leaf hanging off a bridge is a balloon; odd-regular graphs
 with r >= 3 never produce that case, but the decomposition stays total.
 
+``_balloon_pass`` makes no bridge search on an r-regular graph with
+r != 1 and r even or n < 2r + 4 (an r-regular graph with r >= 2 and a
+bridge has r odd and at least r + 2 vertices on each side of it); its
+blocks are then its components, from one component pass.
+
 The balloon bound is checked on vertex masks.  The degree test and the
-balloon count are taken once per graph, with no bridge search when r is
-even or n < 2r + 4 (an r-regular graph with a bridge has r odd and at
-least r + 2 vertices on each side of it); then each set costs one
+balloon count are taken once per graph; then each set costs one
 component pass over V - S.  Consecutive ``check_balloon_bound`` calls on
 one graph share that per-graph work: ``balloon_bound_checker`` keeps the
 checker of the last graph it built, and of no other.
@@ -35,6 +38,7 @@ from .graph import (
     _mask_to_set,
     _norm_edge,
     complement,
+    regularity,
     require_regular,
 )
 
@@ -131,14 +135,27 @@ def find_bridges(g: Graph) -> list[Edge]:
     return sorted(out)
 
 
-def _balloon_pass(g: Graph) -> tuple[list[Edge], list[int], list[int]]:
-    """Bridges, 2-edge-connected block masks and balloon masks: one bridge
-    search, then one component pass over the rows with the bridges cut.
+def _balloon_pass(g: Graph, r: int | None) -> tuple[list[Edge], list[int], list[int]]:
+    """Bridges, 2-edge-connected block masks and balloon masks of g, whose
+    common degree is r (None when g is not regular).
 
-    A bridge's two ends lie in different blocks, so a block touches
-    exactly one bridge iff it holds exactly one bridge end and no vertex
-    that is the end of two bridges: one pass over the bridges marks the
-    vertices with one end (``ends``) and with two or more (``multi``)."""
+    An r-regular graph with r != 1 has no bridge when r is even or
+    n < 2r + 4, so there the blocks are the components, found by one
+    component pass with no bridge search.  A bridge's side A (one part of
+    its component once the bridge is cut) has degree sum r|A| = 2e(A) + 1,
+    and 2e(A) <= |A|(|A| - 1).  So r and |A| are odd, and
+    |A|(|A| - r - 1) >= -1 forces |A| >= r + 1 unless |A| = r = 1, hence
+    |A| >= r + 2 for r >= 3; both sides together need 2r + 4 vertices.
+    At r = 1 every edge is a bridge with one vertex on each side.
+
+    Otherwise one bridge search, then one component pass over the rows
+    with the bridges cut.  A bridge's two ends lie in different blocks, so
+    a block touches exactly one bridge iff it holds exactly one bridge end
+    and no vertex that is the end of two bridges: one pass over the
+    bridges marks the vertices with one end (``ends``) and with two or
+    more (``multi``)."""
+    if r is not None and r != 1 and (r % 2 == 0 or g.n < 2 * r + 4):
+        return [], _mask_components(g.adj, g.vertex_mask()), []
     bridge_list = find_bridges(g)
     adj = list(g.adj)
     ends = multi = 0
@@ -159,25 +176,20 @@ def _balloon_pass(g: Graph) -> tuple[list[Edge], list[int], list[int]]:
 
 
 def balloons(g: Graph) -> BalloonReport:
-    """Bridges, 2-edge-connected blocks, and the blocks of bridge-degree 1."""
-    bridge_list, block_masks, balloon_masks = _balloon_pass(g)
+    """Bridges, 2-edge-connected blocks, and the blocks of bridge-degree 1,
+    each block list by ascending minimum.  A regular graph of degree
+    r != 1 with r even or n < 2r + 4 gets no bridge search: its blocks
+    are its components (see ``_balloon_pass``)."""
+    bridge_list, block_masks, balloon_masks = _balloon_pass(g, regularity(g))
     return BalloonReport(tuple(bridge_list), tuple(map(_mask_to_set, block_masks)),
                          tuple(map(_mask_to_set, balloon_masks)))
 
 
 def _balloon_count(g: Graph, r: int) -> int:
-    """b(G) of an r-regular graph with r >= 2: its 2-edge-connected blocks
-    that touch exactly one bridge.
-
-    0 with no search when r is even or n < 2r + 4.  A bridge's side A (one
-    part of its component once the bridge is cut) has degree sum
-    r|A| = 2e(A) + 1, and 2e(A) <= |A|(|A| - 1).  So r and |A| are odd,
-    and |A|(|A| - r - 1) >= -1 forces |A| >= r + 1, hence |A| >= r + 2;
-    both sides together need 2r + 4 vertices.
-    """
-    if r % 2 == 0 or g.n < 2 * r + 4:
-        return 0
-    return len(_balloon_pass(g)[2])
+    """b(G) of an r-regular graph: its 2-edge-connected blocks that touch
+    exactly one bridge; 0 with no bridge search where ``_balloon_pass``
+    rules bridges out."""
+    return len(_balloon_pass(g, r)[2])
 
 
 @lru_cache(maxsize=1)
@@ -238,7 +250,7 @@ def check_balloon_bound(g: Graph, s: Iterable[int]) -> BalloonBoundCheck:
     Applicable only when every odd component of G-s sends exactly 1 or at
     least r edges into s.  A repeated vertex of s counts once, and one out
     of range raises ``GraphError``.  b(G) is 0 without a bridge search when
-    r is even or n < 2r + 4 (see ``_balloon_count``).  Consecutive calls
+    r is even or n < 2r + 4 (see ``_balloon_pass``).  Consecutive calls
     on one graph take its degree and balloon count once.
     """
     return balloon_bound_checker(g)(s)

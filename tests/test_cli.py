@@ -9,6 +9,7 @@ from regext import (
     TutteViolator,
     add_matching,
     build,
+    components_after_deletion,
     enumerate_regular,
     format_graph6,
     is_valid_matching,
@@ -17,11 +18,13 @@ from regext import (
 )
 from regext.cli import EXIT_STDOUT_CLOSED, main
 from families import (
+    bridged_cubic,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     balloon_cubic_pair,
     disjoint_union,
+    path_graph,
     petersen_graph,
     star_graph,
 )
@@ -294,6 +297,38 @@ class TestAnalyzeCommand:
         assert code == 0
         assert [(r["connected"], len(r["components"])) for r in json_lines(out)[1:-1]] == \
             [(True, 0), (False, 2), (True, 1)]
+
+    def test_bridge_search_only_where_a_bridge_can_be(self, capsys, monkeypatch):
+        # an even-r graph and a T4 graph (r = 11, n = 20 < 2r + 4) take their
+        # components off the balloon pass; the cubic graph on 2r + 4 = 10
+        # vertices with a bridge needs one bridge search and one component pass
+        from regext import cli, structure
+
+        calls = []
+        search = structure.find_bridges
+        comps = cli.components_after_deletion
+        monkeypatch.setattr(structure, "find_bridges",
+                            lambda g: calls.append("find_bridges") or search(g))
+        monkeypatch.setattr(cli, "components_after_deletion",
+                            lambda g: calls.append("components") or comps(g))
+        for g, want in ((cycle_graph(8), []), (complete_graph(5), []),
+                        (sample_spanning_biclique_regular(20, 11, 3, odd_parts=True), []),
+                        (parse_graph6("I^o??KFB_"), ["find_bridges", "components"])):
+            calls.clear()
+            code, out, _ = run_cli(capsys, ["analyze", "--json"], [format_graph6(g)],
+                                   monkeypatch)
+            assert (code, calls) == (0, want), g
+
+    def test_components_field(self, capsys, monkeypatch):
+        graphs = [path_graph(7), star_graph(5), bridged_cubic(16, 2), petersen_graph(),
+                  disjoint_union(cycle_graph(4), complete_graph(4))]
+        code, out, _ = run_cli(capsys, ["analyze", "--json"], map(format_graph6, graphs),
+                               monkeypatch)
+        assert code == 0
+        for g, result in zip(graphs, json_lines(out)[1:-1], strict=True):
+            want = components_after_deletion(g)
+            assert result["components"] == [sorted(c) for c in want.blocks], g
+            assert result["connected"] == (len(want) <= 1)
 
     def test_one_clique_search_per_line(self, capsys, monkeypatch):
         from regext import structure

@@ -24,6 +24,7 @@ from regext import (
     format_graph6,
     parse_graph6,
     random_regular,
+    sample_disconnected_regular,
     spanning_biclique,
 )
 from families import (
@@ -120,20 +121,58 @@ class TestBridgesAndBalloons:
                                     if rng.random() < p]))
         with_balloons = 0
         for g in graphs:
-            h = nx.Graph()
-            h.add_nodes_from(range(g.n))
-            h.add_edges_from(g.edges())
-            bridges = sorted((min(u, v), max(u, v)) for u, v in nx.bridges(h))
-            h.remove_edges_from(bridges)
-            blocks = [frozenset(c) for c in nx.connected_components(h)]
-            expected = [blk for blk in blocks
-                        if sum((u in blk) != (v in blk) for u, v in bridges) == 1]
+            bridges, blocks, expected = self._by_networkx(nx, g)
             rep = balloons(g)
             assert list(rep.bridges) == bridges, g
-            assert sorted(rep.blocks, key=min) == sorted(blocks, key=min), g
-            assert sorted(rep.balloons, key=min) == sorted(expected, key=min), g
+            assert sorted(rep.blocks, key=min) == blocks, g
+            assert sorted(rep.balloons, key=min) == expected, g
             with_balloons += rep.b > 0
         assert with_balloons >= 200
+
+    def test_parity_path_against_networkx(self, small_regular_corpus, monkeypatch):
+        # regular graphs with r != 1 and r even or n < 2r + 4 get no bridge
+        # search; r = 1 and n = 2r + 4 keep it, and every answer is
+        # networkx's, blocks in ascending minimum
+        nx = pytest.importorskip("networkx")
+        graphs = [g for n in range(4) for r in range(n) if n * r % 2 == 0
+                  for g in enumerate_regular(n, r)]
+        graphs += [g for gs in small_regular_corpus.values() for g in gs]
+        graphs += [random_regular(n, r, seed) for n in range(12, 31, 2)
+                   for r in range(n) for seed in range(2)]
+        graphs += [sample_disconnected_regular(20, 4, 5), sample_disconnected_regular(24, 5, 6)]
+        graphs += [bridged_cubic(10, seed) for seed in range(5)]
+        searched = []
+        search = structure.find_bridges
+        monkeypatch.setattr(structure, "find_bridges", lambda h: searched.append(h) or search(h))
+        want_search = []
+        with_balloons = 0
+        for g in graphs:
+            r = g.degree(0) if g.n else 0
+            if r == 1 or (r % 2 == 1 and g.n >= 2 * r + 4):
+                want_search.append(g)
+            bridges, blocks, expected = self._by_networkx(nx, g)
+            rep = balloons(g)
+            assert list(rep.bridges) == bridges, g
+            assert list(rep.blocks) == blocks, g
+            assert sorted(rep.balloons, key=min) == expected, g
+            with_balloons += rep.b > 0
+        assert searched == want_search
+        assert 500 < len(graphs) - len(searched)
+        assert with_balloons >= 8
+
+    @staticmethod
+    def _by_networkx(nx, g):
+        """Bridges, blocks and balloons from networkx, blocks by ascending
+        minimum."""
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        bridges = sorted((min(u, v), max(u, v)) for u, v in nx.bridges(h))
+        h.remove_edges_from(bridges)
+        blocks = sorted((frozenset(c) for c in nx.connected_components(h)), key=min)
+        expected = [blk for blk in blocks
+                    if sum((u in blk) != (v in blk) for u, v in bridges) == 1]
+        return bridges, blocks, expected
 
     @staticmethod
     def _by_deletion(g):
