@@ -170,7 +170,7 @@ class ExtensionTrace:
         try:
             for step in self.steps:
                 rows = _step(rows, _mates(step, n))
-        except ValueError:  # GraphError, or a step that is not a set of pairs
+        except (TypeError, ValueError):  # GraphError, or a step that is not a set of pairs
             return False
         final = complement(Graph(n, rows))
         return final == self.final and regularity(final) == self.target_r
@@ -206,7 +206,7 @@ def _alternatives(rows: tuple[int, ...], first: list[int],
         pruned = list(rows)
         pruned[u] ^= unit[v]
         pruned[v] ^= unit[u]
-        alt = matching._match_array(Graph(n, tuple(pruned)))
+        alt = matching._match_array(Graph(n, tuple(pruned)))[0]
         if -1 in alt or alt in seen:
             continue
         seen.append(alt)
@@ -247,14 +247,14 @@ def extend_to(
     while True:
         gc = Graph(n, rows)
         # looked up at call time, so a matcher patched into the module runs
-        mates = matching._match_array(gc)
-        if -1 not in mates:
+        mates, d_mask = matching._match_array(gc)
+        if not d_mask:
             if backtrack > 0:
                 frames.append((rows, cur_r, steps, _alternatives(rows, mates, backtrack)))
         else:
             if deepest is None or cur_r > deepest.reached_r:
                 deepest = ExtensionFailure(
-                    cur_r, steps, matching._gallai_edmonds_violator(gc, mates))
+                    cur_r, steps, matching._gallai_edmonds_violator(gc, mates, d_mask))
             while frames:
                 rows, cur_r, steps, alternatives = frames[-1]
                 log.debug("backtracking at r=%d", cur_r)

@@ -3,22 +3,19 @@
 General graphs use augmenting-path search with blossom contraction; when no
 perfect matching exists the caller gets a Tutte violator: a vertex set S
 whose deletion leaves more odd components than |S|.  The violator is the
-Gallai-Edmonds set read off the Hungarian trees of a maximum matching, so
-it is Tutte-Berge tight: odd(G-S) - |S| equals the number of vertices a
-maximum matching misses.  Bipartite graphs take the same search, which
-contracts no blossom there.  ``tutte_violator_bruteforce`` scans all 2^n
-subsets; no product path calls it and the package does not export it, it
-is the independent oracle the matcher is tested against.
+Gallai-Edmonds set S = N(D) - D, Tutte-Berge tight; D comes from the
+search's own failed phases, one Hungarian tree grown once per exposed
+vertex (Edmonds, "Paths, trees, and flowers", Canad. J. Math. 17, 1965;
+Lovasz and Plummer, Matching Theory, 1986, ch. 3).  Bipartite graphs take
+the same search.  ``tutte_violator_bruteforce`` scans all 2^n subsets; no
+product path calls it and the package does not export it, it is the
+independent oracle the matcher is tested against.
 
 A search starts from a warm start that leaves the blossom phases little to
-do.  Each vertex in turn takes its lowest free neighbour, a vertex being
-free while its entry in the mate list is -1; then one pass over
-the still-free vertices v, in ascending order, looks for a length-3
-augmenting path v-a-b-u: a neighbour a of v (every one is matched), a's
-mate b, and a free neighbour u != v of b.  Rematching v-a and b-u covers
-both ends.  A blossom phase then runs from each vertex still free.  Phases
-are correct from any matching, so the result stays maximum; which maximum
-matching it is depends on the start.
+do: a greedy matching, then one pass of length-3 augmenting paths (see
+``_match_array``).  A blossom phase then runs from each vertex still free.
+Phases are correct from any matching, so the result stays maximum; which
+maximum matching it is depends on the start.
 
 All searches scan vertices in ascending label order and each vertex's
 neighbour mask lowest set bit first, so every result is deterministic for a
@@ -36,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Edge, Graph, GraphError, components_after_deletion, _unit_masks
+from .graph import (Edge, Graph, GraphError, _mask_components, _unit_masks,
+                    components_after_deletion)
 
 Matching = frozenset[Edge]
 
@@ -49,26 +47,34 @@ class TutteViolator:
     odd_count: int
 
     def verify(self, g: Graph) -> bool:
-        """Re-check the certificate against g; an s outside 0..n-1 gives False."""
-        if any(not 0 <= v < g.n for v in self.s):
-            return False
-        parts = components_after_deletion(g, self.s)
-        return parts.odd_count == self.odd_count and self.odd_count > len(self.s)
+        """Check that odd_count is odd(G-s) and exceeds |s|; an s that is
+        not a set of vertices of g gives False, not an error."""
+        smask = 0
+        for v in self.s:
+            if not isinstance(v, int) or not 0 <= v < g.n:
+                return False
+            smask |= 1 << v
+        odd = sum(c.bit_count() & 1 for c in _mask_components(g.adj, g.vertex_mask() ^ smask))
+        return odd == self.odd_count and odd > len(self.s)
 
 
 def is_valid_matching(g: Graph, m: Matching, perfect: bool = False) -> bool:
     """Edges exist in g and are pairwise vertex-disjoint (and cover V if perfect).
 
-    An endpoint outside 0..n-1 makes the answer False, not an error."""
+    An endpoint outside 0..n-1, or an element that is not a pair of ints,
+    makes the answer False, not an error."""
     n = g.n
     seen = 0
-    for u, v in m:
-        if not (0 <= u < n and 0 <= v < n) or u == v or not g.has_edge(u, v):
-            return False
-        bits = (1 << u) | (1 << v)
-        if seen & bits:
-            return False
-        seen |= bits
+    try:
+        for u, v in m:
+            if not (0 <= u < n and 0 <= v < n) or u == v or not g.has_edge(u, v):
+                return False
+            bits = (1 << u) | (1 << v)
+            if seen & bits:
+                return False
+            seen |= bits
+    except (TypeError, ValueError):
+        return False
     if perfect and seen != g.vertex_mask():
         return False
     return True
@@ -161,7 +167,14 @@ def _augment_from(adj: tuple[int, ...], match: list[int], root: int) -> int:
     return outer
 
 
-def _match_array(g: Graph) -> list[int]:
+def _match_array(g: Graph) -> tuple[list[int], int]:
+    """Mate list of a maximum matching (-1 where exposed), and the mask of
+    D, the vertices some maximum matching misses: the OR of the failed
+    phases' outer masks.  A failed phase's tree is Hungarian (no outer
+    vertex has a neighbour outside it), so no later augmentation touches
+    it (Edmonds 1965): its root stays exposed, and the final matching grows
+    the same tree.  A vertex exposed at the end was free at its turn and
+    stayed free, so it had exactly one phase, a failed one.  Hence D."""
     n = g.n
     adj = g.adj
     match = [-1] * n
@@ -207,34 +220,28 @@ def _match_array(g: Graph) -> list[int]:
         todo &= free & ~vb
     # blossom phases finish from the vertices still free; a phase that
     # augments also covers a later one, which the mate test then skips
+    d_mask = 0
     while free:
         vb = free & -free
         free ^= vb
         v = vb.bit_length() - 1
         if match[v] == -1:
-            _augment_from(adj, match, v)
-    return match
+            d_mask |= _augment_from(adj, match, v)
+    return match, d_mask
 
 
 def max_matching(g: Graph) -> Matching:
     """A maximum-cardinality matching."""
-    match = _match_array(g)
+    match = _match_array(g)[0]
     return frozenset([(v, u) for v, u in enumerate(match) if u > v])
 
 
-def _gallai_edmonds_violator(g: Graph, match: list[int]) -> TutteViolator:
-    """Violator from the structure of a deficient maximum matching.
-
-    D = vertices missed by some maximum matching, which are exactly the
-    outer vertices of the Hungarian trees grown from the exposed vertices;
-    S = N(D) - D.  Every component of G[D] is odd, and Tutte-Berge
-    equality makes their count deficiency + |S|, so S violates the Tutte
-    condition whenever the matching is not perfect.
-    """
-    d_mask = 0
-    for v, u in enumerate(match):
-        if u == -1:
-            d_mask |= _augment_from(g.adj, match, v)
+def _gallai_edmonds_violator(g: Graph, match: list[int], d_mask: int) -> TutteViolator:
+    """S = N(D) - D for a deficient maximum matching, D read off the
+    Hungarian trees ``_match_array``'s failed phases grew, once per exposed
+    vertex (Edmonds 1965).  Every component of G[D] is odd, and by
+    Tutte-Berge equality (Lovasz and Plummer 1986, ch. 3) there are
+    deficiency + |S| of them, so S violates the Tutte condition."""
     s = frozenset(
         v for v in range(g.n) if not d_mask >> v & 1 and g.adj[v] & d_mask
     )
@@ -246,21 +253,16 @@ def _gallai_edmonds_violator(g: Graph, match: list[int]) -> TutteViolator:
 
 def max_matching_with_violator(g: Graph) -> tuple[Matching, TutteViolator | None]:
     """A maximum matching, plus the violator proving it maximum when it is
-    not perfect; one blossom search serves both."""
-    match = _match_array(g)
+    not perfect, that is when D is not empty; one blossom search serves both."""
+    match, d_mask = _match_array(g)
     m = frozenset([(v, u) for v, u in enumerate(match) if u > v])
-    if -1 not in match:
-        return m, None
-    return m, _gallai_edmonds_violator(g, match)
+    return m, _gallai_edmonds_violator(g, match, d_mask) if d_mask else None
 
 
 def perfect_matching(g: Graph) -> Matching | TutteViolator:
-    """A perfect matching, or a Tutte violator proving none exists.
-
-    The violator is the Gallai-Edmonds one (see ``_gallai_edmonds_violator``)
-    for every deficient graph, odd n included; it is polynomial and
-    Tutte-Berge tight, so it also proves the size of ``max_matching(g)``.
-    """
+    """A perfect matching, or a Tutte violator proving none exists: the
+    Gallai-Edmonds one (``_gallai_edmonds_violator``), odd n included,
+    Tutte-Berge tight, so it also proves the size of ``max_matching(g)``."""
     m, violator = max_matching_with_violator(g)
     return m if violator is None else violator
 
@@ -306,8 +308,6 @@ def tutte_violator_bruteforce(g: Graph, limit_n: int = 22) -> TutteViolator | No
     if n > limit_n:
         raise GraphError(f"n={n} exceeds brute-force limit {limit_n}")
     for k in range(3):
-        if k > n:
-            break
         for combo in combinations(range(n), k):
             odd = components_after_deletion(g, combo).odd_count
             if odd > k:

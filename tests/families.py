@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from regext import Graph, build, random_regular
 
@@ -143,3 +144,25 @@ def rook_graph(k: int) -> Graph:
                          for i in range(k) for j in range(k)
                          for i2 in range(k) for j2 in range(k)
                          if (i == i2) != (j == j2) and k * i + j < k * i2 + j2])
+
+
+def hub_graph(n: int, hubs: int, rng: random.Random) -> Graph:
+    """Deficient graph on n vertices: ``hubs`` hub vertices and hubs + 2 odd
+    cliques, each clique joined to 3 distinct hubs, randomly relabelled.
+    Deleting the hubs leaves hubs + 2 odd components; n must be even and
+    at least 2 * hubs + 2."""
+    cliques = hubs + 2
+    sizes = [1] * cliques
+    for _ in range((n - hubs - cliques) // 2):
+        sizes[rng.randrange(cliques)] += 2
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = []
+    v = hubs
+    for size in sizes:
+        members = range(v, v + size)
+        v += size
+        edges += [(perm[a], perm[b]) for a, b in combinations(members, 2)]
+        edges += [(perm[h], perm[members[i % size]])
+                  for i, h in enumerate(rng.sample(range(hubs), 3))]
+    return build(n, edges)

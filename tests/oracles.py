@@ -730,12 +730,14 @@ def sample_disconnected_regular_reference(n: int, r: int, seed: int) -> Graph:
 
 # -- the matcher's earlier warm start ----------------------------------------
 
-def match_array_greedy(g: Graph) -> list[int]:
+def match_array_greedy(g: Graph) -> tuple[list[int], int]:
     """``matching._match_array`` without the length-3 augmenting pass: the
     lowest-free-neighbour greedy, then one blossom phase per free vertex.
     Patched in for ``matching._match_array``, it reproduces the matchings
     and extension traces recorded before that pass existed, and it leaves
-    the blossom phases several free vertices to augment."""
+    the blossom phases several free vertices to augment.  Like the product
+    search it returns the mate list and the OR of its failed phases' outer
+    masks."""
     n = g.n
     adj = g.adj
     match = [-1] * n
@@ -749,10 +751,34 @@ def match_array_greedy(g: Graph) -> list[int]:
                 match[v] = u
                 match[u] = v
                 free ^= 1 << v | b
+    d_mask = 0
     for v in range(n):
         if match[v] == -1:
-            matching._augment_from(adj, match, v)
-    return match
+            d_mask |= matching._augment_from(adj, match, v)
+    return match, d_mask
+
+
+def d_mask_by_regrowth(g: Graph, match: list[int]) -> int:
+    """D of a maximum matching's mate list, by growing a fresh Hungarian
+    tree from every exposed vertex and ORing their outer masks: the route
+    the violator took before the search handed over its own failed phases.
+    Each phase fails, so ``match`` is left as it was."""
+    d_mask = 0
+    for v, u in enumerate(match):
+        if u == -1:
+            d_mask |= matching._augment_from(g.adj, match, v)
+    return d_mask
+
+
+def d_mask_by_deletion(g: Graph, nu: Callable[[Graph], int]) -> int:
+    """D = {v : nu(G - v) = nu(G)}, the vertices some maximum matching
+    misses, from the matching sizes ``nu`` of G and of each G - v."""
+    size = nu(g)
+    d_mask = 0
+    for v in range(g.n):
+        if nu(build(g.n, [e for e in g.edges() if v not in e])) == size:
+            d_mask |= 1 << v
+    return d_mask
 
 
 # -- the ladder's earlier routes ---------------------------------------------

@@ -307,6 +307,25 @@ class TestExtendTo:
         assert ExtensionTrace(4, 5, (m,), _apply(g, [m])).verify(g)
         assert ExtensionTrace(2, 5, (m,), _apply(g, [m])).verify(g) is False
 
+    def test_verify_checks_target_degree(self):
+        # the same step reaches degree 5; a trace naming another target
+        # claims a degree its steps do not reach
+        g = cliques_plus_matching(4)
+        m = perfect_matching(complement(g))
+        for target in (4, 6):
+            assert ExtensionTrace(4, target, (m,), _apply(g, [m])).verify(g) is False
+
+    # steps of the wrong type on K_{3,3}: a step that is no set, and pairs
+    # with a label that is not an int, which would index the mate list
+    @pytest.mark.parametrize("steps", [
+        (5,),
+        (frozenset({(0, "a"), (1, 4), (2, 5)}),),
+        (frozenset({(0, 3.0), (1, 4), (2, 5)}),),
+    ])
+    def test_verify_rejects_step_of_wrong_type(self, steps):
+        g = complete_bipartite(3, 3)
+        assert ExtensionTrace(3, 4, steps, g).verify(g) is False
+
     def test_bad_target(self):
         with pytest.raises(GraphError):
             extend_to(cycle_graph(6), 6)
@@ -473,7 +492,7 @@ class TestDiracFirstLevel:
         tr = extend_to(g, 4, backtrack=3)
         assert isinstance(tr, ExtensionTrace)
         assert calls == [gc]
-        first = search(gc)
+        first = search(gc)[0]
         alts = list(_alternatives(gc.adj, first, 3))
         found = [frozenset((v, u) for v, u in enumerate(m) if u > v)
                  for m in [first] + alts]
@@ -507,7 +526,7 @@ class TestStep:
                 m = perfect_matching(gc)
                 if isinstance(m, TutteViolator):
                     continue
-                mates = matching._match_array(gc)
+                mates = matching._match_array(gc)[0]
                 assert _mates(m, n) == mates
                 nxt_c = _step(gc.adj, mates)
                 nxt = _apply(g, [m])

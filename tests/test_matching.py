@@ -18,6 +18,7 @@ from regext import (
     perfect_matching,
     random_regular,
     random_regular_bipartite,
+    sample_spanning_biclique_regular,
 )
 from regext.matching import tutte_violator_bruteforce
 from families import (
@@ -25,6 +26,7 @@ from families import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    hub_graph,
     petersen_graph,
     star_graph,
 )
@@ -115,6 +117,27 @@ class TestPerfectMatching:
     @pytest.mark.parametrize("s", [{7}, {-1}, {0, 5}])
     def test_violator_outside_vertex_range(self, s):
         assert TutteViolator(frozenset(s), 3).verify(cycle_graph(4)) is False
+
+    # certificates that misstate the count or prove nothing: a checker that
+    # takes odd(G-S) >= |S|, or ignores the stated count, accepts one of them
+    @pytest.mark.parametrize("g,s,odd", [
+        (star_graph(3), {0}, 4),  # odd(G - {0}) = 3, stated one too high
+        (star_graph(3), {0}, 2),  # stated one too low
+        (cycle_graph(4), {0}, 1),  # odd(G - S) = |S|: no violation
+        (complete_graph(2), set(), 0),  # would claim K_2 has no perfect matching
+    ])
+    def test_violator_checker_rejects(self, g, s, odd):
+        assert TutteViolator(frozenset(s), odd).verify(g) is False
+
+    # a set holding something other than a vertex label is no certificate
+    @pytest.mark.parametrize("s", [{"a"}, {None}, {0, "a"}])
+    def test_violator_of_wrong_type(self, s):
+        assert TutteViolator(frozenset(s), 3).verify(complete_graph(2)) is False
+
+    # elements that are not pairs of vertex labels
+    @pytest.mark.parametrize("pairs", [{(0, 1, 2)}, {(0,)}, {0}, {(0, "a")}, {(0.0, 1)}])
+    def test_is_valid_matching_of_wrong_type(self, pairs):
+        assert is_valid_matching(complete_graph(2), frozenset(pairs)) is False
 
     def test_odd_n_short_circuit(self):
         v = perfect_matching(cycle_graph(7))
@@ -234,6 +257,26 @@ def assert_tutte_berge_tight(g, violator):
     assert violator.odd_count - len(violator.s) == g.n - 2 * len(max_matching(g))
 
 
+def labelled_graphs(max_n):
+    """Every graph on the labelled vertices 0..n-1, n from 1 to max_n."""
+    for n in range(1, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield build(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+def assert_d_mask(g, nu):
+    """The search's own D equals {v : nu(G - v) = nu(G)}, with matching
+    sizes from ``nu``, and the D of fresh trees regrown from its exposed
+    vertices; returns that D."""
+    from regext import matching
+
+    mates, d_mask = matching._match_array(g)
+    assert d_mask == oracles.d_mask_by_deletion(g, nu), g.adj
+    assert d_mask == oracles.d_mask_by_regrowth(g, mates), g.adj
+    return d_mask
+
+
 def random_deficient_graphs(rng, sizes, count):
     """``count`` seeded deficient graphs with n drawn from ``sizes``."""
     found = []
@@ -285,6 +328,63 @@ class TestGallaiEdmonds:
             v = perfect_matching(g)
             assert v.s == s, g.adj
             assert v.odd_count - len(s) == g.n - 2 * nu
+
+    def test_d_mask_every_labelled_graph_up_to_six_vertices(self):
+        # the 33 867 graphs the warm-start test walks
+        for g in labelled_graphs(6):
+            assert_d_mask(g, oracles.brute_max_matching_size)
+
+    def test_d_mask_class_complements(self, small_regular_corpus):
+        deficient = sum(assert_d_mask(complement(g), oracles.brute_max_matching_size) != 0
+                        for graphs in small_regular_corpus.values() for g in graphs)
+        # 45 when recorded, odd orders included
+        assert deficient >= 40
+
+    def test_d_mask_hub_and_t4_graphs_match_networkx(self):
+        # deficient graphs of the certify corpus's kinds up to n = 48: hub
+        # graphs, and complements of T4 graphs, whose two odd parts leave
+        # one vertex of each exposed
+        nx = pytest.importorskip("networkx")
+
+        def nu(g):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            return len(nx.max_weight_matching(h, maxcardinality=True))
+
+        rng = random.Random(31)
+        graphs = [hub_graph(n, 3, rng) for n in (14, 16, 18)]
+        graphs += [hub_graph(n, n // 8 + 1, rng) for n in (24, 32, 40, 48)]
+        graphs += [complement(sample_spanning_biclique_regular(
+            n, r, rng.getrandbits(32), odd_parts=True))
+            for n, r in ((16, 9), (22, 11), (28, 15), (34, 17), (40, 21), (48, 25))]
+        for g in graphs:
+            assert assert_d_mask(g, nu), g.adj
+
+    def test_violator_runs_no_phase_of_its_own(self, bounded_phases):
+        # the violator reads D off the search's failed phases: the search
+        # with its violator runs exactly the phases of the search alone,
+        # one per exposed vertex where the warm start leaves no augmenting
+        # path (the star, the apex over three K_9 and the hub graphs)
+        from regext import matching
+
+        k9 = complete_graph(9)
+        apex = disjoint_union(disjoint_union(k9, k9), k9)
+        apex = build(28, list(apex.edges()) + [(27, 0), (27, 9), (27, 18)])
+        rng = random.Random(52)
+        pinned = [star_graph(5), apex] + [hub_graph(n, n // 8 + 1, rng)
+                                          for n in (24, 32, 40, 48)]
+        for g in pinned + list(random_deficient_graphs(rng, range(6, 23), 60)):
+            bounded_phases.clear()
+            mates = matching._match_array(g)[0]
+            alone = list(bounded_phases)
+            bounded_phases.clear()
+            m, violator = max_matching_with_violator(g)
+            assert violator is not None and bounded_phases == alone, g.adj
+            exposed = [v for v, u in enumerate(mates) if u == -1]
+            assert [v for v in alone if mates[v] == -1] == exposed, g.adj
+            if g in pinned:
+                assert alone == exposed, g.adj
 
     def test_no_exhaustive_scan(self, monkeypatch):
         from regext import matching
@@ -355,13 +455,10 @@ class TestWarmStart:
         # 33 867 graphs: every case of the length-3 pass at this size,
         # v's mate candidate u = v included; the phases are bounded, so a
         # warm start that leaves a bad mate array fails and names its graph
-        for n in range(1, 7):
-            pairs = list(combinations(range(n), 2))
-            for mask in range(1 << len(pairs)):
-                g = build(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
-                m = max_matching(g)
-                assert is_valid_matching(g, m), g.adj
-                assert len(m) == oracles.brute_max_matching_size(g), g.adj
+        for g in labelled_graphs(6):
+            m = max_matching(g)
+            assert is_valid_matching(g, m), g.adj
+            assert len(m) == oracles.brute_max_matching_size(g), g.adj
 
     def test_climb_levels_leave_few_phases(self, monkeypatch):
         # the speed-up itself: on the blossom levels of cubic climbs to
