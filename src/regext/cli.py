@@ -226,6 +226,9 @@ def cmd_extend(args) -> int:
             return True, f"extended r={r} -> {res.target_r}: {final}", fields
         fields = {"n": g.n, "r": r, "stuck_r": res.reached_r,
                   "violator": certificate_json(res.violator)}
+        if args.certificates:
+            # the violator is for the complement of g plus these matchings
+            fields["steps"] = [_edges_json(s) for s in res.steps]
         return False, (f"not extendable at r={res.reached_r}: "
                        f"violator s={sorted(res.violator.s)} "
                        f"odd={res.violator.odd_count}"), fields

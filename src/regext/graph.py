@@ -10,6 +10,7 @@ targets (n up to a few hundred).  All operations are pure functions; a
 from __future__ import annotations
 
 import binascii
+import sys
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator
@@ -209,12 +210,26 @@ def add_matching(g: Graph, matching: Iterable[Edge]) -> Graph:
 # the bytes 63..126 to the base64 alphabet "A".."/" turns a payload into
 # base64 text of the same bit stream, and binascii converts between that
 # text and raw bytes in C.
+#
+# Decoding works in tiles of 64 x 64 vertex pairs and never builds an
+# n x n string. A graph with n <= 64 is one tile: a single integer holds
+# its bit stream, and shifts and masks alone turn it into the adjacency
+# matrix (see _g6_tile_rows). A larger graph is decoded one block of 64
+# columns at a time from the payload bytes that cover it (see
+# _g6_block_rows), so beyond the line's bytes it holds the matrix being
+# built (n * n / 8 bytes, 1.5 times the line) and one block's strings (a
+# few hundred bytes per vertex).
 
 _G6_HEADER = ">>graph6<<"
 _G6_DIGITS = bytes(range(63, 127))
 _B64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_B64 = bytes.maketrans(_G6_DIGITS, _B64_DIGITS)
 _FROM_B64 = bytes.maketrans(_B64_DIGITS, _G6_DIGITS)
+_TILE = 64
+# memoryview formats of the word a one-tile row fits in, by its bits
+_WORD_FORMAT = {8: "B", 16: "H", 32: "I", 64: "Q"}
+# each byte with its bits in reverse order
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def _g6_order_bytes(n: int) -> bytes:
@@ -249,10 +264,20 @@ def format_graph6(g: Graph) -> str:
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line (optional ``>>graph6<<`` header tolerated).
 
-    The payload translates to base64 text, which ``binascii`` decodes to
-    the upper triangle's bit string in one call; each vertex's row is then
-    read off with string slices, linear in the line's length.
+    The payload is decoded in tiles of 64 x 64 vertex pairs, so time is
+    linear in the line's length and so is memory: beyond the line's bytes,
+    the rows being built (n * n / 8 bytes, 1.5 times the line) and one
+    block of 64 columns' strings, never an n x n string.
     """
+    n, data, start = _g6_payload(text)
+    rows = (_g6_tile_rows(data[start:], n) if n <= _TILE
+            else _g6_block_rows(data, start, n))
+    return Graph(n, tuple(rows))
+
+
+def _g6_payload(text: str) -> tuple[int, bytes, int]:
+    """Order, ASCII bytes and payload offset of a graph6 line; raises
+    Graph6Error naming the first fault."""
     line = text.strip()
     if line.startswith(_G6_HEADER):
         line = line[len(_G6_HEADER):]
@@ -272,26 +297,142 @@ def parse_graph6(text: str) -> Graph:
         if len(data) < 4:
             raise Graph6Error("truncated multi-byte order")
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        body = data[4:]
+        start = 4
     else:
         n = data[0] - 63
-        body = data[1:]
+        start = 1
     need = n * (n - 1) // 2
-    if len(body) != (need + 5) // 6:
+    size = len(data) - start
+    if size != (need + 5) // 6:
         raise Graph6Error(
-            f"expected {(need + 5) // 6} payload bytes for n={n}, got {len(body)}"
+            f"expected {(need + 5) // 6} payload bytes for n={n}, got {size}"
         )
-    pad = len(body) * 6 - need
-    if pad and (body[-1] - 63) & ((1 << pad) - 1):
+    pad = size * 6 - need
+    if pad and (data[-1] - 63) & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits")
-    b64 = body.translate(_TO_B64) + b"A" * (-len(body) % 4)
-    bits = format(int.from_bytes(binascii.a2b_base64(b64), "big"), "b").zfill(6 * len(b64))
-    # row c of square holds the bit of the edge vc at v < c, padded to n:
-    # row v before the diagonal gives v's neighbours below it, column v
-    # from the diagonal down (a padding zero, then one bit per c > v) the
-    # ones above it
-    square = "".join([bits[c * (c - 1) // 2:c * (c + 1) // 2].ljust(n, "0")
-                      for c in range(n)])
-    adj = [int((square[v * n:v * n + v] + square[v * n + v::n])[::-1], 2)
-           for v in range(n)]
-    return Graph(n, tuple(adj))
+    return n, data, start
+
+
+def _g6_tile_rows(payload: bytes, n: int) -> list[int]:
+    """Rows of a graph with n <= 64 from its graph6 payload.
+
+    Each row of the tile is the smallest whole word that holds n bits,
+    w bits wide.  With each payload byte's bits reversed, one integer holds the
+    bit stream lowest bit first, so column c of the upper triangle is
+    c bits from bit c(c-1)/2, lowest row first: vertex c's neighbours
+    below it.  Masked shifts move each column to bit w * c, which makes
+    it row c of the lower triangle, and delta swaps transpose that into
+    the upper triangle (Warren, *Hacker's Delight*, 2nd ed., sec. 7-3).
+    The two ORed are the adjacency matrix, and its words are the rows.
+    """
+    if n <= 1:
+        return [0] * n
+    wide = max(8, 1 << (n - 1).bit_length())
+    b64 = payload.translate(_TO_B64)
+    raw = binascii.a2b_base64(b64 + b"A" * (-len(b64) % 4))
+    low = int.from_bytes(raw.translate(_BIT_REVERSED), "little")
+    for mask, shift in _spread_stages(n, wide):
+        moved = low & mask
+        low ^= moved ^ moved << shift
+    high = low
+    for mask, shift in _transpose_stages(wide):
+        swap = (high >> shift ^ high) & mask
+        high ^= swap ^ swap << shift
+    words = (low | high).to_bytes(n * wide // 8, sys.byteorder)
+    with memoryview(words).cast(_WORD_FORMAT[wide]) as q:
+        return q.tolist()
+
+
+@cache
+def _spread_stages(n: int, wide: int) -> tuple[tuple[int, int], ...]:
+    """(mask, shift) pairs that move every column c < n of a payload's bit
+    stream from bit c(c-1)/2 to bit wide * c.
+
+    Column c moves d(c) = wide * c - c(c-1)/2 places, a power of two at a
+    time, highest first.  After the stages for the powers above 2^b it
+    has moved d(c) with its bits below b cleared.  That grows with c, as
+    d does (by wide - c > 0 a column), and the columns start in order,
+    each where the one before ends, so no stage lands one on another.
+    """
+    move = [wide * c - c * (c - 1) // 2 for c in range(n)]
+    stages = []
+    for b in reversed(range(move[-1].bit_length())):
+        mask = 0
+        for c in range(1, n):
+            if move[c] >> b & 1:
+                at = c * (c - 1) // 2 + (move[c] >> b + 1 << b + 1)
+                mask |= ((1 << c) - 1) << at
+        if mask:
+            stages.append((mask, 1 << b))
+    return tuple(stages)
+
+
+@cache
+def _transpose_stages(wide: int) -> tuple[tuple[int, int], ...]:
+    """(mask, shift) delta swaps that transpose a wide x wide bit matrix
+    held one row per ``wide`` bits: stage j swaps bit (r, c) with
+    (r + j, c - j) wherever r lacks bit j and c has it."""
+    stages = []
+    j = wide // 2
+    while j:
+        row = sum(1 << c for c in range(wide) if c & j)
+        stages.append((sum(row << r * wide for r in range(wide) if not r & j),
+                       j * (wide - 1)))
+        j //= 2
+    return tuple(stages)
+
+
+def _g6_block_rows(data: bytes, start: int, n: int) -> list[int]:
+    """Rows of a graph with n > 64 from its graph6 line ``data``, whose
+    payload starts at ``start``.
+
+    Column block j holds columns c0 = 64j up to c1.  Only the payload
+    bytes that cover it are base64-decoded, into a '0'/'1' string, and
+    each column's slice of it lands in the block's tile string by slice
+    assignments.  The tile has two parts, one row of characters per
+    vertex, lowest column first:
+    - the rows above the block, v < c0, are 64 wide and hold the edges
+      v(c0 + k) at k: the upper triangle's columns, transposed by one
+      strided assignment each;
+    - the block's own rows are c0 + 64 wide and hold the whole row up to
+      c1: the column itself, contiguous, and the edges to later columns
+      of the block, strided.
+    One ``int`` of the reversed tile then holds every row in whole 64-bit
+    words, with no per-row reversal or ``int(..., 2)``.  The words go
+    into ``bands``, the adjacency matrix in bands of 64 whole rows, which
+    become the rows' ints band by band, each band freed once read.
+    """
+    t = _TILE
+    order = sys.byteorder
+    nb = -(-n // t)
+    bands = []
+    for j in range(nb):
+        c0, c1 = t * j, min(t * j + t, n)
+        # payload bytes k0..k1-1 hold bits c0(c0-1)/2 up to c1(c1-1)/2
+        k0, k1 = c0 * (c0 - 1) // 12, -(-c1 * (c1 - 1) // 12)
+        b64 = data[start + k0:start + k1].translate(_TO_B64)
+        raw = binascii.a2b_base64(b64 + b"A" * (-len(b64) % 4))
+        bits = bytearray(f"{int.from_bytes(raw, 'big'):0{8 * len(raw)}b}", "ascii")
+        s = c0 * (c0 - 1) // 2 - 6 * k0
+        above, wide = t * c0, c0 + t
+        tile = bytearray(b"0") * (above + (c1 - c0) * wide)
+        for c in range(c0, c1):
+            own = above + (c - c0) * wide
+            if c0:
+                tile[c - c0:above:t] = bits[s:s + c0]
+            tile[above + c:own:wide] = bits[s + c0:s + c]
+            tile[own:own + c] = bits[s:s + c]
+            s += c
+        words = int(tile[::-1], 2).to_bytes(len(tile) // 8, order)
+        band = memoryview(bytearray(8 * nb * (c1 - c0))).cast("Q")
+        with memoryview(words).cast("Q") as q:
+            for i in range(j):
+                bands[i][j::nb] = q[t * i:t * i + t]
+            for i in range(j + 1):
+                band[i::nb] = q[c0 + i::j + 1]
+        bands.append(band)
+    rows = []
+    for i in range(nb):
+        band, bands[i] = bands[i], None
+        rows += [int.from_bytes(band[k:k + nb], order) for k in range(0, len(band), nb)]
+    return rows

@@ -9,11 +9,13 @@ from regext import (
     TutteViolator,
     add_matching,
     build,
+    complement,
     components_after_deletion,
     enumerate_regular,
     format_graph6,
     is_valid_matching,
     parse_graph6,
+    require_regular,
     sample_spanning_biclique_regular,
 )
 from regext.cli import EXIT_STDOUT_CLOSED, main
@@ -111,6 +113,23 @@ class TestExtendCommand:
         assert not result["ok"]
         assert result["violator"] == {"type": "tutte-violator", "s": [], "odd_count": 2}
         assert summary["failed"] == 1
+
+    def test_stuck_steps_replay_to_the_violator(self, capsys, monkeypatch):
+        # a greedy dead end at r = 5 for the 4-regular GJiu]o: the violator
+        # is one of the complement a level up, reached by the printed step
+        code, out, _ = run_cli(capsys, ["extend", "--json", "--certificates",
+                                        "--target-r", "7", "--backtrack", "1"],
+                               ["GJiu]o"], monkeypatch)
+        assert code == 1
+        result = json_lines(out)[1]
+        assert (result["r"], result["stuck_r"], len(result["steps"])) == (4, 5, 1)
+        stuck = parse_graph6(result["graph6"])
+        for step in result["steps"]:
+            stuck = add_matching(stuck, [tuple(e) for e in step])
+        assert require_regular(stuck) == 5
+        violator = TutteViolator(frozenset(result["violator"]["s"]),
+                                 result["violator"]["odd_count"])
+        assert violator.verify(complement(stuck))
 
     def test_target_r(self, capsys, monkeypatch, tmp_path):
         g = build(8, list(complete_graph(4).edges())

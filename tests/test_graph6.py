@@ -1,10 +1,16 @@
+import json
+import os
 import random
 import re
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import regext
 from regext import Graph6Error, build, format_graph6, parse_graph6
 from families import complete_graph, cycle_graph, empty_graph, petersen_graph
 
@@ -65,11 +71,12 @@ def test_nonzero_padding_rejected():
     assert parse_graph6("Bw").m == 3  # K_3 uses only the top three bits
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 200, 300, 1000])
+@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 65, 127, 128, 129, 200, 300, 1000])
 def test_roundtrip_orders(n):
-    # both sides of the one-byte/four-byte order switch at 63, the large
-    # orders where decoding used to be quadratic, and n = 1000, whose
-    # bit strings are far longer than int's default decimal digit limit
+    # both sides of the one-byte/four-byte order switch at 63, both sides
+    # of the 64-vertex tile edges at 64 and 128, the large orders where
+    # decoding used to be quadratic, and n = 1000, whose bit strings are
+    # far longer than int's default decimal digit limit
     rng = random.Random(n)
     for p in (0.0, 0.1, 0.5, 1.0):
         g = build(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
@@ -77,6 +84,48 @@ def test_roundtrip_orders(n):
         oracle_line = oracles.format_graph6_per_bit(g)
         assert line == oracle_line
         assert parse_graph6(oracle_line) == oracles.parse_graph6_per_bit(oracle_line) == g
+
+
+def test_every_order_up_to_three_blocks():
+    # a one-tile graph's shift stages are built for its order, and a
+    # larger graph's last column block is as wide as n leaves it
+    rng = random.Random(6)
+    for n in range(2 * 64 + 2):
+        g = build(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+        line = format_graph6(g)
+        assert parse_graph6(line) == oracles.parse_graph6_per_bit(line) == g
+
+
+def test_decode_memory_is_linear_in_the_line(tmp_path):
+    # the cubic Moebius ladder on 8000 vertices is a 5.3 MB line; decoding
+    # it in a fresh process that has read it from a file may raise peak
+    # RSS by less than 5 times that, where an n x n character square alone
+    # would take 64 MB, 12 times the line
+    pytest.importorskip("resource")
+    n = 8000
+    line = format_graph6(build(n, [(v, (v + 1) % n) for v in range(n)]
+                               + [(v, v + n // 2) for v in range(n // 2)]))
+    path = tmp_path / "ladder.g6"
+    path.write_text(line + "\n", encoding="ascii")
+    script = textwrap.dedent("""
+        import json, resource, sys
+        from regext import format_graph6, parse_graph6
+        with open(sys.argv[1], encoding="ascii") as f:
+            text = f.read().strip()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        g = parse_graph6(text)
+        grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+        print(json.dumps([grown, format_graph6(g) == text]))
+    """)
+    src = os.path.dirname(os.path.dirname(regext.__file__))
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    grown, same = json.loads(proc.stdout)
+    # ru_maxrss counts bytes on macOS and kilobytes elsewhere
+    grown *= 1 if sys.platform == "darwin" else 1024
+    assert same
+    assert grown < 5 * len(line), (grown, len(line))
 
 
 def _set_low_bit(line):
