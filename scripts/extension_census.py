@@ -24,7 +24,7 @@ from collections import Counter
 from typing import Iterable
 
 from regext import (Graph, TutteViolator, classify, complement, enumerate_regular,
-                    extend_once)
+                    extend_once, format_graph6)
 from regext.cli import until_stdout_closes
 from regext.generation import ENUMERATION_CAP
 from regext.extension import (
@@ -48,8 +48,11 @@ def census_cell(n: int, r: int, graphs: Iterable[Graph] | None = None) -> Counte
             tally["no-room"] += 1
             continue
         extended = not isinstance(extend_once(g), TutteViolator)
-        # no rule may conclude the opposite of what the step found
-        assert not (impossible if extended else sufficient), "soundness breach"
+        # no rule may conclude the opposite of what the step found; raised
+        # explicitly, so that python -O keeps the check
+        if impossible if extended else sufficient:
+            raise AssertionError(f"soundness breach at (n, r) = ({n}, {r}): "
+                                 f"{format_graph6(g)}")
         if extended:
             tally["extended"] += 1
             if not sufficient:

@@ -18,14 +18,11 @@ costs only its own result, with its error on stderr and exit code 2.
 
 ``extend`` climbs the one ladder of ``extension.extend_to``, which takes
 the blossom matcher at every level, so it has no matcher option.  ``check``
-prints one verdict per record of ``extension.RULES``.  ``verify``
-takes its (n, r) cells from the same records' ``holds`` and keeps, per
-rule, only a plan (``_PLANS``): a sampler, a default range and a seed
-formula.  It draws and checks one instance at a time, and confirms every
-theorem rule the same way (``_confirm``): the record must detect the rule
-on the drawn graph, and its conclusion must come with a certificate.
-T1, which has no structural hypothesis, takes its matching from the
-paper's Dirac cycle.
+prints one verdict per record of ``extension.RULES``.  ``verify`` keeps,
+per rule, only how it draws instances (``_DRAWS``): a sampler, a default
+range and a seed formula.  It takes its (n, r) cells from the record's
+``holds`` and checks each drawn graph, one at a time, with the record's
+``confirm``, which holds the rule's witness check and proof.
 """
 
 from __future__ import annotations
@@ -45,21 +42,10 @@ from itertools import chain, combinations
 from typing import Callable, Iterator, TextIO
 
 from . import extension, generation, structure
-from .extension import (
-    RULES,
-    ExtensionTrace,
-    TheoremVerdict,
-    classify,
-    extend_to,
-)
+from .extension import RULES, ExtensionTrace, TheoremVerdict, classify, extend_to
 from .graph import Graph, Graph6Error, GraphError, format_graph6, parse_graph6, regularity
-from .graph import complement, components_after_deletion, require_regular
-from .matching import (
-    TutteViolator,
-    is_valid_matching,
-    max_matching_with_violator,
-    perfect_matching,
-)
+from .graph import components_after_deletion
+from .matching import TutteViolator, max_matching_with_violator
 
 log = logging.getLogger("regext.cli")
 
@@ -97,6 +83,9 @@ def certificate_json(obj) -> dict:
                 "final": format_graph6(obj.final)}
     if isinstance(obj, frozenset):
         return {"type": "vertex-set", "vertices": sorted(obj)}
+    if isinstance(obj, extension.Unconfirmed):
+        witness = {} if obj.witness is None else {"witness": certificate_json(obj.witness)}
+        return {"type": obj.kind, **witness}
     raise TypeError(f"no JSON form for {type(obj)!r}")
 
 
@@ -337,62 +326,6 @@ def _span(range_str: str | None, default: tuple[int, int]) -> tuple[int, int]:
         raise SystemExit(2)
 
 
-def _witness_holds(rule: extension.Rule, g: Graph, witness: object) -> bool:
-    """Whether a detected witness is what its rule needs: a spanning
-    biclique (T3), with both parts odd (T4), or a clique on n/2 vertices
-    (T5).  Rules that show no witness have nothing to check."""
-    if isinstance(witness, structure.BicliqueWitness):
-        odd = len(witness.part_a) % 2 == len(witness.part_b) % 2 == 1
-        return witness.verify(g) and (odd or rule.short != "T4")
-    if isinstance(witness, frozenset):
-        return 2 * len(witness) == g.n and all(
-            g.has_edge(u, v) for u, v in combinations(witness, 2))
-    return True
-
-
-def _confirm(rule: extension.Rule, g: Graph) -> dict | None:
-    """None when ``rule`` applies to g and its conclusion holds, else the
-    failure's certificate.
-
-    Detection runs the rule's own witness finder, so a finder that misses
-    gives ``rule-not-detected``, and one whose witness does not hold on g
-    gives ``invalid-witness``.  Each conclusion then takes one polynomial
-    search: a perfect matching of the complement (extendable) or of g
-    (has-perfect-matching); a Tutte violator of the complement that
-    verifies (not-extendable, whose cells include K_n, which has no ladder
-    rung); a ladder to n - 1 whose trace replays (extendable to any r').
-    """
-    verdict = rule.verdict(g, require_regular(g))
-    if not verdict.applies:
-        return {"type": "rule-not-detected"}
-    if not _witness_holds(rule, g, verdict.evidence):
-        return {"type": "invalid-witness", "witness": certificate_json(verdict.evidence)}
-    if rule.conclusion == extension.CONCLUSION_EXTENDABLE_ANY:
-        res = extend_to(g, g.n - 1)
-        ok = isinstance(res, ExtensionTrace) and res.verify(g)
-        return None if ok else {"type": "full-extension-failed"}
-    h = g if rule.conclusion == extension.CONCLUSION_HAS_PM else complement(g)
-    m = perfect_matching(h)
-    if rule.conclusion == extension.CONCLUSION_NOT_EXTENDABLE:
-        ok = isinstance(m, TutteViolator) and m.verify(h)
-        return None if ok else {"type": "extension-succeeded"}
-    if isinstance(m, TutteViolator):
-        return certificate_json(m)
-    return None if is_valid_matching(h, m, perfect=True) else {"type": "invalid-matching"}
-
-
-def _check_dirac(g: Graph) -> dict | None:
-    # T1 by the paper's route: with 2r < n the complement has minimum degree
-    # >= n/2, so it has a Hamiltonian cycle (Dirac) whose even edges are a
-    # perfect matching.  A cycle needs n >= 3; the one smaller order in T1's
-    # region, (2, 0), is confirmed as the other rules are
-    if g.n < 3:
-        return _confirm(_RULE["T1"], g)
-    gc = complement(g)
-    m = extension.cycle_to_matching(extension.dirac_cycle(gc))
-    return None if is_valid_matching(gc, m, perfect=True) else {"type": "invalid-matching"}
-
-
 def _check_balloon(g: Graph) -> dict | None:
     rng = random.Random(format_graph6(g))
 
@@ -412,7 +345,7 @@ def _check_balloon(g: Graph) -> dict | None:
 
 @dataclass(frozen=True)
 class _Plan:
-    """How ``verify`` draws instances of one rule and confirms its conclusion.
+    """How ``verify`` draws instances of one rule, which ``check`` confirms.
 
     The cells (n, r) are the even n of the n range with every r < n, or,
     with ``r_range``, every odd r of the r range outermost (L and C are
@@ -425,7 +358,7 @@ class _Plan:
     """
 
     region: Callable[[int, int], bool]
-    check: Callable[[Graph], dict | None]  # None, or the failure's certificate
+    check: Callable[[Graph], object]  # None, or the failure (as JSON for L0-balloon)
     sample: Callable[[int, int, int], Graph]
     n_range: tuple[int, int] | Callable[[int], tuple[int, int]]
     r_range: tuple[int, int] | None = None
@@ -436,38 +369,32 @@ class _Plan:
     count: Callable[[int], int] = lambda samples: samples
 
 
-def _rule_plan(rule: str, sample, n_range, **kw) -> _Plan:
-    """The plan whose region and check both come from ``rule``'s record."""
-    record = _RULE[rule]
-    return _Plan(record.holds, lambda g: _confirm(record, g), sample, n_range, **kw)
-
-
-def _biclique_plan(rule: str, odd_parts: bool, n_range: tuple[int, int]) -> _Plan:
-    return _rule_plan(
-        rule, lambda n, r, s: generation.sample_spanning_biclique_regular(n, r, s, odd_parts),
-        n_range, spread=True,
-        feasible=lambda n, r: bool(generation.biclique_splits(n, r, odd_parts)))
-
-
-_RULE = {rule.short: rule for rule in RULES}
-
-_PLANS = {
-    "T1": _Plan(_RULE["T1"].holds, _check_dirac, generation.random_regular, (4, 10),
-                seed=lambda s, n, r, i: s + 1000 * n + 10 * r + i, exhaustive=True),
-    "T2": _rule_plan("T2", generation.random_regular, (4, 60), spread=True),
+# how verify draws each theorem's instances; the region and the check are
+# its record's ``holds`` and ``confirm``
+_DRAWS = {
+    "T1": dict(sample=generation.random_regular, n_range=(4, 10),
+               seed=lambda s, n, r, i: s + 1000 * n + 10 * r + i, exhaustive=True),
+    "T2": dict(sample=generation.random_regular, n_range=(4, 60), spread=True),
     # a spanning biclique forces r >= n/2, so the T3 region is empty below
     # n = 34
-    "T3": _biclique_plan("T3", False, (34, 70)),
-    "T4": _biclique_plan("T4", True, (6, 40)),
-    "T5": _rule_plan("T5", generation.sample_clique_pair_regular, (4, 24), spread=True),
-    "L": _rule_plan("L", generation.random_regular, lambda r: (r + 1, 4 * r),
-                    r_range=(17, 17), seed=lambda s, n, r, i: s + 7919 * n + i,
-                    feasible=lambda n, r: r < n),
+    "T3": dict(sample=lambda n, r, s: generation.sample_spanning_biclique_regular(n, r, s),
+               n_range=(34, 70), spread=True,
+               feasible=lambda n, r: bool(generation.biclique_splits(n, r))),
+    "T4": dict(sample=lambda n, r, s: generation.sample_spanning_biclique_regular(n, r, s, True),
+               n_range=(6, 40), spread=True,
+               feasible=lambda n, r: bool(generation.biclique_splits(n, r, True))),
+    "T5": dict(sample=generation.sample_clique_pair_regular, n_range=(4, 24), spread=True),
+    "L": dict(sample=generation.random_regular, n_range=lambda r: (r + 1, 4 * r),
+              r_range=(17, 17), seed=lambda s, n, r, i: s + 7919 * n + i,
+              feasible=lambda n, r: r < n),
     # two r-regular components need n >= 2r + 2; cells the sampler cannot
     # split are reported
-    "C": _rule_plan("C", generation.sample_disconnected_regular,
-                    lambda r: (2 * r + 2, 4 * r), r_range=(17, 17),
-                    seed=lambda s, n, r, i: s + 7919 * n + i if i else s + n),
+    "C": dict(sample=generation.sample_disconnected_regular, n_range=lambda r: (2 * r + 2, 4 * r),
+              r_range=(17, 17), seed=lambda s, n, r, i: s + 7919 * n + i if i else s + n),
+}
+
+_PLANS = {
+    **{rule.short: _Plan(rule.holds, rule.confirm, **_DRAWS[rule.short]) for rule in RULES},
     # the odd-component balloon bound, for odd r >= 3
     "L0-balloon": _Plan(lambda n, r: r % 2 == 1 and r >= 3, _check_balloon,
                         generation.random_regular, (4, 14),
@@ -538,6 +465,8 @@ def _run_plan(plan: _Plan, args, notices: list[str]) -> Iterator[dict | None]:
     """Check each instance as it is drawn: None, or the counterexample."""
     for g in _verify_instances(plan, args, notices):
         cert = plan.check(g)
+        if cert is not None and not isinstance(cert, dict):
+            cert = certificate_json(cert)
         yield None if cert is None else {"graph6": format_graph6(g), "certificate": cert}
 
 

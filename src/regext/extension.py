@@ -16,10 +16,12 @@ checks that construction.
 
 ``RULES`` holds one ``Rule`` record per sufficient or impossibility
 condition this package verifies: its arithmetic hypothesis on (n, r), the
-finder for its structural hypothesis, and its conclusion.  ``classify``
-evaluates every record as an independent verdict with attached witnesses;
-``regext verify`` draws its instances from the same records.  Every
-finder is polynomial.  T5's (2r >= n and G contains K_{n/2}) is
+finder for its structural hypothesis and the check of what it finds, and
+its conclusion with the proof of it.  ``classify`` evaluates every record
+as an independent verdict with attached witnesses.  ``Rule.confirm`` runs
+one record's verdict, witness check and proof on a graph; ``regext
+verify`` runs it on instances drawn from the same records.  Every finder
+is polynomial.  T5's (2r >= n and G contains K_{n/2}) is
 ``structure.half_clique``: for such r that clique exists exactly when the
 d-regular complement, d = n - 1 - r, is bipartite with sides of n/2.  That
 also proves T5's conclusion: by König's theorem a d-regular bipartite
@@ -31,12 +33,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterator
 
 from . import matching
 from .graph import (Graph, GraphError, _unit_masks, complement, is_connected, regularity,
                     require_regular)
-from .matching import Matching, TutteViolator
+from .matching import Matching, TutteViolator, is_valid_matching, perfect_matching
 from .structure import half_clique, l_vertex_bound, spanning_biclique
 
 log = logging.getLogger("regext.extension")
@@ -288,6 +291,11 @@ CONCLUSION_NOT_EXTENDABLE = "not-extendable"
 CONCLUSION_HAS_PM = "has-perfect-matching"
 
 
+def _short_name(rule: str) -> str:
+    """A rule's label: ``T4`` for ``T4-Impossible``."""
+    return rule.split("-", 1)[0]
+
+
 @dataclass(frozen=True)
 class TheoremVerdict:
     rule: str
@@ -295,31 +303,78 @@ class TheoremVerdict:
     conclusion: str
     evidence: object = None
 
-    @property
-    def short_rule(self) -> str:
-        return self.rule.split("-", 1)[0]
+    short_rule = property(lambda self: _short_name(self.rule))
+
+
+@dataclass(frozen=True)
+class Unconfirmed:
+    """The step of ``Rule.confirm`` that failed, and the witness it found."""
+
+    kind: str
+    witness: object = None
+
+
+def _matched(h: Graph, m: Matching | None = None) -> TutteViolator | Unconfirmed | None:
+    """None when m, by default the blossom matcher's, is a perfect matching
+    of h; the matcher's Tutte violator is the failure itself.  L and C's
+    proof, on g."""
+    m = perfect_matching(h) if m is None else m
+    if isinstance(m, TutteViolator):
+        return m
+    return None if is_valid_matching(h, m, perfect=True) else Unconfirmed("invalid-matching")
+
+
+def _extends(g: Graph) -> TutteViolator | Unconfirmed | None:
+    """T2 and T3: a perfect matching of the complement."""
+    return _matched(complement(g))
+
+
+def _dirac_extends(g: Graph) -> TutteViolator | Unconfirmed | None:
+    """T1 by the paper's route: with 2r < n the complement has minimum
+    degree >= n/2, so it has a Hamiltonian cycle (Dirac) whose even edges
+    are a perfect matching.  A cycle needs n >= 3; the one smaller order in
+    T1's region, (2, 0), takes the blossom matcher's matching."""
+    gc = complement(g)
+    return _matched(gc, cycle_to_matching(dirac_cycle(gc)) if g.n >= 3 else None)
+
+
+def _stuck(g: Graph) -> Unconfirmed | None:
+    """T4: a Tutte violator of the complement that verifies; the cells
+    include K_n, which has no ladder rung."""
+    gc = complement(g)
+    m = perfect_matching(gc)
+    ok = isinstance(m, TutteViolator) and m.verify(gc)
+    return None if ok else Unconfirmed("extension-succeeded")
+
+
+def _climbs(g: Graph) -> Unconfirmed | None:
+    """T5: a ladder to n - 1 whose trace replays."""
+    res = extend_to(g, g.n - 1)
+    ok = isinstance(res, ExtensionTrace) and res.verify(g)
+    return None if ok else Unconfirmed("full-extension-failed")
 
 
 @dataclass(frozen=True)
 class Rule:
     """One theorem: its hypothesis on an r-regular G of order n, and its
-    conclusion.
+    conclusion with the proof of it.
 
     ``holds(n, r)`` is the arithmetic hypothesis.  ``witness(g)``, when the
     rule has a structural hypothesis, returns a certificate for it or None;
     it runs only where ``holds`` does.  ``show_witness`` False keeps the
-    certificate out of the verdict.
+    certificate out of the verdict.  ``witness_ok(g, w)`` checks a shown
+    witness, and ``prove(g)`` finds and checks the conclusion's certificate.
     """
 
     name: str
     conclusion: str
     holds: Callable[[int, int], bool]
+    prove: Callable[[Graph], TutteViolator | Unconfirmed | None]
     witness: Callable[[Graph], object] | None = None
     show_witness: bool = True
+    witness_ok: Callable[[Graph, object], bool] = lambda g, w: True
 
-    @property
-    def short(self) -> str:
-        return self.name.split("-", 1)[0]
+    short = property(lambda self: _short_name(self.name))
 
     def verdict(self, g: Graph, r: int) -> TheoremVerdict:
         holds = self.holds(g.n, r)
@@ -329,31 +384,46 @@ class Rule:
         return TheoremVerdict(self.name, found is not None, self.conclusion,
                               evidence=found if self.show_witness else None)
 
+    def confirm(self, g: Graph) -> TutteViolator | Unconfirmed | None:
+        """None when the rule applies to g and ``prove`` confirms its
+        conclusion, else the failure: ``rule-not-detected`` when the
+        witness finder misses, ``invalid-witness`` when ``witness_ok``
+        rejects what it found, else what ``prove`` returns."""
+        verdict = self.verdict(g, require_regular(g))
+        if not verdict.applies:
+            return Unconfirmed("rule-not-detected")
+        if not self.witness_ok(g, verdict.evidence):
+            return Unconfirmed("invalid-witness", verdict.evidence)
+        return self.prove(g)
+
 
 # The sufficient and impossibility conditions, in the order classify reports
 # them.  Each hypothesis is stated here and nowhere else.  Witness finders
-# look their functions up at call time, so wrappers installed on the module
-# (the benchmark's tracer) see every call.
+# and proofs look their functions up at call time, so wrappers installed on
+# the module (the benchmark's tracer) see every call.
 RULES = (
     Rule("T1-Dirac", CONCLUSION_EXTENDABLE,
-         lambda n, r: n % 2 == 0 and 2 * r < n),
+         lambda n, r: n % 2 == 0 and 2 * r < n, _dirac_extends),
     Rule("T2-EvenEven", CONCLUSION_EXTENDABLE,
          lambda n, r: n % 2 == 0 and r % 2 == 0
-         and (3 * r < 2 * (n + 2) if n >= 52 else r < n - 16)),
+         and (3 * r < 2 * (n + 2) if n >= 52 else r < n - 16), _extends),
     Rule("T3-Biclique", CONCLUSION_EXTENDABLE,
          lambda n, r: n % 2 == 0 and r % 2 == 0
-         and (4 * r < 3 * n if n >= 64 else r < n - 16),
-         witness=lambda g: spanning_biclique(g)),
+         and (4 * r < 3 * n if n >= 64 else r < n - 16), _extends,
+         witness=lambda g: spanning_biclique(g), witness_ok=lambda g, w: w.verify(g)),
     Rule("T4-Impossible", CONCLUSION_NOT_EXTENDABLE,
-         lambda n, r: n % 2 == 0 and 2 * r >= n,
-         witness=lambda g: spanning_biclique(g, require_odd_parts=True)),
+         lambda n, r: n % 2 == 0 and 2 * r >= n, _stuck,
+         witness=lambda g: spanning_biclique(g, require_odd_parts=True),
+         witness_ok=lambda g, w: w.verify(g) and len(w.part_a) % 2 == len(w.part_b) % 2 == 1),
     Rule("T5-Clique", CONCLUSION_EXTENDABLE_ANY,
-         lambda n, r: n % 2 == 0 and 2 * r >= n and n >= 2,
-         witness=lambda g: half_clique(g)),
+         lambda n, r: n % 2 == 0 and 2 * r >= n and n >= 2, _climbs,
+         witness=lambda g: half_clique(g), witness_ok=lambda g, w: 2 * len(w) == g.n
+         and all(g.has_edge(*e) for e in combinations(w, 2))),
     Rule("L-Matching", CONCLUSION_HAS_PM,
-         lambda n, r: r > 15 and r % 2 == 1 and n % 2 == 0 and n < l_vertex_bound(r)),
+         lambda n, r: r > 15 and r % 2 == 1 and n % 2 == 0 and n < l_vertex_bound(r),
+         _matched),
     Rule("C-Disconnected", CONCLUSION_HAS_PM,
-         lambda n, r: n % 2 == 0 and r > 15 and r % 2 == 1 and 4 * r >= n,
+         lambda n, r: n % 2 == 0 and r > 15 and r % 2 == 1 and 4 * r >= n, _matched,
          witness=lambda g: None if is_connected(g) else True, show_witness=False),
 )
 

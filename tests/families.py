@@ -166,3 +166,26 @@ def hub_graph(n: int, hubs: int, rng: random.Random) -> Graph:
         edges += [(perm[h], perm[members[i % size]])
                   for i, h in enumerate(rng.sample(range(hubs), 3))]
     return build(n, edges)
+
+
+def wallis_graph(n: int, d: int) -> Graph:
+    """A d-regular graph on n vertices with no perfect matching, for odd
+    d >= 3 and even n >= 3d + 7.
+
+    Vertex 0 sends d - 2, 1 and 1 edges into three odd parts of orders
+    n - 2d - 5, d + 2 and d + 2, so deleting it leaves three odd components.
+    Each part of order m is the circulant C(m, {1..(d-1)/2}), of degree
+    d - 1.  The chord cycle of offset (m - 1)/2 runs through all of the
+    part; its first vertices are the ones tied to 0, and the rest are
+    matched in consecutive pairs along it.
+    """
+    edges = []
+    start = 1
+    for m, ties in ((n - 2 * d - 5, d - 2), (d + 2, 1), (d + 2, 1)):
+        edges += [(start + i, start + (i + k) % m)
+                  for i in range(m) for k in range(1, (d + 1) // 2)]
+        cycle = [start + i * (m // 2) % m for i in range(m)]
+        edges += [(0, v) for v in cycle[:ties]]
+        edges += zip(cycle[ties::2], cycle[ties + 1::2])
+        start += m
+    return build(n, edges)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from regext import (
+    RULES,
     TutteViolator,
     add_matching,
     build,
@@ -533,11 +534,10 @@ class TestVerifyCommand:
     def test_t4_check_on_complete_graph(self):
         # T4's cells include r = n - 1, where every split draws K_n and the
         # ladder has no rung; the check matches the complement directly
-        from regext import cli
-
+        t4 = next(rule for rule in RULES if rule.short == "T4")
         for seed in range(3):
             g = sample_spanning_biclique_regular(6, 5, seed, True)
-            assert g == complete_graph(6) and cli._confirm(cli._RULE["T4"], g) is None
+            assert g == complete_graph(6) and t4.confirm(g) is None
 
     @pytest.mark.parametrize("rule,finder,broken", [
         ("T3", "spanning_biclique", None),
@@ -620,7 +620,7 @@ class TestVerifyCommand:
         assert code == 2 and out == [] and "--jobs" in err
 
     def test_counterexample_names_instance_and_certificate(self, capsys, monkeypatch):
-        from regext import cli, extension
+        from regext import extension
 
         # T1's check takes the even edges of a Dirac cycle; an empty set is
         # no perfect matching
@@ -636,7 +636,7 @@ class TestVerifyCommand:
             for g6 in graphs]
         # T2's check matches the complement and reports its violator; T2's
         # region at n = 18 is r = 0
-        monkeypatch.setattr(cli, "perfect_matching", lambda g: TutteViolator(frozenset(), 1))
+        monkeypatch.setattr(extension, "perfect_matching", lambda g: TutteViolator(frozenset(), 1))
         code, out, _ = run_cli(capsys, ["verify", "--rule", "T2", "--n-range", "18",
                                         "--samples", "1", "--json"])
         lines = json_lines(out)
@@ -798,6 +798,32 @@ class TestCensusScript:
             *classify(g), TheoremVerdict(rule.name, True, rule.conclusion)])
         with pytest.raises(AssertionError, match="soundness breach"):
             self.census.census_cell(n, r)
+
+    def test_soundness_breach_raises_under_optimize(self):
+        # python -O strips assert statements; the census check must survive
+        import os
+        import subprocess
+        import sys
+
+        import regext
+
+        code = f"""
+import importlib.util
+from regext.extension import RULES, TheoremVerdict
+spec = importlib.util.spec_from_file_location("census", {self.census.__file__!r})
+census = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(census)
+t4 = next(rule for rule in RULES if rule.short == "T4")
+classify = census.classify
+census.classify = lambda g: [*classify(g), TheoremVerdict(t4.name, True, t4.conclusion)]
+census.census_cell(4, 1)
+"""
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(regext.__file__))}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == (
+            "AssertionError: soundness breach at (n, r) = (4, 1): C`")
 
     def test_rows_below_cap_match_recorded_table(self, capsys):
         assert self.census.main(["--max-n", "6"]) == 0

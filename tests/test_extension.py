@@ -2,6 +2,7 @@ import inspect
 import random
 import sys
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from regext import (
     complement,
     cycle_to_matching,
     dirac_cycle,
+    enumerate_regular,
     extend_once,
     extend_to,
     find_clique,
@@ -40,6 +42,7 @@ from families import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    wallis_graph,
 )
 import oracles
 from oracles import OddCycle, complement_bipartite_check, extend_to_reference
@@ -620,6 +623,56 @@ class TestRuleTable:
                     assert v.conclusion == rule.conclusion
                     if not rule.holds(n, r):
                         assert not v.applies and v.evidence is None
+
+
+class TestRuleConfirm:
+    def test_every_small_class_confirms(self):
+        # at even n <= 10 the records that apply are T1, T4 and T5 (T2 and
+        # T3 start at n = 18, L and C at r = 17); each proves its conclusion
+        # on every class it applies to
+        applying = set()
+        for n in range(2, 11, 2):
+            for r in range(n):
+                for g in enumerate_regular(n, r):
+                    for rule in RULES:
+                        if rule.verdict(g, r).applies:
+                            applying.add(rule.short)
+                            assert rule.confirm(g) is None, (rule.name, format_graph6(g))
+        assert applying == {"T1", "T4", "T5"}
+
+    # ``wallis_graph(3d + 7, d)`` is d-regular with no perfect matching, so a
+    # bound one step past a rule's boundary cell claims a false theorem there:
+    # L with n < 3r + 9 on the graph itself, and T2 with 3r <= 2(n + 2) on the
+    # complement of d = 15, which is 36-regular on 52 vertices and cannot
+    # be extended
+    @pytest.mark.parametrize("short,n,d", [("L", 58, 17), ("T2", 52, 15)])
+    def test_false_bound_mutant_fails_on_its_witness(self, monkeypatch, short, n, d):
+        rule = next(rule for rule in RULES if rule.short == short)
+        g = wallis_graph(n, d) if short == "L" else complement(wallis_graph(n, d))
+        r = require_regular(g)
+        # the record makes no claim here
+        assert rule.confirm(g) == extension.Unconfirmed("rule-not-detected")
+        assert not rule.holds(n, r)
+        if short == "L":
+            monkeypatch.setattr(extension, "l_vertex_bound", lambda r: 3 * r + 9)
+            mutant = rule
+        else:
+            mutant = replace(rule, holds=lambda n, r: n % 2 == 0 and r % 2 == 0
+                             and (3 * r <= 2 * (n + 2) if n >= 52 else r < n - 16))
+        assert mutant.holds(n, r)
+        failure = mutant.confirm(g)
+        assert isinstance(failure, TutteViolator)
+        h = g if rule.conclusion == "has-perfect-matching" else complement(g)
+        assert failure.verify(h) and failure == TutteViolator(frozenset({0}), 3)
+
+    @pytest.mark.parametrize("n,d", [(16, 3), (26, 5), (52, 15), (58, 17)])
+    def test_wallis_graph_has_no_perfect_matching(self, n, d):
+        nx = pytest.importorskip("networkx")
+        g = wallis_graph(n, d)
+        assert require_regular(g) == d
+        assert TutteViolator(frozenset({0}), 3).verify(g)
+        h = nx.Graph(list(g.edges()))
+        assert len(h) == n and len(nx.max_weight_matching(h, maxcardinality=True)) < n // 2
 
 
 def _apply(g, steps):
