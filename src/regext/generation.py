@@ -53,7 +53,6 @@ partial graphs met so far, so a repeat is proved at its first leaf.
 from __future__ import annotations
 
 import random
-from itertools import accumulate
 from typing import Iterator, KeysView
 
 from .graph import (Graph, GraphError, _unit_masks, complement, format_graph6,
@@ -329,7 +328,8 @@ def _refine(nbr: dict[int, int], part: list[int], queue: list[int]) -> None:
     A cell splits by each vertex's number of neighbours in the splitter,
     fragments in ascending count, so the result does not depend on the
     labelling.  Counts are taken one vertex at a time, except that a
-    one-vertex splitter parts non-neighbours (``away``) from neighbours.
+    splitter x of one or two vertices cuts each cell by masks: neighbours of
+    no vertex of x (``away``), of exactly one (``one``) and of both.
     A splitter visits only the cells of more than one vertex, in ascending
     start (``wide``), and the cells it splits leave their own wide
     fragments there for the next splitter.  A partition with no wide cell
@@ -350,12 +350,22 @@ def _refine(nbr: dict[int, int], part: list[int], queue: list[int]) -> None:
         i += 1
         inq[s] = False
         x = part[s]
-        away = None if x & (x - 1) else ~nbr[x]
+        rest = x & (x - 1)
+        away = one = None
+        if not rest:
+            away = ~nbr[x]
+        elif not rest & (rest - 1):
+            na, nb = nbr[x ^ rest], nbr[rest]
+            away, one, both = ~(na | nb), na ^ nb, na & nb
         visit = wide
         wide = []
         for c in visit:
             m = part[c]
-            if away is not None:
+            if one is not None:
+                lo, mid, hi = m & away, m & one, m & both
+                frags = (None if lo == m or mid == m or hi == m
+                         else [f for f in (lo, mid, hi) if f])
+            elif away is not None:
                 lo = m & away
                 frags = [lo, m ^ lo] if lo and lo != m else None
             else:
@@ -441,14 +451,14 @@ def _orbit_roots(n: int, gens: list[tuple[list[int], int]], prefix: int) -> list
 def _relabeled_rows(nbr: dict[int, int], part: list[int]) -> tuple[int, ...]:
     """The adjacency rows of the relabeling that a discrete partition
     gives: the vertex in cell s becomes vertex s."""
-    pos = {b: s for s, b in enumerate(part)}
+    pos = {b: 1 << s for s, b in enumerate(part)}
     rows = []
     for b in part:
         x = nbr[b]
         row = 0
         while x:
             y = x & -x
-            row |= 1 << pos[y]
+            row |= pos[y]
             x ^= y
         rows.append(row)
     return tuple(rows)
@@ -548,28 +558,38 @@ def _leaf_rows(g: Graph, known: set[tuple[int, ...]] | None = None,
 
     if tri is None:
         tri = _triangle_counts(g.adj)
-    if search(_root_partition(nbr, tri), [], 0) < 0:
-        return None
-    return leaves.keys()
+    found = search(_root_partition(nbr, tri), [], 0) >= 0
+    del search  # it holds itself: free the tree now, not at the next collection
+    return leaves.keys() if found else None
 
 
-def _residual_feasible(residual: list[int], start: int, n: int) -> bool:
-    positive = sum(1 for u in range(start, n) if residual[u] > 0)
-    total = 0
-    for u in range(start, n):
-        ru = residual[u]
-        total += ru
-        if ru > 0 and ru > positive - 1:
-            return False
-    return total % 2 == 0
+def _residual_feasible(residual: list[int]) -> bool:
+    """Whether the residual degrees of the vertices after v, a slice, pass
+    the two tests a completion needs: every positive residual is at most
+    the number of other unsaturated vertices, and the residual sum is even."""
+    top = max(residual, default=0)
+    return (not top or top < len(residual) - residual.count(0)) and not sum(residual) % 2
+
+
+def _prefix_ways(sizes: tuple[int, ...], need: int, start: int = 0) -> list[tuple[int, ...]]:
+    """Every way to take ``need`` items as prefixes of consecutive classes
+    of the given sizes, as positions from ``start`` on, the first class's
+    take descending first."""
+    if need == 0:
+        return [()]
+    if not sizes:
+        return []
+    return [tuple(range(start, start + take)) + tail
+            for take in range(min(sizes[0], need), -1, -1)
+            for tail in _prefix_ways(sizes[1:], need - take, start + sizes[0])]
 
 
 # isomorph rejection is tested on entry to assign(v) for v <= n -
 # _REJECT_LAST_GAP, and at every leaf.  Deeper nodes are many and their
-# subtrees small, so canonical searches there cost more than they cut.  On
-# the enumerate benchmark (n <= 10; 2 cores, Python 3.11), ending the
-# window at n - 5 gave 285 classes/s, at n - 4 261, testing every depth
-# 218, and the search without rejection 139.
+# subtrees small, so canonical searches there cost more than they cut.  A
+# pass over every cell with n <= 10 (best of 28; 2 cores, Python 3.11) took
+# 185 ms ending the window at n - 5, 219 ms at n - 4, 245 ms at n - 6,
+# 295 ms testing every depth, and 456 ms testing only the leaves.
 _REJECT_LAST_GAP = 5
 
 
@@ -578,15 +598,19 @@ def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[
 
     Deterministic stream; raises beyond the n <= 10 cap.
 
-    The search adds every edge of vertex v in ``assign(v)``, choosing v's
-    later neighbours as prefixes of classes of twins (unsaturated vertices
-    with equal rows).  One isomorph-rejection rule prunes the search and
-    dedups its leaves: on entry to ``assign(v)`` for v <= n - 5, and at
-    every leaf (depth n, after the ``connected_only`` filter), a node whose
-    partial graph P is isomorphic to the partial graph of a node met
-    earlier at the same depth is dropped.  At a leaf P is the whole graph,
-    so each class is yielded once, by the first graph found in it.  The
-    yielded stream is the one of plain generate-then-dedup, because:
+    The search adds every edge of vertex v in ``assign(v)``, in one loop
+    over the ways to choose v's later neighbours as prefixes of classes of
+    twins (unsaturated vertices with equal rows), the first class's take
+    descending first.  The ways depend only on the class sizes and v's
+    residual degree, so each call keeps them in one table (``ways_of``).
+
+    One isomorph-rejection rule prunes the search and dedups its leaves: on
+    entry to ``assign(v)`` for v <= n - 5, and at every leaf (depth n,
+    after the ``connected_only`` filter), a node whose partial graph P is
+    isomorphic to the partial graph of a node met earlier at the same depth
+    is dropped.  At a leaf P is the whole graph, so each class is yielded
+    once, by the first graph found in it.  The yielded stream is the one of
+    plain generate-then-dedup, because:
 
     - At ``assign(v)`` vertices 0..v-1 have residual 0, so the graphs the
       subtree can reach are the r-regular supergraphs of P, a set that up
@@ -638,6 +662,7 @@ def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[
     # the bucket.  Keyed by depth too: assign(v) with v saturated hands its
     # own partial graph on to assign(v + 1), its child.
     met: dict[tuple, tuple[tuple[int, ...], list[int]] | set[tuple[int, ...]]] = {}
+    ways_of: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
 
     def repeated(v: int) -> bool:
         """Whether the partial graph at assign(v) is isomorphic to one
@@ -667,42 +692,39 @@ def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[
             return
         need = residual[v]
         if need == 0:
-            if _residual_feasible(residual, v + 1, n):
+            if _residual_feasible(residual[v + 1:]):
                 yield from assign(v + 1)
             return
         classes: dict[int, list[int]] = {}
         for u in range(v + 1, n):
-            if residual[u] > 0:
+            if residual[u]:
                 classes.setdefault(adj[u], []).append(u)
         groups = [members for _, members in sorted(classes.items())]
-        # avail[gi]: members in groups gi, gi + 1, ...; 0 past the last
-        # group, so place stops there too
-        avail = list(accumulate(map(len, reversed(groups)), initial=0))[::-1]
-
-        def place(gi: int, left: int) -> Iterator[Graph]:
-            if left == 0:
-                if _residual_feasible(residual, v + 1, n):
-                    yield from assign(v + 1)
-                return
-            if avail[gi] < left:
-                return
-            members = groups[gi]
-            for take in range(min(len(members), left), -1, -1):
-                chosen = members[:take]
-                for u in chosen:
-                    adj[v] |= 1 << u
-                    adj[u] |= 1 << v
-                    residual[u] -= 1
-                    residual[v] -= 1
-                yield from place(gi + 1, left - take)
-                for u in chosen:
-                    adj[v] &= ~(1 << u)
-                    adj[u] &= ~(1 << v)
-                    residual[u] += 1
-                    residual[v] += 1
-
-        yield from place(0, need)
+        order = [u for members in groups for u in members]
+        key = (tuple(map(len, groups)), need)
+        ways = ways_of.get(key)
+        if ways is None:
+            ways = ways_of[key] = _prefix_ways(*key)
+        bv = 1 << v
+        row = adj[v]
+        residual[v] = 0
+        for way in ways:
+            chosen = [order[i] for i in way]
+            mask = 0
+            for u in chosen:
+                adj[u] |= bv
+                residual[u] -= 1
+                mask |= 1 << u
+            adj[v] = row | mask
+            if _residual_feasible(residual[v + 1:]):
+                yield from assign(v + 1)
+            for u in chosen:
+                adj[u] ^= bv
+                residual[u] += 1
+        adj[v] = row
+        residual[v] = need
 
     yield from assign(0)
+    del assign  # as in _leaf_rows: free met now, not at the next collection
 
 

@@ -139,9 +139,9 @@ def _mask_components(adj: tuple[int, ...] | list[int], alive: int) -> list[int]:
     comps = []
     rest = alive
     while rest:
-        seed = rest & -rest
-        reach = seed
-        frontier = seed
+        # rest: the alive vertices that no component has reached yet
+        reach = frontier = rest & -rest
+        rest ^= reach
         while frontier:
             nxt = 0
             f = frontier
@@ -149,10 +149,10 @@ def _mask_components(adj: tuple[int, ...] | list[int], alive: int) -> list[int]:
                 b = f & -f
                 nxt |= adj[b.bit_length() - 1]
                 f ^= b
-            frontier = nxt & alive & ~reach
+            frontier = nxt & rest
+            rest ^= frontier
             reach |= frontier
         comps.append(reach)
-        rest &= ~reach
     return comps
 
 

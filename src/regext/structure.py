@@ -227,13 +227,15 @@ def balloon_bound_checker(g: Graph) -> Callable[[Iterable[int]], BalloonBoundChe
                 rows.append(adj[v])
         odd = 0
         applicable = True
-        for comp in _mask_components(adj, full & ~smask):
+        for comp in _mask_components(adj, full ^ smask):
             if comp.bit_count() & 1:
                 odd += 1
                 if applicable:
-                    boundary = sum((a & comp).bit_count() for a in rows)
+                    boundary = 0
+                    for a in rows:
+                        boundary += (a & comp).bit_count()
                     applicable = boundary == 1 or boundary >= r
-        lhs = odd - smask.bit_count()
+        lhs = odd - len(rows)
         key = (applicable, lhs)
         found = made.get(key)
         if found is None:

@@ -268,7 +268,17 @@ def enumerate_regular_reference(n: int, r: int, connected_only: bool = False) ->
     adj = [0] * n
     residual = [r] * n
     seen: set[bytes] = set()
-    feasible = generation._residual_feasible
+
+    def feasible(residual: list[int], start: int, n: int) -> bool:
+        # generation._residual_feasible, one vertex at a time
+        positive = sum(1 for u in range(start, n) if residual[u] > 0)
+        total = 0
+        for u in range(start, n):
+            ru = residual[u]
+            total += ru
+            if ru > 0 and ru > positive - 1:
+                return False
+        return total % 2 == 0
 
     def assign(v: int) -> Iterator[Graph]:
         if v == n:

@@ -1,8 +1,11 @@
+import gc
 import hashlib
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regext import (
     GraphError,
@@ -482,6 +485,30 @@ class TestRefinement:
                 checked += 1
         assert checked == 854
 
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_same_partition_and_queue_from_any_state(self, data):
+        # any graph, ordered partition and queue of cell starts, not only
+        # the states the search meets: the mask splits of one- and
+        # two-vertex splitters run at every depth
+        n = data.draw(st.integers(min_value=1, max_value=12))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        bits = data.draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
+        g = build(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+        order = data.draw(st.permutations(range(n)))
+        cut = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+        starts = [0] + [s for s in range(1, n) if cut[s - 1]]
+        part = [0] * n
+        for s, e in zip(starts, starts[1:] + [n]):
+            part[s] = sum(1 << v for v in order[s:e])
+        queue = data.draw(st.lists(st.sampled_from(starts), unique=True))
+        nbr = {1 << v: a for v, a in enumerate(g.adj)}
+        got, got_queue = part[:], queue[:]
+        generation._refine(nbr, got, got_queue)
+        want, want_queue = part[:], queue[:]
+        oracles.refine_every_cell(nbr, want, want_queue)
+        assert (got, got_queue) == (want, want_queue), (g, part, queue)
+
     def test_relabeling_relabels_cells(self):
         # the ordered partition does not depend on the labelling: relabeling
         # the graph relabels each cell in place
@@ -790,7 +817,8 @@ class TestEnumeration:
     def test_rejection_cuts_canonical_searches(self, monkeypatch):
         # the plain search makes 5356 canonical searches over these cells,
         # one per labelled graph reached; the stream tests would pass with
-        # the rejection switched off, this one would not
+        # the rejection switched off, this one would not.  The count is
+        # exact, so a faster search is seen to be the same search
         calls = []
         leaf_rows = generation._leaf_rows
         monkeypatch.setattr(generation, "_leaf_rows",
@@ -799,11 +827,11 @@ class TestEnumeration:
             for r in range(n):
                 if (n * r) % 2 == 0:
                     list(enumerate_regular(n, r))
-        assert len(calls) < 3000
+        assert len(calls) == 2092
 
     def test_repeats_stop_at_their_first_leaf(self, monkeypatch):
         # a repeated partial graph costs one descent: these cells build
-        # 3363 leaves, and 5897 if every search ran to its end
+        # exactly 3363 leaves, and 5897 if every search ran to its end
         leaves = []
         relabeled = generation._relabeled_rows
         monkeypatch.setattr(generation, "_relabeled_rows",
@@ -812,7 +840,18 @@ class TestEnumeration:
             for r in range(n):
                 if (n * r) % 2 == 0:
                     list(enumerate_regular(n, r))
-        assert len(leaves) < 4000
+        assert len(leaves) == 3363
+
+    def test_search_leaves_no_cyclic_garbage(self):
+        # the searches free their trees and buckets on return; cycles left
+        # to the collector would hold them until it next ran
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(list(enumerate_regular(9, 4))) == 16
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_past_the_cap(self, monkeypatch):
         # the known class counts at (11, 4) and (12, 3), within reach once
