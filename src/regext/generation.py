@@ -17,7 +17,10 @@ then rejected by the one test ``adj[u] & bit[v]``, which catches the loop
 u = v and the repeated edge alike.  Every draw and every graph must equal
 those of the reference loops in ``tests/oracles.py``, which test each case
 with shifts and equalities, so this representation leaves the seeded
-stream unchanged.
+stream unchanged.  A switching proposal reads the masks of c and d once,
+for the test and for the swap, which XORs one two-bit mask into rows a
+and d and another into rows b and c.  All three chains, the bipartite one
+too, draw ``randrange`` as its inlined ``getrandbits`` loop.
 
 The structured samplers behind ``regext verify`` compose sampled parts on
 their rows: a join ORs in the other side's mask, a disjoint union shifts
@@ -53,6 +56,7 @@ partial graphs met so far, so a repeat is proved at its first leaf.
 from __future__ import annotations
 
 import random
+from itertools import repeat
 from typing import Iterator, KeysView
 
 from .graph import (Graph, GraphError, _unit_masks, complement, format_graph6,
@@ -81,8 +85,9 @@ def _pairing(n: int, r: int, rng: random.Random) -> Graph:
     """
     bit = _unit_masks(n)
     getrandbits = rng.getrandbits
+    fresh = list(range(n)) * r
     while True:
-        stubs = list(range(n)) * r
+        stubs = fresh[:]
         adj = list(bit)
         left = len(stubs)
         while left:
@@ -96,9 +101,11 @@ def _pairing(n: int, r: int, rng: random.Random) -> Graph:
             v = stubs[j]
             left -= 1
             stubs[j] = stubs[left]
-            if adj[u] & bit[v]:
+            row = adj[u]
+            bv = bit[v]
+            if row & bv:
                 break
-            adj[u] |= bit[v]
+            adj[u] = row | bv
             adj[v] |= bit[u]
         else:
             return Graph(n, tuple([a ^ b for a, b in zip(adj, bit)]))
@@ -139,7 +146,7 @@ def _switching(n: int, r: int, rng: random.Random) -> Graph:
     # inlined, it makes the same draws at half the cost
     k = m.bit_length()
     getrandbits = rng.getrandbits
-    for _ in range(SWITCH_ROUNDS_PER_EDGE * m):
+    for _ in repeat(None, SWITCH_ROUNDS_PER_EDGE * m):
         i = getrandbits(k)
         while i >= m:
             i = getrandbits(k)
@@ -156,15 +163,22 @@ def _switching(n: int, r: int, rng: random.Random) -> Graph:
         else:
             c = eu[j]
             d = ev[j]
-        if adj[a] & bit[c] or adj[b] & bit[d]:
+        bc = bit[c]
+        if adj[a] & bc:
             continue
-        adj[a] ^= bit[b] | bit[c]
-        adj[b] ^= bit[a] | bit[d]
-        adj[c] ^= bit[d] | bit[a]
-        adj[d] ^= bit[c] | bit[b]
+        bd = bit[d]
+        if adj[b] & bd:
+            continue
+        # a, b, c and d are distinct here: ab, cd -> ac, bd moves rows a
+        # and d by the same two bits, and rows b and c by the other two
+        x = bit[b] | bc
+        y = bit[a] | bd
+        adj[a] ^= x
+        adj[d] ^= x
+        adj[b] ^= y
+        adj[c] ^= y
         if a < c:
-            eu[i] = a
-            ev[i] = c
+            ev[i] = c  # eu[i] is a already
         else:
             eu[i] = c
             ev[i] = a
@@ -207,6 +221,10 @@ def random_regular_bipartite(half: int, d: int, seed: int) -> Graph:
     right-side neighbourhood of left vertex a.  A swap with a = c or b = d
     (``d2`` below) would add edge cd or ab again, so the repeated-edge test
     rejects it.
+
+    Draws over the labelled d-regular bipartite graphs on these two parts.
+    Swaps join any two of them (Ryser's interchange theorem), but 20
+    rounds are not shown to mix: no uniformity is claimed.
     """
     if not 0 <= d <= half:
         raise GraphError(f"need 0 <= d <= half, got d={d}, half={half}")
@@ -219,16 +237,27 @@ def random_regular_bipartite(half: int, d: int, seed: int) -> Graph:
     rows = [0] * half
     for a, b in zip(left, right):
         rows[a] |= bit[b]
-    for _ in range(20 * m):
-        i = rng.randrange(m)
-        j = rng.randrange(m)
+    # rng.randrange(m) twice, inlined as in _switching
+    k = m.bit_length()
+    getrandbits = rng.getrandbits
+    for _ in repeat(None, 20 * m):
+        i = getrandbits(k)
+        while i >= m:
+            i = getrandbits(k)
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
         a = left[i]
-        c = left[j]
         b = right[i]
         d2 = right[j]
-        if rows[a] & bit[d2] or rows[c] & bit[b]:
+        bd = bit[d2]
+        if rows[a] & bd:
             continue
-        flip = bit[b] | bit[d2]
+        c = left[j]
+        bb = bit[b]
+        if rows[c] & bb:
+            continue
+        flip = bb | bd
         rows[a] ^= flip
         rows[c] ^= flip
         right[i] = d2
@@ -270,8 +299,11 @@ def sample_spanning_biclique_regular(
 ) -> Graph:
     """Regular graph containing a spanning complete bipartite subgraph.
 
-    Picks a split from ``biclique_splits`` and fills the two sides with
-    independently sampled regular graphs.
+    Picks a split a uniformly from ``biclique_splits``, joins vertices
+    0..a-1 to a..n-1, and fills the two sides with independent
+    ``random_regular`` draws.  Draws over the graphs that join 0..a-1 to
+    a..n-1 for some split a, each split equally often whatever its number
+    of graphs: no uniformity is claimed.
     """
     rng = random.Random(seed)
     splits = biclique_splits(n, r, odd_parts)
@@ -290,7 +322,12 @@ def sample_spanning_biclique_regular(
 
 def sample_clique_pair_regular(n: int, r: int, seed: int) -> Graph:
     """Regular graph containing K_{n/2}: two spanning cliques plus a regular
-    bipartite cross graph of degree r - n/2 + 1."""
+    bipartite cross graph of degree r - n/2 + 1.
+
+    Draws over the graphs whose halves 0..n/2-1 and n/2..n-1 are both
+    cliques, as ``random_regular_bipartite`` draws the cross graph: no
+    uniformity is claimed.
+    """
     if n % 2 or not n // 2 <= r <= n - 1:
         raise GraphError(f"need even n and n/2 <= r <= n-1, got n={n}, r={r}")
     half = n // 2
@@ -304,7 +341,12 @@ def sample_clique_pair_regular(n: int, r: int, seed: int) -> Graph:
 
 
 def sample_disconnected_regular(n: int, r: int, seed: int) -> Graph:
-    """Disconnected r-regular graph: two independently sampled components."""
+    """Disconnected r-regular graph: two independently sampled components.
+
+    Picks a size n1 uniformly from those that leave both parts an r-regular
+    graph, and draws vertices 0..n1-1 and n1..n-1 by ``random_regular``,
+    each part possibly disconnected itself.  No uniformity is claimed.
+    """
     rng = random.Random(seed)
     sizes = []
     for n1 in range(r + 1, n - r):

@@ -2,9 +2,10 @@ import gc
 import hashlib
 import math
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from regext import (
@@ -145,6 +146,28 @@ class TestSeedStream:
             for seed in range(3):
                 same(switching, n, r, seed)
                 same(pairing, n, min(r, 5), seed)
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_loops_match_reference_drawn(self, data):
+        # any order up to 30, at 1..3 swap rounds per edge so that the swap
+        # is tested on graphs still close to the circulant; each r is drawn
+        # as the least, the greatest or any switching degree of its order
+        n = data.draw(st.integers(2, 30), label="n")
+        degrees = [r for r in range(1, max(1, (n - 1) // 2) + 1) if n * r % 2 == 0]
+        assume(degrees)
+        r = data.draw(st.sampled_from([degrees[0], degrees[-1]])
+                      | st.sampled_from(degrees), label="r")
+        pr = data.draw(st.sampled_from([d for d in degrees if d <= 5]), label="pairing r")
+        rounds = data.draw(st.integers(1, 3), label="rounds")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        with mock.patch.object(generation, "SWITCH_ROUNDS_PER_EDGE", rounds), \
+                mock.patch.object(oracles, "SWITCH_ROUNDS_PER_EDGE", rounds):
+            got = generation._switching(n, r, random.Random(seed))
+            assert got == oracles._switching_reference(n, r, random.Random(seed))
+            assert require_regular(got) == r
+        got = generation._pairing(n, pr, random.Random(seed))
+        assert got == oracles._pairing_reference(n, pr, random.Random(seed))
 
     def test_complement_path(self):
         for n, r in [(7, 4), (12, 9), (20, 13)]:
@@ -316,6 +339,32 @@ class TestSamplers:
     def test_infeasible_raises(self):
         with pytest.raises(GraphError):
             sample_disconnected_regular(20, 17, 0)  # one component max
+
+    def test_every_split_and_size_reached(self):
+        # 60 fixed seeds reach every choice the docstrings name, read off
+        # the rows: a join's split is the a whose rows 0..a-1 all hold
+        # a..n-1, a disjoint union's first size the s no edge crosses; on
+        # these cells each graph has exactly one
+        n, r = 14, 9
+        for odd in (False, True):
+            reached = []
+            for seed in range(60):
+                rows = sample_spanning_biclique_regular(n, r, seed, odd).adj
+                split = [a for a in range(1, n)
+                         if all(row >> a == (1 << n - a) - 1 for row in rows[:a])]
+                assert len(split) == 1, (odd, seed, split)
+                reached += split
+            assert set(reached) == set(biclique_splits(n, r, odd)), odd
+        # a 4-regular component has at least 5 vertices, so parts of 5..9
+        # are connected
+        n, r = 14, 4
+        reached = []
+        for seed in range(60):
+            rows = sample_disconnected_regular(n, r, seed).adj
+            cut = [s for s in range(1, n) if all(row >> s == 0 for row in rows[:s])]
+            assert len(cut) == 1, (seed, cut)
+            reached += cut
+        assert set(reached) == {5, 6, 7, 8, 9}
 
     # the samplers compose their parts on adjacency rows; the edge-list
     # joins in the oracles must give the same graph on every feasible cell

@@ -5,6 +5,10 @@ n <= 8 (48 lines) and three non-regular graphs.  For each command below,
 in JSON and in human mode, ``golden/<name>.out`` is its stdout on that
 corpus and ``golden/exit_codes.json`` its exit code.  After an intended output change,
 regenerate the files with ``PYTHONPATH=src python tests/test_golden.py``.
+
+``golden/gen.out`` is ``regext gen`` on ``GEN_CELLS``, three seeds each: two
+switching cells and one pairing cell.  It pins the seeded sample stream, so
+the script above does not rewrite it.
 """
 
 import io
@@ -31,6 +35,8 @@ COMMANDS = {
     "extend-human": ["extend"],
 }
 
+GEN_CELLS = [["--n", "40", "--r", "17"], ["--n", "46", "--r", "8"], ["--n", "30", "--r", "5"]]
+
 
 def run(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
@@ -45,6 +51,14 @@ def test_cli_output_matches_golden(name):
     expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     assert code == expected_codes[name]
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="ascii")
+
+
+def test_gen_output_matches_golden():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        for cell in GEN_CELLS:
+            assert main(["gen", *cell, "--count", "3"]) == 0
+    assert out.getvalue() == (GOLDEN / "gen.out").read_text(encoding="ascii")
 
 
 def test_t5_witnesses_are_half_cliques():
