@@ -1,6 +1,9 @@
 import argparse
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,7 +44,9 @@ def _load_script(name: str):
     return module
 
 
-QUICK = _load_script("verify_claims").QUICK
+VERIFY_CLAIMS = _load_script("verify_claims")
+QUICK = VERIFY_CLAIMS.QUICK
+CENSUS_10 = Path(__file__).resolve().parent / "golden" / "census-10.txt"
 
 # `checked` of every QUICK row, pinned from verify as it stood before the
 # rule table; every row has zero counterexamples and no skipped cells
@@ -52,7 +57,6 @@ QUICK_CHECKED = {"T1": 17, "T2": 40, "T3": 15, "T4": 25, "T5": 15, "L": 60,
 def run_cli(capsys, argv, stdin_lines=None, monkeypatch=None):
     if stdin_lines is not None:
         import io
-        import sys
 
         monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(stdin_lines) + "\n"))
     try:
@@ -63,18 +67,19 @@ def run_cli(capsys, argv, stdin_lines=None, monkeypatch=None):
     return code, out.out.splitlines(), out.err
 
 
+def src_env(**extra) -> dict:
+    """The environment for a child ``python`` that imports this regext."""
+    import regext
+
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.path.dirname(os.path.dirname(regext.__file__))}
+
+
 def run_into_closed_pipe(args, unbuffered=""):
     """Exit code and stderr of ``python args`` writing to a pipe whose read
     end is closed before the child starts, so its first write to stdout
     fails; ``unbuffered`` "1" makes that write the first ``print``."""
-    import os
-    import subprocess
-    import sys
-
-    import regext
-
-    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
-           "PYTHONPATH": os.path.dirname(os.path.dirname(regext.__file__))}
+    env = src_env(PYTHONUNBUFFERED=unbuffered)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -131,6 +136,32 @@ class TestExtendCommand:
         violator = TutteViolator(frozenset(result["violator"]["s"]),
                                  result["violator"]["odd_count"])
         assert violator.verify(complement(stuck))
+        # one alternative per level does not get past the dead end, two do
+        code, out, _ = run_cli(capsys, ["extend", "--target-r", "7", "--backtrack", "1"],
+                               ["GJiu]o"], monkeypatch)
+        assert code == 1 and out[0].startswith("line 1: not extendable at r=5")
+        code, out, _ = run_cli(capsys, ["extend", "--target-r", "7", "--backtrack", "2"],
+                               ["GJiu]o"], monkeypatch)
+        assert (code, out[0]) == (0, "line 1: extended r=4 -> 7: G~~~~{")
+
+    def test_multi_byte_order(self, capsys, monkeypatch):
+        # orders above 62 take graph6's four-byte header, in and out, and
+        # n = 100 decodes as two column blocks of 64, four tiles; networkx
+        # reads each final graph, which must be 60-regular and keep its input
+        nx = pytest.importorskip("networkx")
+        code, drawn, _ = run_cli(capsys, ["gen", "--n", "100", "--r", "5", "--count", "3"])
+        assert code == 0
+        code, out, _ = run_cli(capsys, ["extend", "--target-r", "60", "--json",
+                                        "--certificates"], drawn, monkeypatch)
+        results = [res for res in json_lines(out) if res["kind"] == "result"]
+        assert code == 0 and len(results) == 3
+        for res in results:
+            assert res["ok"], res
+            g = nx.from_graph6_bytes(res["graph6"].encode())
+            final = nx.from_graph6_bytes(res["final"].encode())
+            assert len(g) == len(final) == 100, res["line"]
+            assert {d for _, d in final.degree} == {60}, res["line"]
+            assert all(final.has_edge(u, v) for u, v in g.edges), res["line"]
 
     def test_target_r(self, capsys, monkeypatch, tmp_path):
         g = build(8, list(complete_graph(4).edges())
@@ -321,7 +352,8 @@ class TestAnalyzeCommand:
     def test_bridge_search_only_where_a_bridge_can_be(self, capsys, monkeypatch):
         # an even-r graph and a T4 graph (r = 11, n = 20 < 2r + 4) take their
         # components off the balloon pass; the cubic graph on 2r + 4 = 10
-        # vertices with a bridge needs one bridge search and one component pass
+        # vertices with a bridge, and K_2 (r = 1), whose one edge is a bridge,
+        # each need one bridge search and one component pass
         from regext import cli, structure
 
         calls = []
@@ -333,11 +365,12 @@ class TestAnalyzeCommand:
                             lambda g: calls.append("components") or comps(g))
         for g, want in ((cycle_graph(8), []), (complete_graph(5), []),
                         (sample_spanning_biclique_regular(20, 11, 3, odd_parts=True), []),
-                        (parse_graph6("I^o??KFB_"), ["find_bridges", "components"])):
+                        (parse_graph6("I^o??KFB_"), ["find_bridges", "components"]),
+                        (parse_graph6("A_"), ["find_bridges", "components"])):
             calls.clear()
-            code, out, _ = run_cli(capsys, ["analyze", "--json"], [format_graph6(g)],
-                                   monkeypatch)
+            code, out, _ = run_cli(capsys, ["analyze"], [format_graph6(g)], monkeypatch)
             assert (code, calls) == (0, want), g
+            assert ("bridges=1 b=2" in out[0]) == bool(want), out[0]
 
     def test_components_field(self, capsys, monkeypatch):
         graphs = [path_graph(7), star_graph(5), bridged_cubic(16, 2), petersen_graph(),
@@ -413,6 +446,34 @@ class TestGenCommand:
         code, out2, _ = run_cli(capsys, ["match"], out, monkeypatch)
         assert code in (0, 1)
         assert len(out2) == 3  # two results plus summary
+
+    def test_enumeration_pipes_into_check(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, ["gen", "--n", "10", "--r", "3", "--enumerate"])
+        assert code == 0
+        code, _, _ = run_cli(capsys, ["check", "--json"], out, monkeypatch)
+        assert code == 0
+
+    @pytest.mark.parametrize("flag,classes", [([], 60), (["--connected"], 59)])
+    def test_enumeration_audited_by_networkx(self, capsys, flag, classes):
+        # 60 classes of 4-regular graphs on 10 vertices, 59 of them connected
+        # (OEIS A006820), each 4-regular and none isomorphic to another,
+        # tested within Weisfeiler-Lehman buckets; colour refinement alone
+        # cannot tell regular graphs of one degree apart, so it starts from
+        # each vertex's triangle count
+        nx = pytest.importorskip("networkx")
+        code, out, _ = run_cli(capsys, ["gen", "--n", "10", "--r", "4", "--enumerate", *flag])
+        assert code == 0 and len(out) == classes
+        buckets = {}
+        for line in out:
+            g = nx.from_graph6_bytes(line.encode())
+            assert len(g) == 10 and {d for _, d in g.degree} == {4}, line
+            assert nx.is_connected(g) or not flag, line
+            nx.set_node_attributes(g, {v: str(t) for v, t in nx.triangles(g).items()}, "t")
+            buckets.setdefault(nx.weisfeiler_lehman_graph_hash(g, node_attr="t"), []).append(g)
+        for same in buckets.values():
+            for i, g in enumerate(same):
+                assert not any(nx.is_isomorphic(g, h) for h in same[:i]), \
+                    nx.to_graph6_bytes(g)
 
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     def test_closed_stdout_ends_quietly(self, unbuffered):
@@ -756,10 +817,14 @@ class TestCachedParser:
             assert (notice in err) == (level == "info"), level
 
 
+def test_verify_claims_quick_all_clear(capsys):
+    assert VERIFY_CLAIMS.main(["--quick"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "all clear"
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_verify_claims_closed_stdout_ends_quietly(unbuffered):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "verify_claims.py"
-    code, err = run_into_closed_pipe([str(script), "--quick"], unbuffered)
+    code, err = run_into_closed_pipe([VERIFY_CLAIMS.__file__, "--quick"], unbuffered)
     assert (code, err) == (EXIT_STDOUT_CLOSED, b"")
 
 
@@ -801,12 +866,6 @@ class TestCensusScript:
 
     def test_soundness_breach_raises_under_optimize(self):
         # python -O strips assert statements; the census check must survive
-        import os
-        import subprocess
-        import sys
-
-        import regext
-
         code = f"""
 import importlib.util
 from regext.extension import RULES, TheoremVerdict
@@ -818,16 +877,20 @@ classify = census.classify
 census.classify = lambda g: [*classify(g), TheoremVerdict(t4.name, True, t4.conclusion)]
 census.census_cell(4, 1)
 """
-        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(regext.__file__))}
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                              text=True, env=env, timeout=120)
+                              text=True, env=src_env(), timeout=120)
         assert proc.returncode == 1
         assert proc.stderr.splitlines()[-1] == (
             "AssertionError: soundness breach at (n, r) = (4, 1): C`")
 
     def test_rows_below_cap_match_recorded_table(self, capsys):
-        assert self.census.main(["--max-n", "6"]) == 0
-        rows = capsys.readouterr().out.splitlines()[:-2]
-        golden = Path(__file__).resolve().parent / "golden" / "census-10.txt"
-        assert rows == golden.read_text().splitlines()[:len(rows)]
-        assert len(rows) == 12
+        assert self.census.main(["--max-n", "10"]) == 0
+        assert capsys.readouterr().out == CENSUS_10.read_text()
+
+    def test_table_under_optimize(self):
+        # python -O strips assert statements: neither the library nor the
+        # census's soundness check may rest on them
+        proc = subprocess.run([sys.executable, "-O", self.census.__file__, "--max-n", "10"],
+                              capture_output=True, text=True, env=src_env(), timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == CENSUS_10.read_text()

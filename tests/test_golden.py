@@ -9,6 +9,9 @@ regenerate the files with ``PYTHONPATH=src python tests/test_golden.py``.
 ``golden/gen.out`` is ``regext gen`` on ``GEN_CELLS``, three seeds each: two
 switching cells and one pairing cell.  It pins the seeded sample stream, so
 the script above does not rewrite it.
+
+networkx re-checks every Tutte violator that ``match.out`` and
+``extend.out`` record, so a regenerated file cannot pin a false certificate.
 """
 
 import io
@@ -38,10 +41,10 @@ COMMANDS = {
 GEN_CELLS = [["--n", "40", "--r", "17"], ["--n", "46", "--r", "8"], ["--n", "30", "--r", "5"]]
 
 
-def run(argv: list[str]) -> tuple[int, str]:
+def run(argv: list[str], source: Path = CORPUS) -> tuple[int, str]:
     out = io.StringIO()
     with redirect_stdout(out):
-        code = main(argv + ["--input", str(CORPUS)])
+        code = main(argv + ["--input", str(source)])
     return code, out.getvalue()
 
 
@@ -78,6 +81,40 @@ def test_t5_witnesses_are_half_cliques():
         assert t5["applies"] == (g.n % 2 == 0 and 2 * g.degree(0) >= g.n
                                  and find_clique(g, g.n // 2) is not None), obj["line"]
     assert (len(results), applied) == (48, 11)
+
+
+def test_printed_violators_are_tight(tmp_path):
+    # every violator the CLI prints is Tutte-Berge tight against networkx:
+    # odd(G - S) - |S| = n - 2 nu(G), where G is the line's graph for match,
+    # and for extend the complement of the line's graph plus the printed
+    # steps, the level it is stuck at; GJiu]o is stuck a level above its own r
+    nx = pytest.importorskip("networkx")
+    stuck = tmp_path / "stuck.g6"
+    stuck.write_text("GJiu]o\n")
+    code, out = run(["extend", "--json", "--certificates", "--target-r", "7",
+                     "--backtrack", "1"], stuck)
+    assert code == 1
+    lines = [*(GOLDEN / "match.out").read_text().splitlines(),
+             *(GOLDEN / "extend.out").read_text().splitlines(), *out.splitlines()]
+    audited = 0
+    for res in map(json.loads, lines):
+        if not res.get("violator"):
+            continue
+        g = nx.from_graph6_bytes(res["graph6"].encode())
+        if "stuck_r" in res:
+            assert res["stuck_r"] == res["r"] + len(res["steps"]), res
+            for step in res["steps"]:
+                assert not any(g.has_edge(u, v) for u, v in step), res
+                g.add_edges_from(step)
+            assert {d for _, d in g.degree} == {res["stuck_r"]}, res
+            g = nx.complement(g)
+        s = set(res["violator"]["s"])
+        odd = sum(len(c) % 2 for c in nx.connected_components(g.subgraph(set(g) - s)))
+        nu = len(nx.max_weight_matching(g, maxcardinality=True))
+        assert odd == res["violator"]["odd_count"], res
+        assert odd - len(s) == len(g) - 2 * nu, res
+        audited += 1
+    assert audited == 24
 
 
 if __name__ == "__main__":

@@ -139,6 +139,16 @@ class TestPerfectMatching:
     def test_is_valid_matching_of_wrong_type(self, pairs):
         assert is_valid_matching(complete_graph(2), frozenset(pairs)) is False
 
+    # bool is a subclass of int, and a JSON true reaches a checker as True:
+    # both checkers read True as vertex 1 and False as vertex 0
+    def test_bool_labels_read_as_vertices(self):
+        g = build(4, [(1, 0), (1, 2), (1, 3)])  # a star centred on vertex 1
+        assert TutteViolator(frozenset({True}), 3) == TutteViolator(frozenset({1}), 3)
+        assert [TutteViolator(frozenset({True}), odd).verify(g) for odd in range(5)] == \
+            [TutteViolator(frozenset({1}), odd).verify(g) for odd in range(5)] == \
+            [False, False, False, True, False]
+        assert is_valid_matching(complete_graph(2), frozenset({(False, True)}), perfect=True)
+
     def test_odd_n_short_circuit(self):
         v = perfect_matching(cycle_graph(7))
         assert isinstance(v, TutteViolator) and v.s == frozenset() and v.odd_count == 1
