@@ -21,10 +21,8 @@ as for ``regext``.
 import argparse
 import sys
 from collections import Counter
-from typing import Iterable
 
-from regext import (Graph, TutteViolator, classify, complement, enumerate_regular,
-                    extend_once, format_graph6)
+from regext import TutteViolator, classify, enumerate_regular, extend_once, format_graph6
 from regext.cli import until_stdout_closes
 from regext.generation import ENUMERATION_CAP
 from regext.extension import (
@@ -36,10 +34,10 @@ from regext.extension import (
 SUFFICIENT = (CONCLUSION_EXTENDABLE, CONCLUSION_EXTENDABLE_ANY)
 
 
-def census_cell(n: int, r: int, graphs: Iterable[Graph] | None = None) -> Counter:
-    """Tally the (n, r) cell over ``graphs``, by default its enumeration."""
+def census_cell(n: int, r: int) -> Counter:
+    """Tally the (n, r) cell over its enumeration."""
     tally: Counter = Counter()
-    for g in enumerate_regular(n, r) if graphs is None else graphs:
+    for g in enumerate_regular(n, r):
         tally["graphs"] += 1
         verdicts = [v for v in classify(g) if v.applies]
         sufficient = any(v.conclusion in SUFFICIENT for v in verdicts)
@@ -77,17 +75,10 @@ def main(argv: list[str] | None = None) -> int:
     print("-" * len(header))
     totals: Counter = Counter()
     for n in range(4, args.max_n + 1, 2):
-        # each dense cell is the complements of its sparse partner's
-        # stream, as enumerate_regular yields it; the partner comes first
-        sparse: dict[int, list[Graph]] = {}
         for r in range(n):
             if (n * r) % 2:
                 continue
-            if 2 * r > n - 1:
-                graphs = map(complement, sparse[n - 1 - r])
-            else:
-                graphs = sparse[r] = list(enumerate_regular(n, r))
-            t = census_cell(n, r, graphs)
+            t = census_cell(n, r)
             totals.update(t)
             print(f"{n:>3} {r:>3} {t['graphs']:>7} {t['extended']:>9} "
                   f"{t['stuck']:>6} {t['explained-impossible']:>11} "

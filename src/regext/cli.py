@@ -578,7 +578,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--count", type=int, default=1, help="number of samples")
     p.add_argument("--enumerate", action="store_true",
-                   help="exhaustive enumeration up to isomorphism (n <= 10)")
+                   help="exhaustive enumeration up to isomorphism "
+                        f"(n <= {generation.ENUMERATION_CAP})")
     p.add_argument("--connected", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
@@ -589,8 +590,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--r-range", dest="r_range", help="A..B")
     p.add_argument("--samples", type=int, default=100,
                    help="graphs across the region (T2-T5) or per cell (L, C); "
-                        "T1 and L0-balloon enumerate n <= 10 and draw per cell "
-                        "beyond, L0-balloon max(1, samples // 10)")
+                        f"T1 and L0-balloon enumerate n <= {generation.ENUMERATION_CAP} "
+                        "and draw per cell beyond, L0-balloon max(1, samples // 10)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
 

@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Iterator
 
 from . import matching
-from .graph import (Graph, GraphError, _unit_masks, complement, is_connected, regularity,
-                    require_regular)
+from .graph import (Graph, GraphError, _mates, _set_to_mask, _unit_masks, complement,
+                    is_connected, regularity, require_regular)
 from .matching import Matching, TutteViolator, is_valid_matching, perfect_matching
 from .structure import half_clique, l_vertex_bound, spanning_biclique
 
@@ -54,14 +53,14 @@ class DiracPreconditionError(GraphError):
 
 
 def validate_cycle(g: Graph, order: tuple[int, ...]) -> None:
-    """Raise unless ``order`` is a Hamiltonian cycle of g."""
+    """Raise GraphError unless ``order`` is a Hamiltonian cycle of g (n >= 3)."""
     n = g.n
-    if sorted(order) != list(range(n)):
+    if n < 3:
+        raise GraphError(f"a cycle needs n >= 3, got n={n}")
+    if len(order) != n or _set_to_mask(order, n) != g.vertex_mask():
         raise GraphError("cycle is not a permutation of the vertices")
-    adj = g.adj
-    for i in range(n):
-        u, v = order[i], order[(i + 1) % n]
-        if not adj[u] >> v & 1:
+    for u, v in zip(order, order[1:] + order[:1]):
+        if not g.adj[u] >> v & 1:
             raise GraphError(f"cycle step ({u},{v}) is not an edge")
 
 
@@ -142,18 +141,6 @@ def _step(rows: tuple[int, ...], mates: list[int]) -> tuple[int, ...]:
     return nxt
 
 
-def _mates(m: Matching, n: int) -> list[int]:
-    """The partner map of a set of vertex pairs on 0..n-1; a pair out of
-    range or sharing a vertex with another raises GraphError."""
-    mates = [-1] * n
-    for u, v in m:
-        if not (0 <= u < n and 0 <= v < n) or mates[u] != -1 or mates[v] != -1:
-            raise GraphError(f"matching pair ({u},{v}) out of range or overlapping")
-        mates[u] = v
-        mates[v] = u
-    return mates
-
-
 @dataclass(frozen=True)
 class ExtensionTrace:
     """Matchings added going from start_r to target_r, plus the end graph."""
@@ -201,9 +188,7 @@ def _alternatives(rows: tuple[int, ...], first: list[int],
     n = len(rows)
     unit = _unit_masks(n)
     seen = [first]
-    for u, v in enumerate(first):
-        if v < u:
-            continue
+    for u, v in sorted(matching._pairs(first)):
         if len(seen) > backtrack:
             return
         pruned = list(rows)
@@ -268,7 +253,7 @@ def extend_to(
             else:
                 return deepest
         rows = _step(rows, mates)
-        steps += (frozenset([(v, u) for v, u in enumerate(mates) if u > v]),)
+        steps += (matching._pairs(mates),)
         cur_r += 1
         if cur_r == target_r:
             return ExtensionTrace(r, target_r, steps, complement(Graph(n, rows)))
@@ -354,6 +339,15 @@ def _climbs(g: Graph) -> Unconfirmed | None:
     return None if ok else Unconfirmed("full-extension-failed")
 
 
+def _is_half_clique(g: Graph, w: frozenset[int]) -> bool:
+    """T5's witness check: w is n/2 vertices of g, pairwise adjacent."""
+    try:
+        mask = _set_to_mask(w, g.n)
+    except (TypeError, GraphError):
+        return False
+    return 2 * mask.bit_count() == g.n and all(mask & ~g.adj[v] == 1 << v for v in w)
+
+
 @dataclass(frozen=True)
 class Rule:
     """One theorem: its hypothesis on an r-regular G of order n, and its
@@ -417,8 +411,7 @@ RULES = (
          witness_ok=lambda g, w: w.verify(g) and len(w.part_a) % 2 == len(w.part_b) % 2 == 1),
     Rule("T5-Clique", CONCLUSION_EXTENDABLE_ANY,
          lambda n, r: n % 2 == 0 and 2 * r >= n and n >= 2, _climbs,
-         witness=lambda g: half_clique(g), witness_ok=lambda g, w: 2 * len(w) == g.n
-         and all(g.has_edge(*e) for e in combinations(w, 2))),
+         witness=lambda g: half_clique(g), witness_ok=_is_half_clique),
     Rule("L-Matching", CONCLUSION_HAS_PM,
          lambda n, r: r > 15 and r % 2 == 1 and n % 2 == 0 and n < l_vertex_bound(r),
          _matched),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import binascii
 import sys
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
@@ -30,9 +30,9 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@cache
+@lru_cache(maxsize=64)
 def _unit_masks(n: int) -> tuple[int, ...]:
-    """``1 << v`` for every vertex v < n, made once per order."""
+    """``1 << v`` for every vertex v < n, kept for the 64 orders last used."""
     return tuple([1 << v for v in range(n)])
 
 
@@ -165,14 +165,35 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _set_to_mask(vertices: Iterable[int], n: int) -> int:
+    """The mask of a vertex set, the inverse of ``_mask_to_set``; raises
+    GraphError at the first label that is not an int in 0..n-1 (a bool
+    reads as its int).  Certificate checkers read their labels here."""
+    mask = 0
+    for v in vertices:
+        if not isinstance(v, int) or not 0 <= v < n:
+            raise GraphError(f"label {v!r} is not a vertex of 0..{n - 1}")
+        mask |= 1 << v
+    return mask
+
+
+def _mates(pairs: Iterable[Edge], n: int) -> list[int]:
+    """The partner list of a set of vertex pairs, -1 where a vertex has no
+    partner; raises GraphError at a label that ``_set_to_mask`` refuses, a
+    self-pair or a vertex in two pairs."""
+    mates = [-1] * n
+    for u, v in pairs:
+        if (not isinstance(u, int) or not isinstance(v, int) or not 0 <= u < n
+                or not 0 <= v < n or u == v or mates[u] != -1 or mates[v] != -1):
+            raise GraphError(f"pair ({u!r},{v!r}) is not two unpaired vertices of 0..{n - 1}")
+        mates[u] = v
+        mates[v] = u
+    return mates
+
+
 def components_after_deletion(g: Graph, s: Iterable[int] = ()) -> ComponentPartition:
     """Components of the induced subgraph on V minus ``s``, by ascending minimum."""
-    smask = 0
-    for v in s:
-        if not 0 <= v < g.n:
-            raise GraphError(f"deleted vertex {v} out of range for n={g.n}")
-        smask |= 1 << v
-    alive = g.vertex_mask() & ~smask
+    alive = g.vertex_mask() & ~_set_to_mask(s, g.n)
     return ComponentPartition(tuple(_mask_to_set(c) for c in _mask_components(g.adj, alive)))
 
 
@@ -189,18 +210,11 @@ def add_matching(g: Graph, matching: Iterable[Edge]) -> Graph:
     perfect matching to an r-regular graph yields an (r+1)-regular graph.
     """
     adj = list(g.adj)
-    seen = 0
-    for u, v in matching:
-        if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
-            raise GraphError(f"invalid matching edge ({u},{v})")
-        if g.adj[u] >> v & 1:
-            raise GraphError(f"edge ({u},{v}) already present")
-        bits = (1 << u) | (1 << v)
-        if seen & bits:
-            raise GraphError(f"matching edges overlap at ({u},{v})")
-        seen |= bits
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    for v, u in enumerate(_mates(matching, g.n)):
+        if u >= 0:
+            if g.adj[v] >> u & 1:
+                raise GraphError(f"edge ({v},{u}) already present")
+            adj[v] |= 1 << u
     return Graph(g.n, tuple(adj))
 
 

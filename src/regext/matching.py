@@ -33,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import (Edge, Graph, GraphError, _mask_components, _unit_masks,
-                    components_after_deletion)
+from .graph import (Edge, Graph, GraphError, _mask_components, _mask_to_set, _mates,
+                    _set_to_mask, _unit_masks, components_after_deletion)
 
 Matching = frozenset[Edge]
 
@@ -49,35 +49,23 @@ class TutteViolator:
     def verify(self, g: Graph) -> bool:
         """Check that odd_count is odd(G-s) and exceeds |s|; an s that is
         not a set of vertices of g gives False, not an error."""
-        smask = 0
-        for v in self.s:
-            if not isinstance(v, int) or not 0 <= v < g.n:
-                return False
-            smask |= 1 << v
+        try:
+            smask = _set_to_mask(self.s, g.n)
+        except (TypeError, GraphError):  # a label that is not a vertex, or no set
+            return False
         odd = sum(c.bit_count() & 1 for c in _mask_components(g.adj, g.vertex_mask() ^ smask))
         return odd == self.odd_count and odd > len(self.s)
 
 
 def is_valid_matching(g: Graph, m: Matching, perfect: bool = False) -> bool:
-    """Edges exist in g and are pairwise vertex-disjoint (and cover V if perfect).
-
-    An endpoint outside 0..n-1, or an element that is not a pair of ints,
-    makes the answer False, not an error."""
-    n = g.n
-    seen = 0
+    """Edges exist in g and are pairwise vertex-disjoint (and cover V if
+    perfect); an endpoint outside 0..n-1, or an element that is not a pair
+    of ints, makes the answer False, not an error."""
     try:
-        for u, v in m:
-            if not (0 <= u < n and 0 <= v < n) or u == v or not g.has_edge(u, v):
-                return False
-            bits = (1 << u) | (1 << v)
-            if seen & bits:
-                return False
-            seen |= bits
-    except (TypeError, ValueError):
+        mates = _mates(m, g.n)
+    except (TypeError, ValueError):  # GraphError, or an element that is not a pair
         return False
-    if perfect and seen != g.vertex_mask():
-        return False
-    return True
+    return all(g.adj[v] >> u & 1 if u >= 0 else not perfect for v, u in enumerate(mates))
 
 
 def _augment_from(adj: tuple[int, ...], match: list[int], root: int) -> int:
@@ -230,10 +218,14 @@ def _match_array(g: Graph) -> tuple[list[int], int]:
     return match, d_mask
 
 
+def _pairs(mates: list[int]) -> Matching:
+    """The matching whose partner list is ``mates``, as (low, high) pairs."""
+    return frozenset([(v, u) for v, u in enumerate(mates) if u > v])
+
+
 def max_matching(g: Graph) -> Matching:
     """A maximum-cardinality matching."""
-    match = _match_array(g)[0]
-    return frozenset([(v, u) for v, u in enumerate(match) if u > v])
+    return _pairs(_match_array(g)[0])
 
 
 def _gallai_edmonds_violator(g: Graph, match: list[int], d_mask: int) -> TutteViolator:
@@ -255,8 +247,7 @@ def max_matching_with_violator(g: Graph) -> tuple[Matching, TutteViolator | None
     """A maximum matching, plus the violator proving it maximum when it is
     not perfect, that is when D is not empty; one blossom search serves both."""
     match, d_mask = _match_array(g)
-    m = frozenset([(v, u) for v, u in enumerate(match) if u > v])
-    return m, _gallai_edmonds_violator(g, match, d_mask) if d_mask else None
+    return _pairs(match), _gallai_edmonds_violator(g, match, d_mask) if d_mask else None
 
 
 def perfect_matching(g: Graph) -> Matching | TutteViolator:
@@ -324,6 +315,4 @@ def tutte_violator_bruteforce(g: Graph, limit_n: int = 22) -> TutteViolator | No
             best_size = t.bit_count()
     if best_t == -1:
         return None
-    smask = full ^ best_t
-    s = frozenset(v for v in range(n) if smask >> v & 1)
-    return TutteViolator(s, oddc[best_t])
+    return TutteViolator(_mask_to_set(full ^ best_t), oddc[best_t])

@@ -16,6 +16,14 @@ def path_graph(n: int) -> Graph:
     return build(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def labelled_graphs(max_n: int, min_n: int = 1):
+    """Every graph on the labelled vertices 0..n-1, n from min_n to max_n."""
+    for n in range(min_n, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield build(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
 def cycle_graph(n: int) -> Graph:
     return build(n, [(i, (i + 1) % n) for i in range(n)])
 

@@ -17,8 +17,9 @@ earlier sampler loops, warm start and ladders that pinned outputs were
 recorded with, the ladder of regular graphs that the product's ladder on
 the complement's rows must agree with, the structured samplers' edge-list joins, the
 balloon-bound check on the package's balloon report and component sets,
-and the recursive clique search and the refinement that scans every cell,
-which the product's loops must follow step for step.
+the recursive clique search and the refinement that scans every cell,
+which the product's loops must follow step for step, and each certificate
+as its definition reads, which the checkers must accept exactly.
 """
 
 from __future__ import annotations
@@ -126,6 +127,95 @@ def count_perfect_matchings(g: Graph, limit_n: int = 16) -> int:
         return total
 
     return count(g.vertex_mask())
+
+
+# -- certificates as their definitions read ---------------------------------
+#
+# Each checker under src/ must accept exactly what these accept.  A vertex
+# label is an int in 0..n-1, and a bool is an int, so True reads as vertex
+# 1; edges are looked up in the set of g.edges(), not in its rows.
+
+def is_vertex(v, n: int) -> bool:
+    return isinstance(v, int) and 0 <= v < n
+
+
+def _joined(edges: set[tuple[int, int]], u: int, v: int) -> bool:
+    return (min(u, v), max(u, v)) in edges
+
+
+def is_tutte_violator(g: Graph, s, odd_count) -> bool:
+    """s is a set of vertices of g, G - s has exactly ``odd_count`` odd
+    components, and that is more than |s|."""
+    if not all(is_vertex(v, g.n) for v in s):
+        return False
+    odd = odd_component_count(g, s)
+    return odd == odd_count and odd > len(s)
+
+
+def is_matching(g: Graph, pairs, perfect: bool = False) -> bool:
+    """Every element of ``pairs`` is a 2-tuple of vertices of g joined by
+    an edge, no vertex is in two of them, and with ``perfect`` every
+    vertex is in one."""
+    edges = set(g.edges())
+    ends = []
+    for e in pairs:
+        if not (isinstance(e, tuple) and len(e) == 2
+                and all(is_vertex(v, g.n) for v in e) and _joined(edges, *e)):
+            return False
+        ends += e
+    return len(set(ends)) == len(ends) and (not perfect or len(ends) == g.n)
+
+
+def is_spanning_biclique(g: Graph, a, b) -> bool:
+    """a and b are nonempty disjoint sets of vertices of g that cover V,
+    and every vertex of a is adjacent to every vertex of b."""
+    if not all(is_vertex(v, g.n) for v in [*a, *b]):
+        return False
+    edges = set(g.edges())
+    return (bool(a) and bool(b) and not set(a) & set(b)
+            and set(a) | set(b) == set(range(g.n))
+            and all(_joined(edges, u, v) for u in a for v in b))
+
+
+def is_half_clique(g: Graph, w) -> bool:
+    """w is a set of n/2 vertices of g, pairwise adjacent."""
+    if not all(is_vertex(v, g.n) for v in w):
+        return False
+    edges = set(g.edges())
+    return 2 * len(w) == g.n and all(_joined(edges, u, v) for u, v in combinations(w, 2))
+
+
+def is_hamiltonian_cycle(g: Graph, order) -> bool:
+    """``order`` lists each of the n >= 3 vertices of g once, and each is
+    adjacent to the next, the last to the first."""
+    n = g.n
+    if n < 3 or len(order) != n or not all(is_vertex(v, n) for v in order):
+        return False
+    edges = set(g.edges())
+    return len(set(order)) == n and all(
+        _joined(edges, order[i - 1], order[i]) for i in range(n))
+
+
+def _is_regular(g: Graph, r) -> bool:
+    """Every degree of g is r; the graph with no vertex counts as 0-regular."""
+    return all(g.degree(v) == r for v in range(g.n)) if g.n else r == 0
+
+
+def is_extension_trace(g: Graph, start_r, target_r, steps, final: Graph) -> bool:
+    """g is start_r-regular; each step is a perfect matching of the
+    complement of the graph before it, whose pairs the step joins;
+    target_r = start_r + the number of steps; and ``final`` is the graph
+    after the last step, target_r-regular."""
+    n = g.n
+    edges = set(g.edges())
+    every_pair = set(combinations(range(n), 2))
+    for step in steps:
+        if not is_matching(build(n, every_pair - edges), step, perfect=True):
+            return False
+        edges |= {(min(e), max(e)) for e in step}
+    end = build(n, edges)
+    return (_is_regular(g, start_r) and target_r == start_r + len(steps)
+            and final == end and _is_regular(end, target_r))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

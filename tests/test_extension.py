@@ -36,7 +36,8 @@ from regext import (
     validate_cycle,
 )
 from regext import extension, matching
-from regext.extension import _alternatives, _mates, _step
+from regext.extension import _alternatives, _step
+from regext.graph import _mates
 from families import (
     cliques_plus_matching,
     complete_bipartite,

@@ -1,5 +1,4 @@
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +19,7 @@ from regext import (
     random_regular_bipartite,
     sample_spanning_biclique_regular,
 )
+from regext.graph import _unit_masks
 from regext.matching import tutte_violator_bruteforce
 from families import (
     complete_bipartite,
@@ -27,6 +27,7 @@ from families import (
     cycle_graph,
     disjoint_union,
     hub_graph,
+    labelled_graphs,
     petersen_graph,
     star_graph,
 )
@@ -89,6 +90,13 @@ class TestPerfectMatching:
 
     def test_c6_exact_matching(self):
         assert perfect_matching(cycle_graph(6)) == frozenset({(0, 1), (2, 3), (4, 5)})
+
+    def test_unit_masks_kept_for_64_orders(self):
+        # the search's single-vertex masks are made once per order; a
+        # process that matches graphs of many orders keeps the last 64
+        for n in range(100, 200):
+            perfect_matching(cycle_graph(n))
+        assert _unit_masks.cache_info().currsize <= 64
 
     def test_k33_minus_pm(self):
         g = complement(disjoint_union(complete_graph(3), complete_graph(3)))
@@ -265,14 +273,6 @@ def assert_tutte_berge_tight(g, violator):
     """odd(G-S) - |S| is exactly the number of vertices a maximum matching misses."""
     assert violator.verify(g)
     assert violator.odd_count - len(violator.s) == g.n - 2 * len(max_matching(g))
-
-
-def labelled_graphs(max_n):
-    """Every graph on the labelled vertices 0..n-1, n from 1 to max_n."""
-    for n in range(1, max_n + 1):
-        pairs = list(combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            yield build(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
 
 
 def assert_d_mask(g, nu):
