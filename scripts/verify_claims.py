@@ -5,9 +5,10 @@ Every guarantee the toolkit implements is confirmed constructively on
 generated instances: sufficient conditions by actually extending or
 matching, the impossibility condition by exhibiting Tutte violators, the
 balloon bound and the two arithmetic lemmas on grids.  Expected output is
-zero counterexamples on every row.  A reader that closes stdout early
-(``| head -1``) ends the run quietly with exit status 141, as for
-``regext``.
+zero counterexamples on every row.  ``regext verify``'s ``note:`` lines,
+one per skipped part of a rule's region, pass through to this script's
+stderr.  A reader that closes stdout early (``| head -1``) ends the run
+quietly with exit status 141, as for ``regext``.
 
 Usage:
     python scripts/verify_claims.py [--quick] [--seed N]

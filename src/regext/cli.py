@@ -6,11 +6,11 @@ one summary object).  Exit codes: 0 all good, 1 any semantic failure
 (non-extendable input, counterexample, violator where success was required,
 non-regular input to a command that needs regularity), 2 usage, parse or
 unreadable-input errors; a negative --backtrack, --count or --samples is a
-usage error, and so is a verify range the rule does not read.  A reader
-that closes stdout early (``regext gen ... | head -1``) ends the run
-quietly with exit code 141, the shell's code for a writer stopped by
-SIGPIPE.  All randomness flows from --seed, so reports are byte-identical
-across runs.
+usage error, and so are a verify range the rule does not read and gen
+--connected without --enumerate.  A reader that closes stdout early
+(``regext gen ... | head -1``) ends the run quietly with exit code 141, the
+shell's code for a writer stopped by SIGPIPE.  All randomness flows from
+--seed, so reports are byte-identical across runs.
 
 ``extend``, ``check``, ``match`` and ``analyze`` each answer one graph and
 leave reading and reporting to ``_each_graph``: a line that is not graph6
@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import logging
 import os
 import random
 import sys
@@ -46,19 +45,6 @@ from .extension import RULES, ExtensionTrace, TheoremVerdict, classify, extend_t
 from .graph import Graph, Graph6Error, GraphError, format_graph6, parse_graph6, regularity
 from .graph import components_after_deletion
 from .matching import TutteViolator, max_matching_with_violator
-
-log = logging.getLogger("regext.cli")
-
-
-class _StderrHandler(logging.Handler):
-    """Writes each record to ``sys.stderr`` as it is at that moment, so each
-    in-process ``main`` call logs to its own stderr."""
-
-    def emit(self, record):
-        print(f"{record.name} {record.levelname} {record.getMessage()}", file=sys.stderr)
-
-
-_LOG_HANDLER = _StderrHandler()
 
 # ``analyze`` computes the clique number, an exponential search, only up to
 # this order (perfbench's certify checker reads it)
@@ -104,10 +90,7 @@ class Reporter:
         self.ok_count = 0
         self.fail_count = 0
         if as_json:
-            self._emit({"kind": "header", "command": command, "options": options})
-
-    def _emit(self, obj: dict) -> None:
-        print(json.dumps(obj))
+            print(json.dumps({"kind": "header", "command": command, "options": options}))
 
     def result(self, ok: bool, human: str, payload: dict) -> None:
         if ok:
@@ -115,20 +98,16 @@ class Reporter:
         else:
             self.fail_count += 1
         if self.as_json:
-            self._emit({"kind": "result", "ok": ok, **payload})
+            print(json.dumps({"kind": "result", "ok": ok, **payload}))
         else:
             print(human)
 
     def summary(self, extra: dict | None = None) -> int:
-        data = {"kind": "summary", "ok": self.ok_count, "failed": self.fail_count}
-        if extra:
-            data.update(extra)
+        data = {"ok": self.ok_count, "failed": self.fail_count, **(extra or {})}
         if self.as_json:
-            self._emit(data)
+            print(json.dumps({"kind": "summary", **data}))
         else:
-            bits = [f"ok={self.ok_count}", f"failed={self.fail_count}"]
-            bits += [f"{k}={v}" for k, v in (extra or {}).items()]
-            print("summary: " + " ".join(bits))
+            print("summary: " + " ".join(f"{k}={v}" for k, v in data.items()))
         return 0 if self.fail_count == 0 else 1
 
 
@@ -281,6 +260,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.connected and not args.enumerate:
+        print("error: --connected applies only with --enumerate", file=sys.stderr)
+        return 2
     # human mode emits bare graph6 lines so the output pipes into the other
     # commands; JSON mode gets the usual header/result/summary objects
     reporter = Reporter("gen", {
@@ -292,10 +274,8 @@ def cmd_gen(args) -> int:
         if args.enumerate:
             graphs = generation.enumerate_regular(args.n, args.r, args.connected)
         else:
-            def sampled():
-                for i in range(args.count):
-                    yield generation.random_regular(args.n, args.r, args.seed + i)
-            graphs = sampled()
+            graphs = (generation.random_regular(args.n, args.r, args.seed + i)
+                      for i in range(args.count))
         for g in graphs:
             line = format_graph6(g)
             if reporter:
@@ -490,7 +470,7 @@ def cmd_verify(args) -> int:
         if cx is not None:
             reporter.result(False, f"counterexample: {cx}", {"counterexample": cx})
     for notice in notices:
-        log.info("skipped: %s", notice)
+        print(f"note: {notice}", file=sys.stderr)
     if not args.json:
         print(f"rule {args.rule}: checked {checked}, counterexamples {reporter.fail_count}")
     return reporter.summary({"rule": args.rule, "checked": checked,
@@ -523,15 +503,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _main(argv: list[str] | None) -> int:
-    # the regext logger alone, at the level REGEXT_LOG names on this call;
-    # the embedding program's root logger is left as it is
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    logger = logging.getLogger("regext")
-    logger.setLevel(levels.get(os.environ.get("REGEXT_LOG", ""), logging.ERROR))
-    if _LOG_HANDLER not in logger.handlers:
-        logger.addHandler(_LOG_HANDLER)
-        logger.propagate = False
-
     args = _parser().parse_args(argv)
     for flag in ("backtrack", "count", "samples"):
         value = getattr(args, flag, 0)

@@ -31,7 +31,6 @@ bipartite graph, so every level of the ladder up to n - 1 has one.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -40,8 +39,6 @@ from .graph import (Graph, GraphError, _mates, _set_to_mask, _unit_masks, comple
                     is_connected, regularity, require_regular)
 from .matching import Matching, TutteViolator, is_valid_matching, perfect_matching
 from .structure import half_clique, l_vertex_bound, spanning_biclique
-
-log = logging.getLogger("regext.extension")
 
 
 class DiracPreconditionError(GraphError):
@@ -160,7 +157,7 @@ class ExtensionTrace:
         try:
             for step in self.steps:
                 rows = _step(rows, _mates(step, n))
-        except (TypeError, ValueError):  # GraphError, or a step that is not a set of pairs
+        except (TypeError, GraphError):  # steps that are not iterable, or a bad step
             return False
         final = complement(Graph(n, rows))
         return final == self.final and regularity(final) == self.target_r
@@ -245,7 +242,6 @@ def extend_to(
                     cur_r, steps, matching._gallai_edmonds_violator(gc, mates, d_mask))
             while frames:
                 rows, cur_r, steps, alternatives = frames[-1]
-                log.debug("backtracking at r=%d", cur_r)
                 mates = next(alternatives, None)
                 if mates is not None:
                     break
@@ -343,7 +339,7 @@ def _is_half_clique(g: Graph, w: frozenset[int]) -> bool:
     """T5's witness check: w is n/2 vertices of g, pairwise adjacent."""
     try:
         mask = _set_to_mask(w, g.n)
-    except (TypeError, GraphError):
+    except GraphError:
         return False
     return 2 * mask.bit_count() == g.n and all(mask & ~g.adj[v] == 1 << v for v in w)
 

@@ -167,27 +167,35 @@ def _mask_to_set(mask: int) -> frozenset[int]:
 
 def _set_to_mask(vertices: Iterable[int], n: int) -> int:
     """The mask of a vertex set, the inverse of ``_mask_to_set``; raises
-    GraphError at the first label that is not an int in 0..n-1 (a bool
-    reads as its int).  Certificate checkers read their labels here."""
+    GraphError for no set and at the first label that is not an int in
+    0..n-1 (a bool reads as its int).  Certificate checkers read labels here."""
     mask = 0
-    for v in vertices:
-        if not isinstance(v, int) or not 0 <= v < n:
-            raise GraphError(f"label {v!r} is not a vertex of 0..{n - 1}")
-        mask |= 1 << v
+    try:
+        for v in vertices:
+            if not isinstance(v, int) or not 0 <= v < n:
+                raise GraphError(f"label {v!r} is not a vertex of 0..{n - 1}")
+            mask |= 1 << v
+    except TypeError:  # not iterable
+        raise GraphError(f"{vertices!r} is not a set of vertices") from None
     return mask
 
 
 def _mates(pairs: Iterable[Edge], n: int) -> list[int]:
     """The partner list of a set of vertex pairs, -1 where a vertex has no
-    partner; raises GraphError at a label that ``_set_to_mask`` refuses, a
-    self-pair or a vertex in two pairs."""
+    partner; raises GraphError for no set, an element that is not a pair, a
+    label that ``_set_to_mask`` refuses, a self-pair or a vertex in two pairs."""
     mates = [-1] * n
-    for u, v in pairs:
-        if (not isinstance(u, int) or not isinstance(v, int) or not 0 <= u < n
-                or not 0 <= v < n or u == v or mates[u] != -1 or mates[v] != -1):
-            raise GraphError(f"pair ({u!r},{v!r}) is not two unpaired vertices of 0..{n - 1}")
-        mates[u] = v
-        mates[v] = u
+    try:
+        for u, v in pairs:
+            if (not isinstance(u, int) or not isinstance(v, int) or not 0 <= u < n
+                    or not 0 <= v < n or u == v or mates[u] != -1 or mates[v] != -1):
+                raise GraphError(f"pair ({u!r},{v!r}) is not two unpaired vertices of 0..{n - 1}")
+            mates[u] = v
+            mates[v] = u
+    except GraphError:
+        raise
+    except (TypeError, ValueError) as exc:  # not iterable, or an element that is not a pair
+        raise GraphError(f"not a set of vertex pairs ({exc})") from None
     return mates
 
 

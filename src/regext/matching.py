@@ -51,7 +51,7 @@ class TutteViolator:
         not a set of vertices of g gives False, not an error."""
         try:
             smask = _set_to_mask(self.s, g.n)
-        except (TypeError, GraphError):  # a label that is not a vertex, or no set
+        except GraphError:  # a label that is not a vertex, or no set
             return False
         odd = sum(c.bit_count() & 1 for c in _mask_components(g.adj, g.vertex_mask() ^ smask))
         return odd == self.odd_count and odd > len(self.s)
@@ -63,7 +63,7 @@ def is_valid_matching(g: Graph, m: Matching, perfect: bool = False) -> bool:
     of ints, makes the answer False, not an error."""
     try:
         mates = _mates(m, g.n)
-    except (TypeError, ValueError):  # GraphError, or an element that is not a pair
+    except GraphError:
         return False
     return all(g.adj[v] >> u & 1 if u >= 0 else not perfect for v, u in enumerate(mates))
 

@@ -66,7 +66,7 @@ class BicliqueWitness:
     def verify(self, g: Graph) -> bool:
         try:
             a, b = _set_to_mask(self.part_a, g.n), _set_to_mask(self.part_b, g.n)
-        except (TypeError, GraphError):
+        except GraphError:
             return False
         return (0 < a and 0 < b and not a & b and a | b == g.vertex_mask()
                 and all(g.adj[v] & b == b for v in self.part_a))

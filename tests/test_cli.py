@@ -90,6 +90,13 @@ def run_into_closed_pipe(args, unbuffered=""):
     return proc.returncode, proc.stderr
 
 
+# C has no split of n = 10 into two 17-regular components, so this run
+# skips its one cell
+SKIPPING_VERIFY = ["verify", "--rule", "C", "--r-range", "17", "--n-range", "10",
+                   "--samples", "1"]
+SKIP_NOTE = "n=10, r=17 skipped: cannot split n=10 into two 17-regular components"
+
+
 def json_lines(lines):
     return [json.loads(line) for line in lines]
 
@@ -475,6 +482,14 @@ class TestGenCommand:
                 assert not any(nx.is_isomorphic(g, h) for h in same[:i]), \
                     nx.to_graph6_bytes(g)
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+    def test_connected_needs_enumerate(self, capsys, json_flag):
+        # sampling would ignore the flag and print disconnected graphs
+        code, out, err = run_cli(capsys, ["gen", "--n", "12", "--r", "2", "--count", "40",
+                                          "--seed", "0", "--connected", *json_flag])
+        assert (code, out) == (2, [])
+        assert err == "error: --connected applies only with --enumerate\n"
+
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     def test_closed_stdout_ends_quietly(self, unbuffered):
         # `regext gen ... | head -1`: no traceback once the reader is gone,
@@ -574,11 +589,12 @@ class TestVerifyCommand:
         (["--rule", "L", "--r-range", "17", "--n-range", "10..4"], 0, 1),
     ])
     def test_notices(self, capsys, argv, checked, skipped):
-        code, out, _ = run_cli(capsys, ["verify", "--json", *argv])
+        code, out, err = run_cli(capsys, ["verify", "--json", *argv])
         summary = json_lines(out)[-1]
         assert code == 0
         assert (summary["checked"], summary["failed"], summary["skipped"]) == \
             (checked, 0, skipped)
+        assert [line[:6] for line in err.splitlines()] == ["note: "] * skipped
 
     def test_t4_checks_only_its_rule(self, capsys, monkeypatch):
         # confirming T4 must not run the other rules' witness searches
@@ -735,20 +751,20 @@ class TestVerifyCommand:
         assert len(drawn) == 3
         assert first == list(instances(3))[:3]
 
-    def test_logging_leaves_root_alone(self, capsys, monkeypatch):
-        import logging
-
-        root = logging.getLogger()
-        before = (root.level, list(root.handlers))
-        # C has no split of n = 10 into two 17-regular components
-        argv = ["verify", "--rule", "C", "--r-range", "17", "--n-range", "10",
-                "--samples", "1"]
-        _, _, err = run_cli(capsys, argv)
-        assert (root.level, root.handlers) == before and "skipped" not in err
-        monkeypatch.setenv("REGEXT_LOG", "info")
-        _, _, err = run_cli(capsys, argv)
-        assert (root.level, root.handlers) == before
-        assert "regext.cli INFO skipped: n=10, r=17 skipped" in err
+    @pytest.mark.parametrize("json_flag,stdout", [
+        ([], ["rule C: checked 0, counterexamples 0",
+              "summary: ok=0 failed=0 rule=C checked=0 skipped=1"]),
+        (["--json"], [
+            '{"kind": "header", "command": "verify", "options": {"rule": "C", "n_range": '
+            '"10", "r_range": "17", "samples": 1, "seed": 0}}',
+            '{"kind": "summary", "ok": 0, "failed": 0, "rule": "C", "checked": 0, '
+            '"skipped": 1}']),
+    ], ids=["human", "json"])
+    def test_skip_note_on_stderr(self, capsys, json_flag, stdout):
+        # the skipped cell is one note on stderr, and stdout only counts it
+        code, out, err = run_cli(capsys, [*SKIPPING_VERIFY, *json_flag])
+        assert (code, out) == (0, stdout)
+        assert err == f"note: {SKIP_NOTE}\n"
 
     def test_bad_range_message(self, capsys):
         code, out, err = run_cli(capsys, ["verify", "--rule", "T1", "--n-range", "4..x"])
@@ -788,7 +804,7 @@ def test_negative_count_is_usage_error(capsys, monkeypatch, argv):
 
 class TestCachedParser:
     """One argument parser serves every ``main`` call of a process; nothing
-    of one call's arguments or environment reaches the next."""
+    of one call's arguments reaches the next."""
 
     def test_help_twice_same_bytes(self, capsys):
         outs = []
@@ -806,15 +822,20 @@ class TestCachedParser:
         assert code == 2 and out == []
         assert err == "error: --backtrack must be >= 0, got -1\n"
 
-    def test_log_level_read_per_call(self, capsys, monkeypatch):
-        # C has no split of n = 10 into two 17-regular components
-        argv = ["verify", "--rule", "C", "--r-range", "17", "--n-range", "10",
-                "--samples", "1"]
-        notice = "regext.cli INFO skipped: n=10, r=17 skipped"
-        for level in ("info", "", "info", "error"):
-            monkeypatch.setenv("REGEXT_LOG", level)
-            _, _, err = run_cli(capsys, argv)
-            assert (notice in err) == (level == "info"), level
+
+@pytest.mark.parametrize("argv,stdin,stderr", [
+    (SKIPPING_VERIFY, b"", f"note: {SKIP_NOTE}\n".encode()),
+    # backtracks at r = 5 and stays stuck there
+    (["extend", "--target-r", "7", "--backtrack", "1"], b"GJiu]o\n", b""),
+], ids=["verify", "extend"])
+def test_output_ignores_environment(argv, stdin, stderr):
+    # regext reads no environment variable: REGEXT_LOG, which once set a log
+    # level, changes no stream
+    runs = [subprocess.run([sys.executable, "-m", "regext.cli", *argv], input=stdin,
+                           capture_output=True, env=src_env(**extra), timeout=120)
+            for extra in ({}, {"REGEXT_LOG": "debug"})]
+    plain, logged = ((p.returncode, p.stdout, p.stderr) for p in runs)
+    assert plain == logged and plain[1] and plain[2] == stderr
 
 
 def test_verify_claims_quick_all_clear(capsys):

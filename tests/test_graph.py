@@ -152,6 +152,11 @@ class TestAddMatching:
         with pytest.raises(GraphError):
             add_matching(empty_graph(4), [(0, 1), (1, 2)])
 
+    @pytest.mark.parametrize("matching", [[(0, 1, 2)], [(0,)], [0], None])
+    def test_not_a_set_of_pairs(self, matching):
+        with pytest.raises(GraphError):
+            add_matching(empty_graph(4), matching)
+
     def test_perfect_matching_bumps_degrees(self):
         g = complete_bipartite(3, 3)
         h = add_matching(g, [(0, 1), (3, 4)])
